@@ -27,6 +27,11 @@ from .knots import KnotVector
 
 CHECK_TOLERANCE = 1e-10
 
+# Most knots a spline file may describe.  A uniform {start, delta, count}
+# spec is a few bytes whatever its count, so the count is checked before
+# any knot is built.
+MAX_KNOTS = 1_000_000
+
 
 # ---------------------------------------------------------------------------
 # file formats
@@ -45,6 +50,16 @@ def _parse_scalar(x):
     raise ValueError("expected a number or 'p/q' string, got %r" % (x,))
 
 
+def _parse_coordinate(x) -> float:
+    """Accept JSON numbers only."""
+    if not isinstance(x, (int, float)) or isinstance(x, bool):
+        raise ValueError("control point coordinate must be a number, got %r" % (x,))
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValueError("control point coordinate %r is out of float range" % (x,)) from None
+
+
 def _scalar_to_json(v):
     if isinstance(v, Fraction):
         return int(v) if v.denominator == 1 else str(v)
@@ -52,7 +67,12 @@ def _scalar_to_json(v):
 
 
 def load_spline(path: str) -> SplineCurve:
-    """Read a spline file: degree, knots (list or uniform spacing), control points."""
+    """Read a spline file: degree, knots (list or uniform spacing), control points.
+
+    Sizes are checked before anything is built from them: the degree may
+    not exceed ``MAX_DEGREE`` and the knot count may not exceed
+    ``MAX_KNOTS``.
+    """
     with open(path, "r", encoding="utf-8") as f:
         data = json.load(f, parse_constant=_reject_constant)
     if not isinstance(data, dict):
@@ -63,16 +83,25 @@ def load_spline(path: str) -> SplineCurve:
         points = data["control_points"]
     except KeyError as e:
         raise ValueError("spline file missing field %s" % e) from None
-    if not isinstance(degree, int) or degree < 0:
+    if not isinstance(degree, int) or isinstance(degree, bool) or degree < 0:
         raise ValueError("degree must be a non-negative integer")
+    if degree > MAX_DEGREE:
+        raise ValueError("degree %d exceeds cap %d" % (degree, MAX_DEGREE))
     if isinstance(knots_spec, dict):
+        missing = [key for key in ("start", "delta", "count") if key not in knots_spec]
+        if missing:
+            raise ValueError("uniform knots missing field %s" % ", ".join(missing))
         start = _parse_scalar(knots_spec["start"])
         delta = _parse_scalar(knots_spec["delta"])
         count = knots_spec["count"]
-        if not isinstance(count, int) or count < 2:
+        if not isinstance(count, int) or isinstance(count, bool) or count < 2:
             raise ValueError("uniform knot count must be an integer >= 2")
+        if count > MAX_KNOTS:
+            raise ValueError("uniform knot count %d exceeds cap %d" % (count, MAX_KNOTS))
         kv = KnotVector.uniform(count, start=start, step=delta)
     elif isinstance(knots_spec, list):
+        if len(knots_spec) > MAX_KNOTS:
+            raise ValueError("knot count %d exceeds cap %d" % (len(knots_spec), MAX_KNOTS))
         kv = KnotVector([_parse_scalar(v) for v in knots_spec])
     else:
         raise ValueError("knots must be a list or a {start, delta, count} object")
@@ -82,7 +111,7 @@ def load_spline(path: str) -> SplineCurve:
     for p in points:
         if not isinstance(p, list):
             raise ValueError("each control point must be a list of coordinates")
-        rows.append([float(c) for c in p])
+        rows.append([_parse_coordinate(c) for c in p])
     return SplineCurve(degree, kv, rows)
 
 

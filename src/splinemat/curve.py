@@ -6,10 +6,15 @@ parameter to [0, 1], and applies the span's basis matrix to the k+1 local
 control points.  The cumulative path writes the same span value as the
 first local point plus weighted differences of consecutive points.  All
 three agree to floating-point accuracy on the whole evaluable domain.
+
+The matrix, cumulative and derivative paths share one batched float core:
+vectorised span lookup, Horner's rule over cached float copies of the exact
+span matrices, and one weighted sum of the gathered local control points.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +24,27 @@ from .basismatrix import cumulative_matrix, general_basis_matrix, uniform_basis_
 from .errors import DomainError
 from .knots import KnotVector, find_span, normalize
 
+# Parameters per pass of the batched core.  Scratch memory per pass is
+# O(_CHUNK * (k+1)^2) floats whatever the number of parameters.
+_CHUNK = 1024
+
+
+@dataclass(frozen=True)
+class _FloatKnots:
+    """Float tables for span lookup, built once per curve."""
+
+    values: np.ndarray  # float copy of the knots
+    # float(exact width) per span, so that u matches ``normalize`` bit for
+    # bit; NaN for a width beyond the float range
+    widths: np.ndarray
+    lo: float
+    hi: float
+    last: int  # last span of positive width, where tau == hi lands; -1 if none
+    # Floats of the knots a double cannot hold.  A tau equal to one of them
+    # may compare differently with the float than with the exact knot, so it
+    # takes the exact lookup.
+    inexact: np.ndarray
+
 
 @dataclass(frozen=True)
 class SplineCurve:
@@ -26,8 +52,9 @@ class SplineCurve:
 
     Counts are tied: a degree-k curve over M knots carries N = M - k - 1
     control points.  Instances are immutable; evaluation is pure and safe
-    to run concurrently (span matrices are cached per span, and a repeated
-    insert of the same value is harmless).
+    to run concurrently.  Float span matrices are cached per touched span,
+    each built whole and made read-only before it is stored, so a reader
+    never sees a half-built span; two racing fills only build a span twice.
     """
 
     degree: int
@@ -75,30 +102,150 @@ class SplineCurve:
         if not lo <= tau <= hi:
             raise DomainError("tau outside evaluable domain: %s not in [%s, %s]" % (tau, lo, hi))
 
-    def _span_matrix_rows(self, span: int) -> list:
-        key = ("m", span)
-        rows = self._cache.get(key)
-        if rows is None:
-            rows = self._exact_matrix(span).as_float_rows()
-            self._cache[key] = rows
-        return rows
+    def _span_matrix_rows(self, span: int) -> np.ndarray:
+        return self._float_rows("m", span, lambda m: m)
 
-    def _span_cumulative_rows(self, span: int) -> list:
-        key = ("c", span)
+    def _span_cumulative_rows(self, span: int) -> np.ndarray:
+        return self._float_rows("c", span, cumulative_matrix)
+
+    def _float_rows(self, kind: str, span: int, form) -> np.ndarray:
+        """Read-only float copy of ``form(exact matrix)`` for ``span``, cached."""
+        key = (kind, span)
         rows = self._cache.get(key)
         if rows is None:
-            rows = cumulative_matrix(self._exact_matrix(span)).as_float_rows()
-            self._cache[key] = rows
+            rows = np.array(form(self._exact_matrix(span)).as_float_rows())
+            rows.setflags(write=False)
+            rows = self._cache.setdefault(key, rows)
         return rows
 
     def _exact_matrix(self, span: int):
         if self.knots.is_uniform:
             return uniform_basis_matrix(self.degree)
-        rkv = self._cache.get("rkv")
-        if rkv is None:
-            rkv = self.knots.as_rational()
-            self._cache["rkv"] = rkv
-        return general_basis_matrix(rkv, self.degree, span)
+        key = ("x", span)
+        m = self._cache.get(key)
+        if m is None:
+            rkv = self._cache.get("rkv")
+            if rkv is None:
+                rkv = self.knots.as_rational()
+                self._cache["rkv"] = rkv
+            m = general_basis_matrix(rkv, self.degree, span)
+            self._cache[key] = m
+        return m
+
+    def _float_knots(self) -> _FloatKnots:
+        fk = self._cache.get("f")
+        if fk is None:
+            vals = self.knots.values
+            lo, hi = self.domain
+            positive = [j for j in range(self.degree, len(vals) - self.degree - 1)
+                        if vals[j] < vals[j + 1]]
+            values = np.array([_to_float(v) for v in vals])
+            widths = np.array([_to_float(b - a) for a, b in zip(vals, vals[1:])])
+            widths[np.isinf(widths)] = np.nan
+            fk = _FloatKnots(
+                values=values,
+                widths=widths,
+                lo=_to_float(lo),
+                hi=_to_float(hi),
+                last=positive[-1] if positive else -1,
+                inexact=values[[f != v for f, v in zip(values.tolist(), vals)]],
+            )
+            self._cache["f"] = fk
+        return fk
+
+    def _locate(self, taus) -> tuple:
+        """Span index and span-normalised parameter for each tau.
+
+        Float parameters go through the float tables; any other kind
+        (Fraction, int) takes the exact ``find_span``/``normalize``.
+        Raises DomainError for a tau outside the evaluable domain.
+        """
+        arr = np.asarray(taus)
+        if arr.ndim != 1:
+            raise ValueError("taus must be a 1-D sequence")
+        fk = self._float_knots()
+        if arr.dtype.kind == "f":
+            tau = arr.astype(float, copy=False)
+            exact = np.isin(tau, fk.inexact) if fk.inexact.size else np.zeros(tau.shape, bool)
+            inside = ((tau >= fk.lo) & (tau <= fk.hi)) | exact
+            if not inside.all():
+                self._check_tau(float(tau[~inside][0]))
+            if fk.last < 0 and tau.size:
+                raise DomainError("evaluable domain [%s, %s] is degenerate" % self.domain)
+            # Piegl & Tiller A2.1 (FindSpan) over the whole batch
+            spans = np.searchsorted(fk.values, tau, side="right") - 1
+            spans[tau == fk.hi] = fk.last
+            if exact.any():
+                at = np.flatnonzero(exact)
+                spans[at] = [find_span(self.knots, self.degree, t) for t in tau[at].tolist()]
+            u = (tau - fk.values[spans]) / fk.widths[spans]
+        else:
+            values = arr.tolist()
+            spans = np.array([find_span(self.knots, self.degree, t) for t in values],
+                             dtype=np.intp)
+            u = np.array([float(normalize(self.knots, j, t)) for j, t in zip(spans, values)])
+        wide = np.isnan(fk.widths[spans])
+        if wide.any():
+            raise DomainError("tau %s lies in a span too wide for float evaluation"
+                              % arr[wide][0])
+        return spans, u
+
+    def _span_rows(self, kind: str, spans: np.ndarray) -> np.ndarray:
+        """Float span matrices ("m") or their cumulative forms ("c") for ``spans``.
+
+        One (k+1, k+1) matrix serves the whole batch when it covers one span
+        or the knots are uniform.  Otherwise the result is the
+        (len(spans), k+1, k+1) stack, looked up once per distinct span.
+        """
+        rows_of = self._span_matrix_rows if kind == "m" else self._span_cumulative_rows
+        if self.knots.is_uniform:
+            return rows_of(self.degree)
+        distinct = np.unique(spans)
+        if len(distinct) == 1:
+            return rows_of(int(distinct[0]))
+        stack = np.stack([rows_of(j) for j in distinct.tolist()])
+        return stack[np.searchsorted(distinct, spans)]
+
+    def _combine(self, spans: np.ndarray, u: np.ndarray, kind: str = "m",
+                 order: int = 0) -> np.ndarray:
+        """The batched core: Horner weights times the local control points.
+
+        ``kind`` "m" applies the span matrices, differentiated ``order``
+        times (chain rule: divided by width**order); "c" applies the
+        cumulative matrices to the first local point and the differences.
+        """
+        k = self.degree
+        offsets = np.arange(k + 1) - k
+        out = np.empty((len(u), self.dim))
+        for start in range(0, len(u), _CHUNK):
+            part = slice(start, start + _CHUNK)
+            j = spans[part]
+            weights = _horner(self._span_rows(kind, j), u[part], order)
+            local = np.take(self.points, j[:, None] + offsets, axis=0)
+            if kind == "c":
+                out[part] = local[:, 0] + np.einsum("nc,ncd->nd", weights[:, 1:],
+                                                    np.diff(local, axis=1))
+            else:
+                out[part] = np.einsum("nc,ncd->nd", weights, local)
+        if order:
+            out /= (self._float_knots().widths[spans] ** order)[:, None]
+        return out
+
+    def evaluate(self, taus, derivative: int = 0) -> np.ndarray:
+        """Matrix-path values at a 1-D sequence of parameters, as an (n, d) array.
+
+        ``derivative`` > 0 gives that derivative with respect to tau; orders
+        above the degree are identically zero.  Float parameters stay in
+        float arithmetic; Fraction or int parameters are located exactly.
+        Works through the batch ``_CHUNK`` parameters at a time.  Raises
+        DomainError if any tau lies outside the evaluable domain.
+        """
+        if derivative < 0:
+            raise ValueError("derivative must be >= 0")
+        spans, u = self._locate(taus)
+        if derivative > self.degree:
+            return np.zeros((len(u), self.dim))
+        return self._combine(spans, u, "m", derivative)
 
     def eval_coxdeboor(self, tau) -> np.ndarray:
         """Reference evaluation: sum every basis function times its point."""
@@ -112,27 +259,15 @@ class SplineCurve:
 
     def eval_matrix(self, tau) -> np.ndarray:
         """Span lookup, parameter normalization, basis matrix times local points."""
-        self._check_tau(tau)
-        j = find_span(self.knots, self.degree, tau)
-        u = float(normalize(self.knots, j, tau))
-        return self._matrix_point(j, u)
+        return self.evaluate([tau])[0]
 
     def _matrix_point(self, span: int, u: float) -> np.ndarray:
-        weights = _horner_row(self._span_matrix_rows(span), u)
-        local = self.points[span - self.degree: span + 1]
-        return np.asarray(weights) @ local
+        return self._combine(np.array([span]), np.array([u], dtype=float))[0]
 
     def eval_cumulative(self, tau) -> np.ndarray:
         """First local point plus cumulative-weighted differences."""
-        self._check_tau(tau)
-        j = find_span(self.knots, self.degree, tau)
-        u = float(normalize(self.knots, j, tau))
-        lam = _horner_row(self._span_cumulative_rows(j), u)
-        first = j - self.degree
-        out = self.points[first].copy()
-        for c in range(1, self.degree + 1):
-            out += lam[c] * (self.points[first + c] - self.points[first + c - 1])
-        return out
+        spans, u = self._locate([tau])
+        return self._combine(spans, u, "c")[0]
 
     def eval_derivative(self, tau, order: int) -> np.ndarray:
         """Derivative of the matrix-path polynomial, chain rule per span width.
@@ -141,25 +276,7 @@ class SplineCurve:
         """
         if order < 1:
             raise ValueError("order must be >= 1")
-        self._check_tau(tau)
-        if order > self.degree:
-            return np.zeros(self.dim)
-        j = find_span(self.knots, self.degree, tau)
-        u = float(normalize(self.knots, j, tau))
-        rows = self._span_matrix_rows(j)
-        k = self.degree
-        weights = [0.0] * (k + 1)
-        for c in range(k + 1):
-            acc = 0.0
-            for r in range(k, order - 1, -1):
-                scale = 1.0
-                for t in range(r, r - order, -1):
-                    scale *= t
-                acc += scale * u ** (r - order) * rows[r][c]
-            weights[c] = acc
-        width = float(self.knots.values[j + 1] - self.knots.values[j])
-        local = self.points[j - self.degree: j + 1]
-        return (np.asarray(weights) @ local) / width ** order
+        return self.evaluate([tau], order)[0]
 
     def sample(self, n: int) -> list:
         """n matrix-path evaluations at evenly spaced parameters, ends included."""
@@ -168,25 +285,40 @@ class SplineCurve:
         lo, hi = self.domain
         if not lo < hi:
             raise DomainError("evaluable domain [%s, %s] is degenerate" % (lo, hi))
-        out = []
-        for t in np.linspace(float(lo), float(hi), n):
-            # rounding the exact bounds to float may step just outside the
-            # domain; pull such parameters back onto the exact endpoints
-            tau = float(t)
-            if tau < lo:
-                tau = lo
-            elif tau > hi:
-                tau = hi
-            out.append((float(tau), self.eval_matrix(tau)))
-        return out
+        lo_f, hi_f = float(lo), float(hi)
+        grid = np.clip(np.linspace(lo_f, hi_f, n), lo_f, hi_f)
+        # Rounding an exact bound to float may step just outside the domain;
+        # parameters that landed there are evaluated at the exact bound.
+        edge = ((grid == lo_f) & (lo_f < lo)) | ((grid == hi_f) & (hi_f > hi))
+        points = np.empty((n, self.dim))
+        points[~edge] = self.evaluate(grid[~edge])
+        if edge.any():
+            points[edge] = self.evaluate([lo if t < lo else hi for t in grid[edge].tolist()])
+        return list(zip(grid.tolist(), points))
 
 
-def _horner_row(rows: list, u: float) -> list:
-    size = len(rows)
-    out = []
-    for c in range(size):
-        acc = rows[size - 1][c]
-        for r in range(size - 2, -1, -1):
-            acc = acc * u + rows[r][c]
-        out.append(acc)
-    return out
+def _to_float(x) -> float:
+    """float(x), or a signed infinity where x is beyond the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def _horner(rows: np.ndarray, u: np.ndarray, order: int) -> np.ndarray:
+    """Weights sum over r >= order of r!/(r-order)! u^(r-order) rows[..., r, :].
+
+    ``rows`` is one (k+1, k+1) matrix or a stack matching ``u``; the result
+    is (len(u), k+1).  Horner's rule, not powers of u, so that values exact
+    in floats stay exact.
+    """
+    top = rows.shape[-2] - 1
+    x = u[:, None]
+    acc = np.empty((len(u), rows.shape[-1]))
+    acc[...] = rows[..., top, :]
+    if order:
+        acc *= math.perm(top, order)
+    for r in range(top - 1, order - 1, -1):
+        acc *= x
+        acc += rows[..., r, :] * math.perm(r, order) if order else rows[..., r, :]
+    return acc

@@ -6,8 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from splinemat import KnotVector, SplineCurve
-from splinemat.cli import load_knots, load_spline, main, save_spline
+from splinemat import MAX_DEGREE, KnotVector, SplineCurve
+from splinemat.cli import MAX_KNOTS, load_knots, load_spline, main, save_spline
 
 
 def write_cubic_spline(path):
@@ -185,6 +185,52 @@ class TestSplineFiles:
         assert main(["eval", str(path), "--tau", "1.0"]) == 2
         path.write_text('{"degree": 1, "knots": [0, 1, 2, 3]}')
         assert main(["eval", str(path), "--tau", "1.0"]) == 2
+
+    @pytest.mark.parametrize("spec,message", [
+        ({"degree": 1, "knots": {"start": 0, "delta": 1}, "control_points": [[0], [1]]},
+         "uniform knots missing field count"),
+        ({"degree": 1, "knots": {"count": 4}, "control_points": [[0], [1]]},
+         "uniform knots missing field start, delta"),
+        ({"degree": 1, "knots": [0, 1, 2, 3], "control_points": [[[0]], [[1]]]},
+         "coordinate must be a number"),
+        ({"degree": 1, "knots": [0, 1, 2, 3], "control_points": [[0], ["1/3"]]},
+         "coordinate must be a number"),
+        ({"degree": 1, "knots": [0, 1, 2, 3], "control_points": [[0], [True]]},
+         "coordinate must be a number"),
+        ({"degree": True, "knots": [0, 1, 2, 3], "control_points": [[0], [1]]},
+         "degree must be a non-negative integer"),
+        ({"degree": 1, "knots": [0, 1, 2, 3], "control_points": [[0], [10 ** 400]]},
+         "out of float range"),
+    ])
+    def test_malformed_fields_exit_two_with_one_line(self, tmp_path, capsys, spec, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(spec))
+        assert main(["eval", str(path), "--tau", "1.5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
+
+    def test_uniform_count_cap_checked_before_building(self, tmp_path, capsys, monkeypatch):
+        def build(*args, **kwargs):
+            raise AssertionError("knots built before the count was checked")
+
+        monkeypatch.setattr(KnotVector, "uniform", build)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"degree": 1, "control_points": [[0], [1]],
+                                    "knots": {"start": 0, "delta": 1, "count": MAX_KNOTS + 1}}))
+        assert main(["eval", str(path), "--tau", "1.5"]) == 2
+        assert "exceeds cap %d" % MAX_KNOTS in capsys.readouterr().err
+
+    def test_degree_cap_checked_at_load(self, tmp_path):
+        degree = MAX_DEGREE + 1
+        path = tmp_path / "high.json"
+        path.write_text(json.dumps({
+            "degree": degree,
+            "knots": {"start": 0, "delta": 1, "count": 2 * degree + 2},
+            "control_points": [[0.0]] * (degree + 1),
+        }))
+        with pytest.raises(ValueError, match="exceeds cap %d" % MAX_DEGREE):
+            load_spline(str(path))
 
     def test_knots_file_variants(self, tmp_path):
         plain = tmp_path / "a.json"

@@ -1,4 +1,5 @@
 import random
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -257,3 +258,37 @@ class TestConcurrency:
             got = list(pool.map(fresh.eval_matrix, taus))
         for a, b in zip(expected, got):
             assert np.array_equal(a, b)
+
+    def test_parallel_batches_fill_span_cache_consistently(self):
+        # 8 threads fill disjoint spans of one fresh non-uniform curve,
+        # racing each other on the shared span cache
+        kv = clamped(3, [1, 3, 4, 7, 8, 10, 13, 14, 15, 18, 19, 21, 24, 25, 27, 30], 31)
+        rng = random.Random(32)
+        n = len(kv.values) - 4
+        pts = [[rng.uniform(-10.0, 10.0) for _ in range(2)] for _ in range(n)]
+        spans = [j for j in range(3, n) if kv.values[j] < kv.values[j + 1]]
+
+        def batches(thread):
+            out = []
+            for j in spans[thread::8]:
+                a, b = float(kv.values[j]), float(kv.values[j + 1])
+                out.append(np.linspace(a, b, 5)[:-1])
+            return out
+
+        serial = SplineCurve(3, kv, pts)
+        expected = [[serial.evaluate(t) for t in batches(i)] for i in range(8)]
+        fresh = SplineCurve(3, kv, pts)
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(lambda i: [fresh.evaluate(t) for t in batches(i)], i)
+                           for i in range(8)]
+                got = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(old)
+        for want_batches, got_batches in zip(expected, got):
+            for a, b in zip(want_batches, got_batches):
+                assert np.array_equal(a, b)
+        every = np.concatenate([t for i in range(8) for t in batches(i)])
+        assert np.array_equal(fresh.evaluate(every), serial.evaluate(every))

@@ -1,0 +1,212 @@
+"""Property tests of the batched evaluation core, ``SplineCurve.evaluate``.
+
+Knot vectors are drawn with repeated knots (multiplicity up to the degree
+inside, up to degree + 1 at the ends), in integer, rational (thirds,
+sevenths, tenths: not exactly representable as doubles) and float storage,
+evenly spaced or not.  Parameters are drawn at knots, at both domain ends,
+inside spans and one step outside the domain, both as floats and exactly.
+"""
+
+import math
+from fractions import Fraction
+from itertools import accumulate
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import BSpline
+
+from splinemat import DomainError, KnotVector, SplineCurve, find_span
+
+SETTINGS = settings(max_examples=100, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+
+
+def row_gaps(a, b):
+    a, b = np.atleast_2d(a), np.atleast_2d(b)
+    scale = np.maximum(1.0, np.maximum(np.abs(a).max(axis=1), np.abs(b).max(axis=1)))
+    return np.abs(a - b).max(axis=1) / scale
+
+
+@st.composite
+def curves(draw):
+    k = draw(st.integers(0, 5))
+    storage = draw(st.sampled_from(["integer", "rational", "float"]))
+    even = draw(st.booleans())
+    breaks_count = draw(st.integers(k + 2, 2 * k + 6))
+    if even:
+        gaps = [draw(st.integers(1, 9))] * (breaks_count - 1)
+    else:
+        gaps = draw(st.lists(st.integers(1, 9), min_size=breaks_count - 1,
+                             max_size=breaks_count - 1))
+    if storage == "float":
+        scale = draw(st.sampled_from([0.1, 0.37, 1.0, 2.5]))
+        breaks = list(accumulate((g * scale for g in gaps),
+                                 initial=float(draw(st.integers(-20, 20)))))
+    else:
+        q = 1 if storage == "integer" else draw(st.sampled_from([3, 7, 10]))
+        breaks = list(accumulate((Fraction(g, q) for g in gaps),
+                                 initial=Fraction(draw(st.integers(-20, 20)), q)))
+    if even:
+        mults = [1] * breaks_count
+    else:
+        inner = st.integers(1, max(k, 1))
+        mults = ([draw(st.integers(1, k + 1))]
+                 + [draw(inner) for _ in range(breaks_count - 2)]
+                 + [draw(st.integers(1, k + 1))])
+    values = [b for b, m in zip(breaks, mults) for _ in range(m)]
+    assume(len(values) >= 2 * k + 2)
+    kv = KnotVector(values)
+    lo, hi = kv.domain(k)
+    assume(lo < hi)
+    n = len(values) - k - 1
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    points = np.random.default_rng(seed).normal(0.0, 10.0, (n, 2))
+    return SplineCurve(k, kv, points)
+
+
+@st.composite
+def curves_and_taus(draw):
+    curve = draw(curves())
+    lo, hi = curve.domain
+    lo_f, hi_f = float(lo), float(hi)
+    inside = st.floats(0.0, 1.0).map(lambda f: min(hi_f, lo_f + f * (hi_f - lo_f)))
+    at_knot = st.sampled_from(curve.knots.values)
+    at_end = st.sampled_from([lo, hi])
+    outside = st.sampled_from([math.nextafter(lo_f, -math.inf), math.nextafter(hi_f, math.inf)])
+    exact = st.one_of(at_knot, at_end)
+    taus = draw(st.lists(st.one_of(inside, exact.map(float), exact, outside),
+                         min_size=1, max_size=12))
+    return curve, taus
+
+
+def rejects(fn, tau) -> bool:
+    try:
+        fn(tau)
+    except DomainError:
+        return True
+    return False
+
+
+def in_domain(curve, taus):
+    return [t for t in taus if not rejects(curve._check_tau, t)]
+
+
+@SETTINGS
+@given(curves_and_taus())
+def test_batched_span_index_equals_find_span(case):
+    curve, taus = case
+    floats = np.array([t for t in in_domain(curve, taus) if isinstance(t, float)], dtype=float)
+    spans, u = curve._locate(floats)
+    want = [find_span(curve.knots, curve.degree, t) for t in floats.tolist()]
+    assert spans.tolist() == want
+    # the float of a rounded knot may sit an ulp past the span's end
+    assert np.all((u >= -1e-12) & (u <= 1.0 + 1e-12))
+
+
+@SETTINGS
+@given(curves_and_taus())
+def test_evaluate_agrees_with_recursion(case):
+    curve, taus = case
+    good = in_domain(curve, taus)
+    for batch in ([t for t in good if isinstance(t, float)],
+                  [t for t in good if not isinstance(t, float)]):
+        if not batch:
+            continue
+        got = curve.evaluate(np.array(batch, dtype=float if isinstance(batch[0], float) else object))
+        ref = np.array([curve.eval_coxdeboor(t) for t in batch])
+        assert got.shape == (len(batch), curve.dim)
+        assert row_gaps(got, ref).max() <= 1e-10
+        cumulative = np.array([curve.eval_cumulative(t) for t in batch])
+        assert row_gaps(cumulative, ref).max() <= 1e-10
+
+
+@SETTINGS
+@given(curves_and_taus())
+def test_first_derivative_agrees_with_scipy(case):
+    curve, taus = case
+    assume(curve.degree >= 1)
+    # A double equal to the rounding of an inexact knot lies on one side of
+    # the exact knot, while scipy sees it on the knot: where the slope jumps
+    # the two sides differ, so such parameters are left out.  So is the
+    # right end, where this library takes the slope of the last span and
+    # scipy may take the span past a repeated end knot.
+    skip = {float(v) for v in curve.knots.values if float(v) != v} | {float(curve.domain[1])}
+    floats = [t for t in in_domain(curve, taus) if isinstance(t, float) and t not in skip]
+    assume(floats)
+    knots = np.array([float(v) for v in curve.knots.values])
+    slope = BSpline(knots, curve.points, curve.degree).derivative()
+    got = curve.evaluate(np.array(floats), derivative=1)
+    assert row_gaps(got, slope(np.array(floats))).max() <= 1e-9
+
+
+@SETTINGS
+@given(curves_and_taus())
+def test_domain_error_exactly_where_check_tau_rejects(case):
+    curve, taus = case
+    for t in taus:
+        assert rejects(curve.evaluate, [t]) == rejects(curve._check_tau, t)
+        assert rejects(curve.eval_cumulative, t) == rejects(curve._check_tau, t)
+    floats = [t for t in taus if isinstance(t, float)]
+    if floats:
+        any_bad = any(rejects(curve._check_tau, t) for t in floats)
+        assert rejects(curve.evaluate, np.array(floats)) == any_bad
+
+
+def test_inexact_bounds_fall_back_to_exact_lookup():
+    # float(1/3) lies below the exact bound 1/3, float(2/3) below 2/3
+    third = Fraction(1, 3)
+    curve = SplineCurve(1, KnotVector([0, third, 2 * third, 1]), [[0.0], [1.0]])
+    assert float(third) < third and float(2 * third) < 2 * third
+    with pytest.raises(DomainError):
+        curve.evaluate([float(third)])
+    assert curve.evaluate([float(2 * third)])[0, 0] == pytest.approx(1.0, abs=1e-15)
+    assert curve.evaluate([third, 2 * third]).tolist() == [[0.0], [1.0]]
+
+
+def test_derivative_orders_and_shapes():
+    curve = SplineCurve(3, KnotVector.uniform(8), [0, 1, 2, 3])
+    taus = np.linspace(3.0, 4.0, 5)
+    assert curve.evaluate(taus).shape == (5, 1)
+    assert np.allclose(curve.evaluate(taus, derivative=1), 1.0)
+    assert np.array_equal(curve.evaluate(taus, derivative=4), np.zeros((5, 1)))
+    assert curve.evaluate([]).shape == (0, 1)
+    with pytest.raises(ValueError):
+        curve.evaluate(taus, derivative=-1)
+    with pytest.raises(ValueError):
+        curve.evaluate([[3.5]])
+
+
+def test_batches_longer_than_a_chunk():
+    from splinemat import curve as curve_module
+
+    kv = KnotVector([0, 0, 0, 1, 3, 4, 8, 9, 9, 9])
+    curve = SplineCurve(2, kv, np.arange(14.0).reshape(7, 2))
+    taus = np.linspace(0.0, 9.0, 3 * curve_module._CHUNK + 7)
+    got = curve.evaluate(taus)
+    for i in range(0, len(taus), 97):
+        assert row_gaps(got[i], curve.eval_coxdeboor(float(taus[i]))).max() <= 1e-12
+
+
+def test_span_cache_grows_with_touched_spans_only():
+    import tracemalloc
+
+    # 20000 spans of alternating widths: a table sized by the knot vector
+    # would take 20000 * 4 * 4 floats (2.56 MB) on the first touch
+    kv = KnotVector([float(v) for v in accumulate([0] + [1, 2] * 10_000)])
+    n = len(kv.values) - 4
+    curve = SplineCurve(3, kv, np.zeros((n, 1)))
+    full = (len(kv.values) - 1) * 4 * 4 * 8
+    curve.evaluate([10.5])  # builds the float knot tables
+    tracemalloc.start()
+    try:
+        curve.evaluate([1000.5])
+        curve.eval_cumulative(2000.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < full / 20
+    assert sorted(key for key in curve._cache if isinstance(key, tuple) and key[0] != "x") \
+        == [("c", find_span(kv, 3, 2000.5)), ("m", find_span(kv, 3, 10.5)),
+            ("m", find_span(kv, 3, 1000.5))]
