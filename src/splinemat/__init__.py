@@ -10,7 +10,6 @@ with constant per-degree matrices for evenly spaced knots.
 from .basismatrix import (
     MAX_DEGREE,
     BasisMatrix,
-    CumulativeBasisMatrix,
     basis_row,
     cumulative_matrix,
     general_basis_matrix,
@@ -34,7 +33,6 @@ from .polytoeplitz import PowerPoly, ToeplitzLT, poly_mul, toeplitz_from_poly
 __all__ = [
     "MAX_DEGREE",
     "BasisMatrix",
-    "CumulativeBasisMatrix",
     "DegenerateSpan",
     "DegreeTooLarge",
     "DomainError",

@@ -20,7 +20,7 @@ from typing import Optional
 
 from .errors import DegenerateSpan, DegreeTooLarge, DomainError, NonRationalKnots
 from .knots import KnotVector, local_coefficients
-from .polytoeplitz import PowerPoly, poly_mul
+from .polytoeplitz import horner
 
 # Factorials inside the entries grow fast; nothing practical needs more.
 MAX_DEGREE = 30
@@ -30,39 +30,14 @@ MAX_DEGREE = 30
 class BasisMatrix:
     """Span coefficient matrix, exact rationals, rows indexed by power of u.
 
-    ``span``/``knots`` identify the span a non-uniform matrix belongs to;
-    both are None for the span-independent uniform matrices.
+    Holds a basis matrix or its cumulative form (see ``cumulative_matrix``).
+    ``span`` is the span a non-uniform matrix belongs to; it is None for the
+    span-independent uniform matrices.
     """
 
     degree: int
     entries: tuple
     span: Optional[int] = None
-    knots: Optional[KnotVector] = None
-
-    @property
-    def size(self) -> int:
-        return self.degree + 1
-
-    def column(self, c: int) -> tuple:
-        return tuple(row[c] for row in self.entries)
-
-    def as_float_rows(self) -> list:
-        return [[float(v) for v in row] for row in self.entries]
-
-
-@dataclass(frozen=True)
-class CumulativeBasisMatrix:
-    """Column suffix sums of a basis matrix.
-
-    Column 0 weights the first local control point, column c >= 1 weights
-    the difference between local points c and c-1.  Column 0 is always
-    (1, 0, ..., 0): the active basis functions sum to one.
-    """
-
-    degree: int
-    entries: tuple
-    span: Optional[int] = None
-    knots: Optional[KnotVector] = None
 
     @property
     def size(self) -> int:
@@ -86,29 +61,24 @@ def _raise_degree(cols: list, pairs: list) -> list:
     """One level of the degree recursion on coefficient columns.
 
     ``cols`` holds the level k-1 columns (length-k coefficient vectors);
-    ``pairs`` holds the k weight pairs (a0, a1), one per transition.  New
-    column c collects its left parent times (a0, a1) and its right parent
-    times the complementary pair (1 - a0, -a1); parents outside the range
-    contribute nothing, their functions have no support on the span.
+    ``pairs`` holds the k weight pairs (a0, a1), one per transition.  Parent
+    column c feeds new column c+1 times (a0, a1) and new column c times the
+    complementary pair (1 - a0, -a1); parents outside the range contribute
+    nothing, their functions have no support on the span.
     """
     k = len(pairs)
-    new = []
-    for c in range(k + 1):
-        col = [Fraction(0)] * (k + 1)
-        if c >= 1:
-            a0, a1 = pairs[c - 1]
-            _add_product(col, cols[c - 1], a0, a1)
-        if c <= k - 1:
-            a0, a1 = pairs[c]
-            _add_product(col, cols[c], 1 - a0, -a1)
-        new.append(col)
+    new = [[Fraction(0)] * (k + 1) for _ in range(k + 1)]
+    for c, (a0, a1) in enumerate(pairs):
+        _add_linear(new[c + 1], cols[c], a0, a1)
+        _add_linear(new[c], cols[c], 1 - a0, -a1)
     return new
 
 
-def _add_product(dst: list, col: list, a0, a1) -> None:
-    term = poly_mul(PowerPoly(col), PowerPoly((a0, a1)))
-    for r, v in enumerate(term.coeffs):
-        dst[r] += v
+def _add_linear(dst: list, col: list, a0, a1) -> None:
+    """dst += col * (a0 + a1 u), coefficients indexed by power of u."""
+    for r, v in enumerate(col):
+        dst[r] += a0 * v
+        dst[r + 1] += a1 * v
 
 
 def _cols_to_entries(cols: list) -> tuple:
@@ -159,49 +129,40 @@ def general_basis_matrix(kv: KnotVector, degree: int, span: int) -> BasisMatrix:
         # leftmost index never enters (its partner function vanishes here).
         pairs = [(lc.d0[r + 1], lc.d1[r + 1]) for r in range(level)]
         cols = _raise_degree(cols, pairs)
-    return BasisMatrix(degree=degree, entries=_cols_to_entries(cols), span=span, knots=kv)
+    return BasisMatrix(degree=degree, entries=_cols_to_entries(cols), span=span)
 
 
-def cumulative_matrix(m: BasisMatrix) -> CumulativeBasisMatrix:
-    """Suffix-sum the columns: column c becomes the sum of columns c..k of m."""
+def cumulative_matrix(m: BasisMatrix) -> BasisMatrix:
+    """Suffix-sum the columns: column c becomes the sum of columns c..k of m.
+
+    Column 0 weights the first local control point, column c >= 1 weights
+    the difference between local points c and c-1.  Column 0 is always
+    (1, 0, ..., 0): the active basis functions sum to one.
+    """
     n = m.size
     entries = tuple(
         tuple(sum(row[s] for s in range(c, n)) for c in range(n)) for row in m.entries
     )
-    return CumulativeBasisMatrix(degree=m.degree, entries=entries, span=m.span, knots=m.knots)
+    return BasisMatrix(degree=m.degree, entries=entries, span=m.span)
 
 
 def basis_row(m: BasisMatrix, u) -> list:
-    """Active basis-function values at normalized parameter u.
+    """``[1 u ... u^k] . M``: one Horner evaluation per column.
 
-    Evaluates ``[1 u ... u^k] . M`` by Horner per column.  Exact when u is
-    a Fraction or int; float u gives ordinary double evaluation.  The
-    entries sum to 1 for any u (a polynomial identity of the matrix).
+    For a basis matrix these are the active basis-function values, which sum
+    to 1 for any u; for a cumulative matrix they are the cumulative weights,
+    extrapolated when u lies outside [0, 1].  Exact when u is a Fraction or
+    int; float u gives ordinary double evaluation.
     """
-    top = m.degree
-    out = []
-    for c in range(m.size):
-        acc = m.entries[top][c]
-        for r in range(top - 1, -1, -1):
-            acc = acc * u + m.entries[r][c]
-        out.append(acc)
-    return out
+    return [horner(m.column(c), u) for c in range(m.size)]
 
 
-def lambda_weights(cm: CumulativeBasisMatrix, u, allow_outside: bool = False) -> list:
-    """Cumulative weights at normalized parameter u.
+def lambda_weights(cm: BasisMatrix, u) -> list:
+    """Cumulative weights at normalized parameter u in [0, 1].
 
-    Entry 0 is identically 1; entry c weights the c-th local control-point
-    difference.  u must lie in [0, 1] unless ``allow_outside`` permits
-    extrapolation.
+    ``cm`` is a ``cumulative_matrix``.  Entry 0 is identically 1; entry c
+    weights the c-th local control-point difference.
     """
-    if not allow_outside and not 0 <= u <= 1:
+    if not 0 <= u <= 1:
         raise DomainError("normalized parameter %r outside [0, 1]" % (u,))
-    top = cm.degree
-    out = []
-    for c in range(cm.size):
-        acc = cm.entries[top][c]
-        for r in range(top - 1, -1, -1):
-            acc = acc * u + cm.entries[r][c]
-        out.append(acc)
-    return out
+    return basis_row(cm, u)

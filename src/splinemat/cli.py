@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -32,6 +33,11 @@ CHECK_TOLERANCE = 1e-10
 # any knot is built.
 MAX_KNOTS = 1_000_000
 
+# Exact scalar strings: integer, decimal or 'p/q'.  No exponent, since
+# Fraction('1e10000000') builds the whole power of ten; the digits of these
+# forms are bounded by the interpreter's limit on int string length.
+_SCALAR_STRING = re.compile(r"\s*[+-]?(\d+(\.\d*)?|\.\d+|\d+/\d+)\s*")
+
 
 # ---------------------------------------------------------------------------
 # file formats
@@ -42,9 +48,14 @@ def _reject_constant(name):
 
 
 def _parse_scalar(x):
-    """Accept JSON numbers or exact 'p/q' strings."""
+    """Accept JSON numbers or exact integer, decimal or 'p/q' strings."""
     if isinstance(x, str):
-        return Fraction(x)
+        if not _SCALAR_STRING.fullmatch(x):
+            raise ValueError("expected an integer, decimal or 'p/q' string, got %r" % (x,))
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError("zero denominator in %r" % (x,)) from None
     if isinstance(x, (int, float)) and not isinstance(x, bool):
         return x
     raise ValueError("expected a number or 'p/q' string, got %r" % (x,))

@@ -285,7 +285,9 @@ class SplineCurve:
         lo, hi = self.domain
         if not lo < hi:
             raise DomainError("evaluable domain [%s, %s] is degenerate" % (lo, hi))
-        lo_f, hi_f = float(lo), float(hi)
+        lo_f, hi_f = _to_float(lo), _to_float(hi)
+        if not math.isfinite(hi_f - lo_f):
+            raise DomainError("evaluable domain width is beyond the float range")
         grid = np.clip(np.linspace(lo_f, hi_f, n), lo_f, hi_f)
         # Rounding an exact bound to float may step just outside the domain;
         # parameters that landed there are evaluated at the exact bound.

@@ -151,12 +151,8 @@ class LocalCoefficients:
     """Span-local interpolation coefficients for one degree level.
 
     Entry c of ``d0``/``d1`` belongs to basis index ``first + c`` where
-    ``first = span - degree``; entry c of ``h0``/``h1`` belongs to basis
-    index ``first + c`` as well (one entry fewer, since the h pair of the
-    last index multiplies a function with no support on the span).
-
-    Whenever the shared denominators are non-zero the identities
-    ``h0[c] == 1 - d0[c+1]`` and ``h1[c] == -d1[c+1]`` hold.
+    ``first = span - degree``.  The recursion's second factor for index i
+    is the complement ``(1 - d0, -d1)`` of the entry for index i + 1.
     """
 
     degree: int
@@ -164,22 +160,19 @@ class LocalCoefficients:
     first: int
     d0: tuple
     d1: tuple
-    h0: tuple
-    h1: tuple
 
 
 def local_coefficients(kv: KnotVector, degree: int, span: int) -> LocalCoefficients:
     """Coefficient table for raising degree ``degree-1`` functions on a span.
 
-    For basis index i the pairs are
+    For basis index i the pair is
 
         d_i = ((tau_span - tau_i) / w_i,  (tau_{span+1} - tau_span) / w_i)
-        h_i = ((tau_{i+degree+1} - tau_span) / v_i,  -(tau_{span+1} - tau_span) / v_i)
 
-    with w_i = tau_{i+degree} - tau_i and v_i = tau_{i+degree+1} - tau_{i+1}.
-    A zero denominator means the factor multiplies a basis function that
-    vanishes identically on the span, so the whole pair is set to zero
-    (this subsumes the 0/0 = 0 convention).
+    with w_i = tau_{i+degree} - tau_i, so that (tau - tau_i) / w_i equals
+    d0 + d1 u on the span.  A zero denominator means the factor multiplies a
+    basis function that vanishes identically on the span, so the whole pair
+    is set to zero (this subsumes the 0/0 = 0 convention).
     """
     vals = kv.values
     if degree < 1:
@@ -191,7 +184,7 @@ def local_coefficients(kv: KnotVector, degree: int, span: int) -> LocalCoefficie
     if tj == tj1:
         raise DegenerateSpan("span %d has zero width" % span)
     width = tj1 - tj
-    d0, d1, h0, h1 = [], [], [], []
+    d0, d1 = [], []
     for i in range(first, span + 1):
         den = vals[i + degree] - vals[i]
         if den == 0:
@@ -200,22 +193,12 @@ def local_coefficients(kv: KnotVector, degree: int, span: int) -> LocalCoefficie
         else:
             d0.append((tj - vals[i]) / den)
             d1.append(width / den)
-    for i in range(first, span):
-        den = vals[i + degree + 1] - vals[i + 1]
-        if den == 0:
-            h0.append(_zero_like(den))
-            h1.append(_zero_like(den))
-        else:
-            h0.append((vals[i + degree + 1] - tj) / den)
-            h1.append(-width / den)
     return LocalCoefficients(
         degree=degree,
         span=span,
         first=first,
         d0=tuple(d0),
         d1=tuple(d1),
-        h0=tuple(h0),
-        h1=tuple(h1),
     )
 
 

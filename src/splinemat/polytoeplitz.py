@@ -3,7 +3,8 @@
 A polynomial a_0 + a_1 x + ... + a_n x^n embeds into a lower-triangular
 banded matrix that is constant along diagonals; multiplying that matrix
 against the (zero-padded) coefficient column of a second polynomial is
-exactly coefficient convolution.  Everything here is exact rational.
+exactly coefficient convolution.  Everything here is exact rational,
+except ``horner`` at a float argument.
 """
 
 from __future__ import annotations
@@ -35,11 +36,18 @@ class PowerPoly:
         return all(c == 0 for c in self.coeffs)
 
     def __call__(self, x):
-        # Horner; exact for Fraction x, plain float math otherwise.
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return horner(self.coeffs, x)
+
+
+def horner(coeffs: Sequence, x):
+    """Value at x of the polynomial with ``coeffs``, constant term first.
+
+    Exact for Fraction or int x and coefficients, plain float math otherwise.
+    """
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 @dataclass(frozen=True)

@@ -121,6 +121,15 @@ class TestSampleCommand:
         spline = write_cubic_spline(tmp_path / "c.json")
         assert main(["sample", spline, "-n", "1", "-o", str(tmp_path / "s.csv")]) == 2
 
+    @pytest.mark.parametrize("knots", [[0, 10 ** 400], [-1e308, 1e308]])
+    def test_domain_beyond_float_range_exits_two(self, tmp_path, capsys, knots):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"degree": 0, "knots": knots, "control_points": [[1]]}))
+        assert main(["sample", str(path), "-n", "3", "-o", str(tmp_path / "s.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "beyond the float range" in err
+        assert err.count("\n") == 1
+
 
 class TestCheckCommand:
     def test_passes_and_reports_per_degree(self, capsys):
@@ -201,6 +210,11 @@ class TestSplineFiles:
          "degree must be a non-negative integer"),
         ({"degree": 1, "knots": [0, 1, 2, 3], "control_points": [[0], [10 ** 400]]},
          "out of float range"),
+        ({"degree": 1, "knots": [0, 1, 2, "1/0"], "control_points": [[0], [1]]},
+         "zero denominator"),
+        # an exponent would build the whole power of ten before any check
+        ({"degree": 1, "knots": [0, 1, 2, "1e10000000"], "control_points": [[0], [1]]},
+         "expected an integer, decimal or 'p/q' string"),
     ])
     def test_malformed_fields_exit_two_with_one_line(self, tmp_path, capsys, spec, message):
         path = tmp_path / "bad.json"

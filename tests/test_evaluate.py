@@ -1,4 +1,5 @@
-"""Property tests of the batched evaluation core, ``SplineCurve.evaluate``.
+"""Property tests of the batched evaluation core, ``SplineCurve.evaluate``,
+and of the exact span matrices it is built from.
 
 Knot vectors are drawn with repeated knots (multiplicity up to the degree
 inside, up to degree + 1 at the ends), in integer, rational (thirds,
@@ -17,7 +18,18 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import BSpline
 
-from splinemat import DomainError, KnotVector, SplineCurve, find_span
+from splinemat import (
+    DomainError,
+    KnotVector,
+    SplineCurve,
+    basis,
+    basis_row,
+    cumulative_basis,
+    cumulative_matrix,
+    find_span,
+    general_basis_matrix,
+    lambda_weights,
+)
 
 SETTINGS = settings(max_examples=100, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
@@ -30,9 +42,9 @@ def row_gaps(a, b):
 
 
 @st.composite
-def curves(draw):
+def curves(draw, storages=("integer", "rational", "float")):
     k = draw(st.integers(0, 5))
-    storage = draw(st.sampled_from(["integer", "rational", "float"]))
+    storage = draw(st.sampled_from(storages))
     even = draw(st.booleans())
     breaks_count = draw(st.integers(k + 2, 2 * k + 6))
     if even:
@@ -152,6 +164,22 @@ def test_domain_error_exactly_where_check_tau_rejects(case):
     if floats:
         any_bad = any(rejects(curve._check_tau, t) for t in floats)
         assert rejects(curve.evaluate, np.array(floats)) == any_bad
+
+
+@SETTINGS
+@given(curves(storages=("integer", "rational")),
+       st.fractions(0, 1, max_denominator=1000).filter(lambda u: u < 1))
+def test_exact_span_matrices_equal_recursion(curve, u):
+    kv, k = curve.knots, curve.degree
+    for j in range(k, len(kv.values) - k - 1):
+        a, b = kv.values[j], kv.values[j + 1]
+        if a == b:
+            continue
+        tau = a + u * (b - a)
+        m = general_basis_matrix(kv, k, j)
+        assert basis_row(m, u) == [basis(kv, j - k + c, k, tau) for c in range(k + 1)]
+        assert lambda_weights(cumulative_matrix(m), u) \
+            == [cumulative_basis(kv, j - k + c, k, tau) for c in range(k + 1)]
 
 
 def test_inexact_bounds_fall_back_to_exact_lookup():

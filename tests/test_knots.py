@@ -138,7 +138,6 @@ class TestLocalCoefficients:
         lc = local_coefficients(kv, 3, 3)
         assert lc.first == 0
         assert lc.d0[1] == Fraction(2, 3) and lc.d1[1] == Fraction(1, 3)
-        assert lc.h0[0] == Fraction(1, 3) and lc.h1[0] == Fraction(-1, 3)
 
     def test_clamped_zero_over_zero(self):
         kv = KnotVector([0, 0, 0, 0, 1, 1, 1, 1])
@@ -159,10 +158,18 @@ class TestLocalCoefficients:
                     if kv.values[j] == kv.values[j + 1]:
                         continue
                     lc = local_coefficients(kv, k, j)
-                    assert len(lc.d0) == k + 1 and len(lc.h0) == k
+                    assert len(lc.d0) == k + 1
+                    # the complement of entry c+1 is the second factor of
+                    # index i = first + c: (tau_{i+k+1} - tau) / v_i on the span
+                    width = kv.values[j + 1] - kv.values[j]
                     for c in range(k):
-                        assert lc.h0[c] == 1 - lc.d0[c + 1]
-                        assert lc.h1[c] == -lc.d1[c + 1]
+                        i = lc.first + c
+                        v = kv.values[i + k + 1] - kv.values[i + 1]
+                        if v == 0:
+                            assert lc.d0[c + 1] == 0 and lc.d1[c + 1] == 0
+                            continue
+                        assert 1 - lc.d0[c + 1] == (kv.values[i + k + 1] - kv.values[j]) / v
+                        assert -lc.d1[c + 1] == -width / v
 
     def test_uniform_d1_is_reciprocal_degree(self):
         kv = KnotVector.uniform(14)
