@@ -8,7 +8,9 @@ orientation.  Matrices are built by raising the degree one level at a
 time: each new column is the previous level's neighbouring columns, each
 multiplied (as polynomials in u) by its linear weight.  For evenly spaced
 knots the weights do not depend on the span, so one constant matrix per
-degree serves every span.
+degree serves every span.  ``span_columns`` runs the recursion in the
+arithmetic of the knots: ``general_basis_matrix`` takes rational knots
+only, while a curve over float-stored knots gets double-precision columns.
 """
 
 from __future__ import annotations
@@ -67,7 +69,9 @@ def _raise_degree(cols: list, pairs: list) -> list:
     nothing, their functions have no support on the span.
     """
     k = len(pairs)
-    new = [[Fraction(0)] * (k + 1) for _ in range(k + 1)]
+    # Every slot receives a product below, so the int zero takes the type
+    # of the weights: exact entries stay Fractions, float ones floats.
+    new = [[0] * (k + 1) for _ in range(k + 1)]
     for c, (a0, a1) in enumerate(pairs):
         _add_linear(new[c + 1], cols[c], a0, a1)
         _add_linear(new[c], cols[c], 1 - a0, -a1)
@@ -122,14 +126,25 @@ def general_basis_matrix(kv: KnotVector, degree: int, span: int) -> BasisMatrix:
         )
     if kv.values[span] == kv.values[span + 1]:
         raise DegenerateSpan("span %d has zero width" % span)
-    cols = [[Fraction(1)]]
+    cols = span_columns(kv, degree, span)
+    return BasisMatrix(degree=degree, entries=_cols_to_entries(cols), span=span)
+
+
+def span_columns(kv: KnotVector, degree: int, span: int) -> list:
+    """Columns of one span's basis matrix, in the arithmetic of the knots.
+
+    The degree recursion with weight pairs from the knot differences at
+    each level: exact for rational storage, double precision for float
+    storage.  ``span`` must be a valid span of positive width.
+    """
+    cols = [[Fraction(1) if kv.storage == "rational" else 1.0]]
     for level in range(1, degree + 1):
         lc = local_coefficients(kv, level, span)
         # Transition r pairs with basis index first+1+r; the d entry of the
         # leftmost index never enters (its partner function vanishes here).
         pairs = [(lc.d0[r + 1], lc.d1[r + 1]) for r in range(level)]
         cols = _raise_degree(cols, pairs)
-    return BasisMatrix(degree=degree, entries=_cols_to_entries(cols), span=span)
+    return cols
 
 
 def cumulative_matrix(m: BasisMatrix) -> BasisMatrix:

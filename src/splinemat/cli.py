@@ -33,6 +33,9 @@ CHECK_TOLERANCE = 1e-10
 # any knot is built.
 MAX_KNOTS = 1_000_000
 
+# Most rows ``sample`` may write; checked before the spline file is read.
+MAX_SAMPLES = 1_000_000
+
 # Exact scalar strings: integer, decimal or 'p/q'.  No exponent, since
 # Fraction('1e10000000') builds the whole power of ten; the digits of these
 # forms are bounded by the interpreter's limit on int string length.
@@ -214,12 +217,15 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    if args.count > MAX_SAMPLES:
+        raise ValueError("sample count %d exceeds cap %d" % (args.count, MAX_SAMPLES))
     curve = load_spline(args.spline)
-    rows = curve.sample(args.count)
+    taus, points = zip(*curve.sample(args.count))
+    table = np.column_stack((taus, points))
+    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with open(args.output, "w", encoding="utf-8") as f:
         f.write("tau," + ",".join("x%d" % i for i in range(curve.dim)) + "\n")
-        for tau, point in rows:
-            f.write("%.17g," % tau + ",".join("%.17g" % c for c in point) + "\n")
+        f.writelines(line % tuple(row) for row in table.tolist())
     return 0
 
 

@@ -8,8 +8,10 @@ first local point plus weighted differences of consecutive points.  All
 three agree to floating-point accuracy on the whole evaluable domain.
 
 The matrix, cumulative and derivative paths share one batched float core:
-vectorised span lookup, Horner's rule over cached float copies of the exact
-span matrices, and one weighted sum of the gathered local control points.
+vectorised span lookup, Horner's rule over cached float span matrices, and
+one weighted sum of the gathered local control points.  The span matrices
+are float copies of the exact ones, except for float-stored non-uniform
+knots, where the same degree recursion runs in double precision.
 """
 
 from __future__ import annotations
@@ -20,7 +22,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import coxdeboor
-from .basismatrix import cumulative_matrix, general_basis_matrix, uniform_basis_matrix
+from .basismatrix import (
+    cumulative_matrix,
+    general_basis_matrix,
+    span_columns,
+    uniform_basis_matrix,
+)
 from .errors import DomainError
 from .knots import KnotVector, find_span, normalize
 
@@ -103,17 +110,29 @@ class SplineCurve:
             raise DomainError("tau outside evaluable domain: %s not in [%s, %s]" % (tau, lo, hi))
 
     def _span_matrix_rows(self, span: int) -> np.ndarray:
-        return self._float_rows("m", span, lambda m: m)
+        return self._float_rows("m", span)
 
     def _span_cumulative_rows(self, span: int) -> np.ndarray:
-        return self._float_rows("c", span, cumulative_matrix)
+        return self._float_rows("c", span)
 
-    def _float_rows(self, kind: str, span: int, form) -> np.ndarray:
-        """Read-only float copy of ``form(exact matrix)`` for ``span``, cached."""
+    def _float_rows(self, kind: str, span: int) -> np.ndarray:
+        """Read-only float span matrix ("m") or cumulative form ("c"), cached.
+
+        Float-stored non-uniform knots run the degree recursion in double
+        precision on the knots themselves; every other knot vector rounds
+        the exact matrix.
+        """
         key = (kind, span)
         rows = self._cache.get(key)
         if rows is None:
-            rows = np.array(form(self._exact_matrix(span)).as_float_rows())
+            if self.knots.storage == "float" and not self.knots.is_uniform:
+                rows = self._float_matrix(span)
+                if kind == "c":
+                    # suffix sums of the columns, as in ``cumulative_matrix``
+                    rows = np.cumsum(rows[:, ::-1], axis=1)[:, ::-1]
+            else:
+                m = self._exact_matrix(span)
+                rows = np.array((cumulative_matrix(m) if kind == "c" else m).as_float_rows())
             rows.setflags(write=False)
             rows = self._cache.setdefault(key, rows)
         return rows
@@ -124,12 +143,18 @@ class SplineCurve:
         key = ("x", span)
         m = self._cache.get(key)
         if m is None:
-            rkv = self._cache.get("rkv")
-            if rkv is None:
-                rkv = self.knots.as_rational()
-                self._cache["rkv"] = rkv
-            m = general_basis_matrix(rkv, self.degree, span)
+            m = general_basis_matrix(self.knots, self.degree, span)
             self._cache[key] = m
+        return m
+
+    def _float_matrix(self, span: int) -> np.ndarray:
+        """The span's matrix built in double precision from float-stored knots."""
+        key = ("x", span)
+        m = self._cache.get(key)
+        if m is None:
+            m = np.array(span_columns(self.knots, self.degree, span)).T
+            m.setflags(write=False)
+            m = self._cache.setdefault(key, m)
         return m
 
     def _float_knots(self) -> _FloatKnots:

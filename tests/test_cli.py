@@ -117,9 +117,15 @@ class TestSampleCommand:
         spline = write_cubic_spline(tmp_path / "c.json")
         assert main(["sample", spline, "-n", "3", "-o", str(tmp_path / "no" / "dir.csv")]) == 3
 
-    def test_bad_count_exits_two(self, tmp_path):
+    # the huge count is refused before anything is allocated for it
+    @pytest.mark.parametrize("count", ["1", "10000000000000"])
+    def test_bad_count_exits_two(self, tmp_path, capsys, count):
         spline = write_cubic_spline(tmp_path / "c.json")
-        assert main(["sample", spline, "-n", "1", "-o", str(tmp_path / "s.csv")]) == 2
+        out = tmp_path / "s.csv"
+        assert main(["sample", spline, "-n", count, "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("knots", [[0, 10 ** 400], [-1e308, 1e308]])
     def test_domain_beyond_float_range_exits_two(self, tmp_path, capsys, knots):

@@ -6,7 +6,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from splinemat import DomainError, KnotVector, SplineCurve, find_span
+from splinemat import (
+    DomainError,
+    KnotVector,
+    SplineCurve,
+    cumulative_matrix,
+    find_span,
+    general_basis_matrix,
+)
+from splinemat.curve import _horner
 
 
 def clamped(degree, interior, last):
@@ -244,6 +252,39 @@ class TestSample:
         rows = curve.sample(7)
         assert len(rows) == 7
         assert rows[0][0] == pytest.approx(1 / 3) and rows[-1][0] == pytest.approx(2 / 3)
+
+
+def float_knots(rng, degree, gaps):
+    """Float knots over ``gaps`` with end knots repeated 1..degree+1 times."""
+    breaks = (rng.uniform(-10.0, 10.0) + np.concatenate(([0.0], np.cumsum(gaps)))).tolist()
+    first, last = rng.integers(1, degree + 2, 2)
+    return KnotVector([breaks[0]] * first + breaks[1:-1] + [breaks[-1]] * last)
+
+
+class TestFloatConstruction:
+    @pytest.mark.parametrize("degree", range(1, 11))
+    def test_float_built_rows_match_exact(self, degree):
+        # neighbouring gaps differ by up to 1e3: random, and alternating
+        rng = np.random.default_rng(100 + degree)
+        count = 2 * degree + 3
+        u = np.linspace(0.0, 1.0, 33)
+        for gaps in (10 ** rng.uniform(0.0, 3.0, count),
+                     np.where(np.arange(count) % 2, 1e3, 1.0)):
+            kv = float_knots(rng, degree, gaps)
+            assert kv.storage == "float" and not kv.is_uniform
+            curve = SplineCurve(degree, kv, np.zeros((len(kv.values) - degree - 1, 1)))
+            exact_kv = kv.as_rational()
+            for j in range(degree, len(kv.values) - degree - 1):
+                if kv.values[j] == kv.values[j + 1]:
+                    continue
+                m = general_basis_matrix(exact_kv, degree, j)
+                for rows, exact in ((curve._span_matrix_rows(j), m),
+                                    (curve._span_cumulative_rows(j), cumulative_matrix(m))):
+                    assert rows.shape == (degree + 1, degree + 1)
+                    want = _horner(np.array(exact.as_float_rows()), u, 0)
+                    assert np.abs(_horner(rows, u, 0) - want).max() <= 1e-12
+                basis = _horner(curve._span_matrix_rows(j), u, 0)
+                assert np.abs(basis.sum(axis=1) - 1.0).max() <= 1e-12
 
 
 class TestConcurrency:

@@ -182,6 +182,24 @@ def test_exact_span_matrices_equal_recursion(curve, u):
             == [cumulative_basis(kv, j - k + c, k, tau) for c in range(k + 1)]
 
 
+@SETTINGS
+@given(curves(storages=("float",)), st.sampled_from([1e-8, 1e-3, 1.0, 1e3, 1e8]),
+       st.lists(st.floats(0.0, 1.0), max_size=8))
+def test_float_and_rational_storage_agree(curve, scale, fractions):
+    # float knots build span matrices in double precision, their exact
+    # copy builds them in rationals
+    kv = KnotVector([v * scale for v in curve.knots.values])
+    k, points = curve.degree, curve.points
+    floats = SplineCurve(k, kv, points)
+    exact = SplineCurve(k, kv.as_rational(), points)
+    lo, hi = floats.domain
+    taus = [t for t in kv.values if lo <= t <= hi] + [lo, hi]
+    taus += [min(hi, lo + f * (hi - lo)) for f in fractions]
+    assert row_gaps(floats.evaluate(taus), exact.evaluate(taus)).max() <= 1e-10
+    cumulative = [row_gaps(floats.eval_cumulative(t), exact.eval_cumulative(t)) for t in taus]
+    assert max(cumulative) <= 1e-10
+
+
 def test_inexact_bounds_fall_back_to_exact_lookup():
     # float(1/3) lies below the exact bound 1/3, float(2/3) below 2/3
     third = Fraction(1, 3)
