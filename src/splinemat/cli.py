@@ -33,7 +33,8 @@ CHECK_TOLERANCE = 1e-10
 # any knot is built.
 MAX_KNOTS = 1_000_000
 
-# Most rows ``sample`` may write; checked before the spline file is read.
+# Most rows ``sample`` may write, checked before the spline file is read, and
+# most ``check`` draws per curve, checked before any work.
 MAX_SAMPLES = 1_000_000
 
 # Exact scalar strings: integer, decimal or 'p/q'.  No exponent, since
@@ -229,9 +230,10 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def _relative_gap(a, b) -> float:
-    scale = max(1.0, float(np.max(np.abs(a))), float(np.max(np.abs(b))))
-    return float(np.max(np.abs(a - b))) / scale
+def _relative_gaps(a, b) -> np.ndarray:
+    """Per row of two (n, d) arrays: max|a-b| / max(1, max|a|, max|b|)."""
+    scale = np.maximum(1.0, np.maximum(np.abs(a).max(axis=1), np.abs(b).max(axis=1)))
+    return np.abs(a - b).max(axis=1) / scale
 
 
 def _column_sums_ok(m: BasisMatrix) -> bool:
@@ -260,6 +262,8 @@ def run_check(degree_max: int, trials: int, seed: int, corrupt: bool = False, ou
         raise ValueError("degree-max must lie in [0, %d]" % MAX_DEGREE)
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if trials > MAX_SAMPLES:
+        raise ValueError("trials %d exceeds cap %d" % (trials, MAX_SAMPLES))
     rng = random.Random(seed)
     failures = 0
     for k in range(1, degree_max + 1):
@@ -275,19 +279,19 @@ def run_check(degree_max: int, trials: int, seed: int, corrupt: bool = False, ou
             matrices.append(BasisMatrix(degree=k, entries=tuple(tuple(r) for r in bad)))
         sums_ok = all(_column_sums_ok(m) for m in matrices)
 
-        worst = 0.0
+        gaps = []
         for kv in (uniform_kv, clamped_kv):
             n_points = len(kv.values) - k - 1
             points = [[rng.uniform(-10.0, 10.0) for _ in range(2)] for _ in range(n_points)]
             curve = SplineCurve(k, kv, points)
             lo, hi = (float(v) for v in curve.domain)
-            for _ in range(trials):
-                tau = rng.uniform(lo, hi)
-                a = curve.eval_coxdeboor(tau)
-                b = curve.eval_matrix(tau)
-                c = curve.eval_cumulative(tau)
-                worst = max(worst, _relative_gap(a, b), _relative_gap(a, c),
-                            _relative_gap(b, c))
+            taus = [rng.uniform(lo, hi) for _ in range(trials)]
+            # the recursion and the cumulative form are the scalar paths under test
+            a = np.array([curve.eval_coxdeboor(t) for t in taus])
+            b = curve.evaluate(taus)
+            c = np.array([curve.eval_cumulative(t) for t in taus])
+            gaps += [_relative_gaps(a, b), _relative_gaps(a, c), _relative_gaps(b, c)]
+        worst = float(np.max(np.concatenate(gaps)))
 
         ok = sums_ok and worst <= CHECK_TOLERANCE
         if not ok:

@@ -273,14 +273,44 @@ class SplineCurve:
         return self._combine(spans, u, "m", derivative)
 
     def eval_coxdeboor(self, tau) -> np.ndarray:
-        """Reference evaluation: sum every basis function times its point."""
+        """Reference evaluation: sum every basis function times its point.
+
+        Raises DomainError where a knot difference the recursion needs at a
+        float tau is beyond the float range.
+        """
         self._check_tau(tau)
+        kv = self._oracle_knots(tau)
         out = np.zeros(self.dim)
-        for i in range(self.count):
-            w = coxdeboor.basis(self.knots, i, self.degree, tau)
-            if w:
-                out += float(w) * self.points[i]
+        try:
+            for i in range(self.count):
+                w = coxdeboor.basis(kv, i, self.degree, tau)
+                if w:
+                    out += float(w) * self.points[i]
+        except OverflowError:
+            raise DomainError("tau %s needs knot differences beyond the float range"
+                              % tau) from None
         return out
+
+    def _oracle_knots(self, tau) -> KnotVector:
+        """The knots the recursion runs on for ``tau``.
+
+        A float tau on rational knots that are all exact doubles, over a
+        range finite in floats, gets the float copy of the knots, with the
+        same result bit for bit: Fraction-float arithmetic already rounds
+        the knot (or the exact knot difference, which then equals the
+        rounded float difference) and runs in floats, and the comparisons
+        and zero tests are exact either way.  Every other case keeps the
+        knots as stored.
+        """
+        if not isinstance(tau, float) or self.knots.storage != "rational":
+            return self.knots
+        kv = self._cache.get("o")
+        if kv is None:
+            fk = self._float_knots()
+            exact = not fk.inexact.size and math.isfinite(
+                float(fk.values[-1]) - float(fk.values[0]))
+            kv = self._cache.setdefault("o", self.knots.as_float() if exact else self.knots)
+        return kv
 
     def eval_matrix(self, tau) -> np.ndarray:
         """Span lookup, parameter normalization, basis matrix times local points."""

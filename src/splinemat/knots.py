@@ -36,6 +36,11 @@ class KnotVector:
             vals = tuple(float(v) for v in vals)
             if not all(math.isfinite(v) for v in vals):
                 raise InvalidKnots("knots must be finite")
+            # Span widths and the spacing test are taken in floats; a range
+            # beyond a double would pass as evenly spaced with delta inf.
+            if vals[-1] - vals[0] == math.inf:
+                raise InvalidKnots("knot range [%r, %r] is beyond the float range"
+                                   % (vals[0], vals[-1]))
         else:
             storage = "rational"
             vals = tuple(Fraction(v) for v in vals)

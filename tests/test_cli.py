@@ -1,4 +1,7 @@
+import io
 import json
+import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -7,7 +10,8 @@ import numpy as np
 import pytest
 
 from splinemat import MAX_DEGREE, KnotVector, SplineCurve
-from splinemat.cli import MAX_KNOTS, load_knots, load_spline, main, save_spline
+from splinemat import cli
+from splinemat.cli import MAX_KNOTS, MAX_SAMPLES, load_knots, load_spline, main, save_spline
 
 
 def write_cubic_spline(path):
@@ -17,6 +21,11 @@ def write_cubic_spline(path):
         "control_points": [[0.0], [1.0], [2.0], [3.0]],
     }))
     return str(path)
+
+
+def relative_gap(a, b):
+    scale = max(1.0, float(np.max(np.abs(a))), float(np.max(np.abs(b))))
+    return float(np.max(np.abs(a - b))) / scale
 
 
 class TestBasisMatrixCommand:
@@ -102,6 +111,15 @@ class TestEvalCommand:
     def test_missing_file_is_io_error(self, tmp_path):
         assert main(["eval", str(tmp_path / "nope.json"), "--tau", "1.0"]) == 3
 
+    @pytest.mark.parametrize("method", ["coxdeboor", "matrix", "cumulative"])
+    def test_knots_beyond_float_range_exit_two(self, tmp_path, capsys, method):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"degree": 1, "knots": [0, 0, 10 ** 400, 10 ** 400],
+                                    "control_points": [[0.0], [1.0]]}))
+        assert main(["eval", str(path), "--tau", "1.0", "--method", method]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestSampleCommand:
     def test_csv_contents(self, tmp_path):
@@ -152,6 +170,40 @@ class TestCheckCommand:
     def test_corrupted_matrix_detected(self, capsys):
         assert main(["check", "--degree-max", "2", "--trials", "5", "--corrupt"]) == 1
         assert "BROKEN" in capsys.readouterr().out
+
+    def test_worst_matches_scalar_recomputation(self):
+        degree_max, trials, seed = 4, 12, 9
+        out = io.StringIO()
+        assert cli.run_check(degree_max, trials, seed, out=out) == 0
+        printed = re.findall(r"max relative error (\S+)", out.getvalue())
+        rng = random.Random(seed)
+        want = []
+        for k in range(1, degree_max + 1):
+            worst = 0.0
+            for kv in cli._check_knot_vectors(k):
+                n = len(kv.values) - k - 1
+                pts = [[rng.uniform(-10.0, 10.0) for _ in range(2)] for _ in range(n)]
+                curve = SplineCurve(k, kv, pts)
+                lo, hi = (float(v) for v in curve.domain)
+                for _ in range(trials):
+                    tau = rng.uniform(lo, hi)
+                    a, b, c = (curve.eval_coxdeboor(tau), curve.eval_matrix(tau),
+                               curve.eval_cumulative(tau))
+                    worst = max([worst] + [relative_gap(x, y) for x, y in ((a, b), (a, c), (b, c))])
+            want.append("%.3e" % worst)
+        assert printed == want
+
+    def test_trials_cap_checked_before_any_work(self, capsys, monkeypatch):
+        def build(*args, **kwargs):
+            raise AssertionError("work started before the trial count was checked")
+
+        monkeypatch.setattr(cli, "uniform_basis_matrix", build)
+        monkeypatch.setattr(cli, "SplineCurve", build)
+        assert main(["check", "--trials", "10000000000000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "exceeds cap %d" % MAX_SAMPLES in captured.err
 
     def test_repeatable_with_seed(self, capsys):
         main(["check", "--degree-max", "2", "--trials", "10", "--seed", "3"])

@@ -10,6 +10,7 @@ from splinemat import (
     DomainError,
     KnotVector,
     SplineCurve,
+    coxdeboor,
     cumulative_matrix,
     find_span,
     general_basis_matrix,
@@ -115,6 +116,56 @@ class TestEvaluationPaths:
             for _ in range(30):
                 tau = rng.uniform(lo, hi)
                 assert relative_gap(curve.eval_coxdeboor(tau), curve.eval_matrix(tau)) <= 1e-10
+
+
+def fraction_reference(curve, tau):
+    """The oracle's sum taken over the stored knots, in index order."""
+    out = np.zeros(curve.dim)
+    for i in range(curve.count):
+        out += float(coxdeboor.basis(curve.knots, i, curve.degree, tau)) * curve.points[i]
+    return out
+
+
+class TestOracleKnots:
+    @pytest.mark.parametrize("degree", range(1, 11))
+    def test_float_copy_is_bit_identical_on_exact_knots(self, degree):
+        rng = random.Random(700 + degree)
+        count = 2 * degree + 6
+        vectors = (
+            KnotVector.uniform(count),
+            clamped(degree, [1, 2, 3], 4),
+            KnotVector(sorted(list(range(count - 2)) + [3, 3])),  # repeated interior knot
+            KnotVector([Fraction(i * i - 7, 16) for i in range(count)]),  # dyadic
+        )
+        for kv in vectors:
+            pts = [[rng.uniform(-10.0, 10.0) for _ in range(2)]
+                   for _ in range(len(kv.values) - degree - 1)]
+            curve = SplineCurve(degree, kv, pts)
+            lo, hi = (float(v) for v in curve.domain)
+            taus = [float(v) for v in kv.values if lo <= v <= hi]
+            taus += [rng.uniform(lo, hi) for _ in range(10)]
+            assert curve._oracle_knots(lo).storage == "float"
+            for tau in taus:
+                assert (curve.eval_coxdeboor(tau) == fraction_reference(curve, tau)).all()
+
+    def test_knot_a_double_cannot_hold_keeps_the_fractions(self):
+        third = Fraction(1, 3)
+        curve = SplineCurve(1, KnotVector([-4, Fraction(-1, 4), third, 1, 3]),
+                            [[-1.0], [-4.0], [4.0]])
+        tau = float(third)
+        got = curve.eval_coxdeboor(tau)
+        assert (got == fraction_reference(curve, tau)).all()
+        assert curve._oracle_knots(tau) is curve.knots
+        # float(1/3) lies left of the knot 1/3 but on the rounded knot itself,
+        # so a float copy of these knots gives another last bit
+        as_float = SplineCurve(1, curve.knots.as_float(), curve.points)
+        assert (as_float.eval_coxdeboor(tau) != got).all()
+
+    def test_knot_differences_beyond_float_range_raise_domain_error(self):
+        curve = SplineCurve(1, KnotVector([0, 0, 10 ** 400, 10 ** 400]), [[0.0], [1.0]])
+        with pytest.raises(DomainError, match="beyond the float range"):
+            curve.eval_coxdeboor(1.0)
+        assert curve.eval_coxdeboor(Fraction(1)) == pytest.approx([0.0])
 
 
 class TestGeometricProperties:

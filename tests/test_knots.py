@@ -31,6 +31,15 @@ class TestKnotVector:
         with pytest.raises(InvalidKnots):
             KnotVector([0.0, float("inf")])
 
+    # both were taken for evenly spaced with an infinite spacing
+    @pytest.mark.parametrize("values", [[-1e308, -1e308, 0.0, 1.0, 1e308, 1e308],
+                                        [-1e308, -1e308, 0.0, 1e308, 1e308, 1e308]])
+    def test_rejects_float_range_beyond_doubles(self, values):
+        with pytest.raises(InvalidKnots, match="beyond the float range"):
+            KnotVector(values)
+        halved = KnotVector([v / 2 for v in values])
+        assert halved.storage == "float" and not halved.is_uniform
+
     def test_storage_tagging(self):
         assert KnotVector([0, 1, 2]).storage == "rational"
         assert KnotVector([Fraction(1, 3), 1]).storage == "rational"
