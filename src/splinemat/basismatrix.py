@@ -6,18 +6,21 @@ span, u being the span-normalized parameter.  Row index is the power of u,
 column index is the local basis function; serializers must keep that
 orientation.  Matrices are built by raising the degree one level at a
 time: each new column is the previous level's neighbouring columns, each
-multiplied (as polynomials in u) by its linear weight.  For evenly spaced
-knots the weights do not depend on the span, so one constant matrix per
-degree serves every span.  ``span_columns`` runs the recursion in the
-arithmetic of the knots: ``general_basis_matrix`` takes rational knots
-only, while a curve over float-stored knots gets double-precision columns.
+multiplied (as polynomials in u) by its linear weight.  The recursion runs
+on integer numerator columns over one common denominator, and the
+``Fraction`` entries are formed once, at the end.  For evenly spaced knots
+the weights do not depend on the span, so one constant matrix per degree
+serves every span.  On float-stored knots ``span_columns`` runs the same
+loop in double precision with denominator 1.0.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import Optional
 
 from .errors import DegenerateSpan, DegreeTooLarge, DomainError, NonRationalKnots
@@ -51,6 +54,12 @@ class BasisMatrix:
     def as_float_rows(self) -> list:
         return [[float(v) for v in row] for row in self.entries]
 
+    @classmethod
+    def from_columns(cls, cols: list, den: int, span: Optional[int] = None) -> "BasisMatrix":
+        """The exact matrix whose columns are the int numerators ``cols`` over ``den``."""
+        entries = tuple(tuple(Fraction(col[r], den) for col in cols) for r in range(len(cols)))
+        return cls(degree=len(cols) - 1, entries=entries, span=span)
+
 
 def _check_degree(degree: int) -> None:
     if degree < 0:
@@ -59,34 +68,33 @@ def _check_degree(degree: int) -> None:
         raise DegreeTooLarge("degree %d exceeds cap %d" % (degree, MAX_DEGREE))
 
 
-def _raise_degree(cols: list, pairs: list) -> list:
-    """One level of the degree recursion on coefficient columns.
+def _raise_degree(cols: list, den, pairs: list, scale) -> tuple:
+    """One level of the degree recursion on numerator columns over ``den``.
 
     ``cols`` holds the level k-1 columns (length-k coefficient vectors);
-    ``pairs`` holds the k weight pairs (a0, a1), one per transition.  Parent
-    column c feeds new column c+1 times (a0, a1) and new column c times the
-    complementary pair (1 - a0, -a1); parents outside the range contribute
-    nothing, their functions have no support on the span.
+    ``pairs`` holds the k weight pairs (a0, a1) as numerators over
+    ``scale``, one per transition.  Parent column c feeds new column c+1
+    times (a0, a1) and new column c times the complementary pair
+    (scale - a0, -a1); parents outside the range contribute nothing, their
+    functions have no support on the span.  Returns the new columns over
+    ``den * scale``, divided through by their gcd in integer arithmetic.
     """
     k = len(pairs)
-    # Every slot receives a product below, so the int zero takes the type
-    # of the weights: exact entries stay Fractions, float ones floats.
     new = [[0] * (k + 1) for _ in range(k + 1)]
     for c, (a0, a1) in enumerate(pairs):
-        _add_linear(new[c + 1], cols[c], a0, a1)
-        _add_linear(new[c], cols[c], 1 - a0, -a1)
-    return new
-
-
-def _add_linear(dst: list, col: list, a0, a1) -> None:
-    """dst += col * (a0 + a1 u), coefficients indexed by power of u."""
-    for r, v in enumerate(col):
-        dst[r] += a0 * v
-        dst[r + 1] += a1 * v
-
-
-def _cols_to_entries(cols: list) -> tuple:
-    return tuple(tuple(col[r] for col in cols) for r in range(len(cols)))
+        up, down, b0 = new[c + 1], new[c], scale - a0
+        for r, v in enumerate(cols[c]):
+            up[r] += a0 * v
+            up[r + 1] += a1 * v
+            down[r] += b0 * v
+            down[r + 1] -= a1 * v
+    den *= scale
+    if type(den) is int:
+        g = math.gcd(den, *(v for col in new for v in col))
+        if g > 1:
+            new = [[v // g for v in col] for col in new]
+            den //= g
+    return new, den
 
 
 @lru_cache(maxsize=None)
@@ -94,20 +102,18 @@ def uniform_basis_matrix(degree: int) -> BasisMatrix:
     """Constant basis matrix for evenly spaced knots.
 
     Built by the degree recursion with the span-independent weight pairs
-    ((k-1-r)/k, 1/k): written as banded matrices the level-k step is
+    ((k-1-r)/k, 1/k), run as the integer pairs (k-1-r, 1) over k: written
+    as banded matrices the level-k step is
     M^k = (1/k) ([M^{k-1}; 0] A + [0; M^{k-1}] B) with A[r][r] = r+1,
     A[r][r+1] = k-1-r, B[r][r] = -1, B[r][r+1] = 1.  Every entry times k!
     is an integer.  Results are memoized per degree (lookup is
     thread-safe; matrices are immutable).
     """
     _check_degree(degree)
-    if degree == 0:
-        return BasisMatrix(degree=0, entries=((Fraction(1),),))
-    prev = uniform_basis_matrix(degree - 1)
-    cols = [list(prev.column(c)) for c in range(prev.size)]
-    pairs = [(Fraction(degree - 1 - r, degree), Fraction(1, degree)) for r in range(degree)]
-    cols = _raise_degree(cols, pairs)
-    return BasisMatrix(degree=degree, entries=_cols_to_entries(cols))
+    cols, den = [[1]], 1
+    for k in range(1, degree + 1):
+        cols, den = _raise_degree(cols, den, [(k - 1 - r, 1) for r in range(k)], k)
+    return BasisMatrix.from_columns(cols, den)
 
 
 def general_basis_matrix(kv: KnotVector, degree: int, span: int) -> BasisMatrix:
@@ -126,25 +132,32 @@ def general_basis_matrix(kv: KnotVector, degree: int, span: int) -> BasisMatrix:
         )
     if kv.values[span] == kv.values[span + 1]:
         raise DegenerateSpan("span %d has zero width" % span)
-    cols = span_columns(kv, degree, span)
-    return BasisMatrix(degree=degree, entries=_cols_to_entries(cols), span=span)
+    return BasisMatrix.from_columns(*span_columns(kv, degree, span), span=span)
 
 
-def span_columns(kv: KnotVector, degree: int, span: int) -> list:
-    """Columns of one span's basis matrix, in the arithmetic of the knots.
+def span_columns(kv: KnotVector, degree: int, span: int) -> tuple:
+    """``(cols, den)``: one span's basis-matrix columns are ``cols / den``.
 
     The degree recursion with weight pairs from the knot differences at
-    each level: exact for rational storage, double precision for float
-    storage.  ``span`` must be a valid span of positive width.
+    each level.  On rational storage the columns hold int numerators over
+    an int ``den``: each level puts its weights over the lcm of their
+    denominators.  On float storage the same loop runs in double precision
+    with ``den`` 1.0.  ``span`` must be a valid span of positive width.
     """
-    cols = [[Fraction(1) if kv.storage == "rational" else 1.0]]
+    exact = kv.storage == "rational"
+    cols, den = ([[1]], 1) if exact else ([[1.0]], 1.0)
     for level in range(1, degree + 1):
         lc = local_coefficients(kv, level, span)
         # Transition r pairs with basis index first+1+r; the d entry of the
         # leftmost index never enters (its partner function vanishes here).
-        pairs = [(lc.d0[r + 1], lc.d1[r + 1]) for r in range(level)]
-        cols = _raise_degree(cols, pairs)
-    return cols
+        pairs = list(zip(lc.d0[1:], lc.d1[1:]))
+        scale = 1
+        if exact:
+            scale = math.lcm(*(w.denominator for pair in pairs for w in pair))
+            pairs = [tuple(w.numerator * (scale // w.denominator) for w in pair)
+                     for pair in pairs]
+        cols, den = _raise_degree(cols, den, pairs, scale)
+    return cols, den
 
 
 def cumulative_matrix(m: BasisMatrix) -> BasisMatrix:
@@ -154,10 +167,7 @@ def cumulative_matrix(m: BasisMatrix) -> BasisMatrix:
     the difference between local points c and c-1.  Column 0 is always
     (1, 0, ..., 0): the active basis functions sum to one.
     """
-    n = m.size
-    entries = tuple(
-        tuple(sum(row[s] for s in range(c, n)) for c in range(n)) for row in m.entries
-    )
+    entries = tuple(tuple(accumulate(reversed(row)))[::-1] for row in m.entries)
     return BasisMatrix(degree=m.degree, entries=entries, span=m.span)
 
 

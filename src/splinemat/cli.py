@@ -267,18 +267,7 @@ def run_check(degree_max: int, trials: int, seed: int, corrupt: bool = False, ou
     rng = random.Random(seed)
     failures = 0
     for k in range(1, degree_max + 1):
-        matrices = [uniform_basis_matrix(k)]
         uniform_kv, clamped_kv = _check_knot_vectors(k)
-        for kv in (uniform_kv, clamped_kv):
-            for j in range(k, len(kv.values) - k - 1):
-                if kv.values[j] < kv.values[j + 1]:
-                    matrices.append(general_basis_matrix(kv, k, j))
-        if corrupt and k == degree_max:
-            bad = [list(row) for row in matrices[0].entries]
-            bad[0][0] += Fraction(1, 10 ** 6)
-            matrices.append(BasisMatrix(degree=k, entries=tuple(tuple(r) for r in bad)))
-        sums_ok = all(_column_sums_ok(m) for m in matrices)
-
         gaps = []
         for kv in (uniform_kv, clamped_kv):
             n_points = len(kv.values) - k - 1
@@ -292,6 +281,19 @@ def run_check(degree_max: int, trials: int, seed: int, corrupt: bool = False, ou
             c = np.array([curve.eval_cumulative(t) for t in taus])
             gaps += [_relative_gaps(a, b), _relative_gaps(a, c), _relative_gaps(b, c)]
         worst = float(np.max(np.concatenate(gaps)))
+
+        # general construction runs on the uniform knots; the clamped spans
+        # come from the build of the clamped curve, the last one above
+        matrices = [uniform_basis_matrix(k)]
+        for kv, exact in ((uniform_kv, lambda j: general_basis_matrix(uniform_kv, k, j)),
+                          (clamped_kv, curve._exact_matrix)):
+            matrices += [exact(j) for j in range(k, len(kv.values) - k - 1)
+                         if kv.values[j] < kv.values[j + 1]]
+        if corrupt and k == degree_max:
+            bad = [list(row) for row in matrices[0].entries]
+            bad[0][0] += Fraction(1, 10 ** 6)
+            matrices.append(BasisMatrix(degree=k, entries=tuple(tuple(r) for r in bad)))
+        sums_ok = all(_column_sums_ok(m) for m in matrices)
 
         ok = sums_ok and worst <= CHECK_TOLERANCE
         if not ok:

@@ -10,24 +10,22 @@ three agree to floating-point accuracy on the whole evaluable domain.
 The matrix, cumulative and derivative paths share one batched float core:
 vectorised span lookup, Horner's rule over cached float span matrices, and
 one weighted sum of the gathered local control points.  The span matrices
-are float copies of the exact ones, except for float-stored non-uniform
-knots, where the same degree recursion runs in double precision.
+are float values of the exact ones, built once per distinct knot window,
+except for float-stored non-uniform knots, where the same degree
+recursion runs per span in double precision.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
 from . import coxdeboor
-from .basismatrix import (
-    cumulative_matrix,
-    general_basis_matrix,
-    span_columns,
-    uniform_basis_matrix,
-)
+from .basismatrix import BasisMatrix, cumulative_matrix, span_columns, uniform_basis_matrix
 from .errors import DomainError
 from .knots import KnotVector, find_span, normalize
 
@@ -90,7 +88,8 @@ class SplineCurve:
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "_cache", {})
+        # build seconds and window-hit spans; appends lose no count between threads
+        object.__setattr__(self, "_cache", {"builds": [], "hits": []})
 
     @property
     def count(self) -> int:
@@ -118,44 +117,69 @@ class SplineCurve:
     def _float_rows(self, kind: str, span: int) -> np.ndarray:
         """Read-only float span matrix ("m") or cumulative form ("c"), cached.
 
-        Float-stored non-uniform knots run the degree recursion in double
-        precision on the knots themselves; every other knot vector rounds
-        the exact matrix.
+        Evenly spaced knots round the uniform matrix; others divide the span's
+        numerator columns by their denominator (int division rounds correctly).
         """
         key = (kind, span)
         rows = self._cache.get(key)
         if rows is None:
-            if self.knots.storage == "float" and not self.knots.is_uniform:
-                rows = self._float_matrix(span)
-                if kind == "c":
-                    # suffix sums of the columns, as in ``cumulative_matrix``
-                    rows = np.cumsum(rows[:, ::-1], axis=1)[:, ::-1]
+            if self.knots.is_uniform:
+                m = uniform_basis_matrix(self.degree)
+                rows = (cumulative_matrix(m) if kind == "c" else m).as_float_rows()
             else:
-                m = self._exact_matrix(span)
-                rows = np.array((cumulative_matrix(m) if kind == "c" else m).as_float_rows())
+                cols, den = self._span_columns(span)
+                rows = list(zip(*cols))
+                if kind == "c":
+                    # suffix sums along each row, taken right to left
+                    rows = [list(accumulate(reversed(row)))[::-1] for row in rows]
+                rows = [[n / den for n in row] for row in rows]
+            rows = np.array(rows)
             rows.setflags(write=False)
             rows = self._cache.setdefault(key, rows)
         return rows
 
-    def _exact_matrix(self, span: int):
-        if self.knots.is_uniform:
-            return uniform_basis_matrix(self.degree)
-        key = ("x", span)
-        m = self._cache.get(key)
-        if m is None:
-            m = general_basis_matrix(self.knots, self.degree, span)
-            self._cache[key] = m
-        return m
+    def _span_columns(self, span: int) -> tuple:
+        """The span's ``span_columns`` ``(cols, den)``, cached per curve.
 
-    def _float_matrix(self, span: int) -> np.ndarray:
-        """The span's matrix built in double precision from float-stored knots."""
+        A span's matrix depends only on its knot window (tau_i - tau_j) /
+        (tau_{j+1} - tau_j), i = j-k+1..j+k, so rational knots build each
+        distinct window once; float knots, where that would not be exact,
+        build each span.
+        """
         key = ("x", span)
-        m = self._cache.get(key)
-        if m is None:
-            m = np.array(span_columns(self.knots, self.degree, span)).T
-            m.setflags(write=False)
-            m = self._cache.setdefault(key, m)
-        return m
+        got = self._cache.get(key)
+        if got is None:
+            window = key
+            if self.knots.storage == "rational":
+                vals, k = self.knots.values, self.degree
+                a, width = vals[span], vals[span + 1] - vals[span]
+                window = ("w",) + tuple((vals[i] - a) / width
+                                        for i in range(span - k + 1, span + k + 1))
+            got = self._cache.get(window)
+            if got is None:
+                start = time.perf_counter()
+                got = self._cache.setdefault(window, span_columns(self.knots, self.degree, span))
+                self._cache["builds"].append(time.perf_counter() - start)
+            else:
+                self._cache["hits"].append(span)
+            got = self._cache.setdefault(key, got)
+        return got
+
+    def _exact_matrix(self, span: int) -> BasisMatrix:
+        """The span's exact matrix (rational knots), Fractions formed from the cache."""
+        return BasisMatrix.from_columns(*self._span_columns(span), span=span)
+
+    def stats(self) -> dict:
+        """Span construction so far: ``spans_built``, ``window_hits`` and ``build_s``.
+
+        ``window_hits`` counts spans that reused the build of an earlier span
+        with the same knot window; ``build_s`` is the seconds spent in
+        ``span_columns``.  Counted when a span is first needed, never per
+        point; racing threads may build (and count) a span twice.
+        """
+        builds = self._cache["builds"]
+        return {"spans_built": len(builds), "window_hits": len(self._cache["hits"]),
+                "build_s": math.fsum(builds)}
 
     def _float_knots(self) -> _FloatKnots:
         fk = self._cache.get("f")

@@ -93,7 +93,10 @@ class KnotVector:
     def as_float(self) -> "KnotVector":
         if self.storage == "float":
             return self
-        return KnotVector([float(v) for v in self.values])
+        try:
+            return KnotVector([float(v) for v in self.values])
+        except OverflowError:
+            raise InvalidKnots("knot values are beyond the float range") from None
 
     def domain(self, degree: int) -> tuple:
         """Evaluable parameter range for a spline of the given degree."""

@@ -171,6 +171,20 @@ class TestCheckCommand:
         assert main(["check", "--degree-max", "2", "--trials", "5", "--corrupt"]) == 1
         assert "BROKEN" in capsys.readouterr().out
 
+    def test_clamped_spans_come_from_the_curve_build(self, monkeypatch):
+        # general construction runs only on the uniform vector's 5 spans per
+        # degree; the clamped vector's spans come from its curve
+        calls = []
+        build = cli.general_basis_matrix
+
+        def counting(kv, degree, span):
+            calls.append(kv)
+            return build(kv, degree, span)
+
+        monkeypatch.setattr(cli, "general_basis_matrix", counting)
+        assert cli.run_check(4, 3, 1, out=io.StringIO()) == 0
+        assert len(calls) == 5 * 4 and all(kv.is_uniform for kv in calls)
+
     def test_worst_matches_scalar_recomputation(self):
         degree_max, trials, seed = 4, 12, 9
         out = io.StringIO()

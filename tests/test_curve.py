@@ -14,7 +14,10 @@ from splinemat import (
     cumulative_matrix,
     find_span,
     general_basis_matrix,
+    local_coefficients,
+    uniform_basis_matrix,
 )
+from splinemat import cli
 from splinemat.curve import _horner
 
 
@@ -338,6 +341,116 @@ class TestFloatConstruction:
                 assert np.abs(basis.sum(axis=1) - 1.0).max() <= 1e-12
 
 
+def positive_spans(kv, degree):
+    return [j for j in range(degree, len(kv.values) - degree - 1)
+            if kv.values[j] < kv.values[j + 1]]
+
+
+def same_bits(rows, want):
+    want = np.array(want, dtype=float)
+    return rows.shape == want.shape and rows.tobytes() == want.tobytes()
+
+
+def exact_vectors():
+    """Clamped k=10 over 60 spans, i^2/3 and float-derived knots at k=10, check's vectors."""
+    rng = np.random.default_rng(17)
+    out = [(10, clamped(10, range(1, 60), 60)),
+           (10, KnotVector([Fraction(i * i, 3) for i in range(40)])),
+           (10, KnotVector(np.sort(rng.uniform(-5.0, 5.0, 40)).tolist()).as_rational())]
+    return out + [(k, kv) for k in range(1, 7) for kv in cli._check_knot_vectors(k)]
+
+
+def parent_float_rows(kv, degree, span):
+    """The float recursion with one multiply-add pass per weight pair, and
+    the cumulative form as a reversed ``np.cumsum``."""
+    cols = [[1.0]]
+    for level in range(1, degree + 1):
+        lc = local_coefficients(kv, level, span)
+        new = [[0] * (level + 1) for _ in range(level + 1)]
+        for c in range(level):
+            a0, a1 = lc.d0[c + 1], lc.d1[c + 1]
+            for dst, w0, w1 in ((new[c + 1], a0, a1), (new[c], 1 - a0, -a1)):
+                for r, v in enumerate(cols[c]):
+                    dst[r] += w0 * v
+                    dst[r + 1] += w1 * v
+        cols = new
+    m = np.array(cols).T
+    return m, np.cumsum(m[:, ::-1], axis=1)[:, ::-1]
+
+
+def fraction_uniform_matrices(degree_max):
+    """Uniform matrices 0..degree_max by the column recursion in Fractions."""
+    cols, out = [[Fraction(1)]], [((Fraction(1),),)]
+    for k in range(1, degree_max + 1):
+        new = [[Fraction(0)] * (k + 1) for _ in range(k + 1)]
+        for c in range(k):
+            a0, a1 = Fraction(k - 1 - c, k), Fraction(1, k)
+            for r, v in enumerate(cols[c]):
+                new[c + 1][r] += a0 * v
+                new[c + 1][r + 1] += a1 * v
+                new[c][r] += (1 - a0) * v
+                new[c][r + 1] -= a1 * v
+        cols = new
+        out.append(tuple(tuple(col[r] for col in cols) for r in range(k + 1)))
+    return out
+
+
+class TestExactRows:
+    @pytest.mark.parametrize("degree, kv", exact_vectors(),
+                             ids=lambda x: str(x) if isinstance(x, int) else None)
+    def test_rows_are_the_rounded_exact_matrices(self, degree, kv):
+        curve = SplineCurve(degree, kv, np.zeros((len(kv.values) - degree - 1, 1)))
+        for j in positive_spans(kv, degree):
+            m = general_basis_matrix(kv, degree, j)
+            assert np.array_equal(curve._span_matrix_rows(j), m.as_float_rows())
+            assert same_bits(curve._span_matrix_rows(j), m.as_float_rows())
+            assert same_bits(curve._span_cumulative_rows(j), cumulative_matrix(m).as_float_rows())
+            if not kv.is_uniform:
+                assert curve._exact_matrix(j) == m
+
+    @pytest.mark.parametrize("degree", range(1, 11))
+    def test_float_storage_rows_match_the_float_recursion(self, degree):
+        rng = np.random.default_rng(200 + degree)
+        count = 2 * degree + 3
+        for gaps in (10 ** rng.uniform(-3.0, 3.0, count),
+                     np.where(np.arange(count) % 2, 1e3, 1.0), rng.uniform(0.0, 1.0, count)):
+            kv = float_knots(rng, degree, gaps)
+            curve = SplineCurve(degree, kv, np.zeros((len(kv.values) - degree - 1, 1)))
+            for j in positive_spans(kv, degree):
+                m, c = parent_float_rows(kv, degree, j)
+                assert same_bits(curve._span_matrix_rows(j), m)
+                assert same_bits(curve._span_cumulative_rows(j), c)
+
+    def test_uniform_matrices_equal_fraction_recursion(self):
+        for k, want in enumerate(fraction_uniform_matrices(30)):
+            got = uniform_basis_matrix(k).entries
+            assert got == want
+            assert all(type(v) is Fraction for row in got for v in row)
+
+    def test_stats_count_one_build_per_window(self):
+        kv = clamped(10, range(1, 60), 60)
+        curve = SplineCurve(10, kv, np.zeros((70, 1)))
+        assert curve.stats() == {"spans_built": 0, "window_hits": 0, "build_s": 0.0}
+        mids = [float(kv.values[j] + kv.values[j + 1]) / 2 for j in positive_spans(kv, 10)]
+        assert len(mids) == 60
+        curve.evaluate(mids)
+        stats = curve.stats()
+        assert (stats["spans_built"], stats["window_hits"]) == (19, 41)
+        assert stats["build_s"] > 0.0
+        # the other row kind, a second pass and single points count nothing
+        curve.evaluate(mids, derivative=1)
+        for t in mids:
+            curve.eval_cumulative(t)
+        assert curve.stats() == stats
+
+    def test_stats_count_every_span_on_float_knots(self):
+        kv = KnotVector([0.0] * 4 + [1.0, 2.0, 3.0, 4.0] + [5.0] * 4)
+        curve = SplineCurve(3, kv, np.zeros((8, 1)))
+        curve.evaluate(np.linspace(0.0, 5.0, 50))
+        stats = curve.stats()
+        assert (stats["spans_built"], stats["window_hits"]) == (5, 0)
+
+
 class TestConcurrency:
     def test_parallel_evaluation_is_consistent(self):
         rng = random.Random(31)
@@ -384,3 +497,43 @@ class TestConcurrency:
                 assert np.array_equal(a, b)
         every = np.concatenate([t for i in range(8) for t in batches(i)])
         assert np.array_equal(fresh.evaluate(every), serial.evaluate(every))
+
+    def test_parallel_fills_of_spans_sharing_a_window(self):
+        # clamped knots with a uniform interior: 32 spans over 8 edge windows
+        # and one interior window shared by 24 spans, built by whichever
+        # thread gets there first
+        kv = clamped(5, range(1, 32), 32)
+        rng = random.Random(33)
+        n = len(kv.values) - 6
+        pts = [[rng.uniform(-10.0, 10.0) for _ in range(3)] for _ in range(n)]
+        spans = positive_spans(kv, 5)
+
+        def batches(thread):
+            return [np.linspace(float(kv.values[j]), float(kv.values[j + 1]), 5)[:-1]
+                    for j in spans[thread::8]]
+
+        serial = SplineCurve(5, kv, pts)
+        expected = [[(serial.evaluate(t), serial.evaluate(t, 1)) for t in batches(i)]
+                    for i in range(8)]
+        fresh = SplineCurve(5, kv, pts)
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(lambda i: [(fresh.evaluate(t), fresh.evaluate(t, 1))
+                                                  for t in batches(i)], i)
+                           for i in range(8)]
+                got = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(old)
+        for want_batches, got_batches in zip(expected, got):
+            for (a, da), (b, db) in zip(want_batches, got_batches):
+                assert np.array_equal(a, b) and np.array_equal(da, db)
+        for j in spans:
+            assert same_bits(fresh._span_matrix_rows(j), serial._span_matrix_rows(j))
+            assert same_bits(fresh._span_cumulative_rows(j), serial._span_cumulative_rows(j))
+        assert serial.stats()["spans_built"] == 9
+        # every span is filled by one thread: a lost update would break the sum
+        stats = fresh.stats()
+        assert stats["spans_built"] >= 9
+        assert stats["spans_built"] + stats["window_hits"] == len(spans) == 32

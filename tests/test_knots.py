@@ -40,6 +40,11 @@ class TestKnotVector:
         halved = KnotVector([v / 2 for v in values])
         assert halved.storage == "float" and not halved.is_uniform
 
+    def test_as_float_beyond_float_range_raises_invalid_knots(self):
+        with pytest.raises(InvalidKnots, match="beyond the float range"):
+            KnotVector([0, 10 ** 400]).as_float()
+        assert KnotVector([0, 10 ** 300]).as_float().values == (0.0, 1e300)
+
     def test_storage_tagging(self):
         assert KnotVector([0, 1, 2]).storage == "rational"
         assert KnotVector([Fraction(1, 3), 1]).storage == "rational"
