@@ -7,12 +7,18 @@ control points.  The cumulative path writes the same span value as the
 first local point plus weighted differences of consecutive points.  All
 three agree to floating-point accuracy on the whole evaluable domain.
 
-The matrix, cumulative and derivative paths share one batched float core:
-vectorised span lookup, Horner's rule over cached float span matrices, and
-one weighted sum of the gathered local control points.  The span matrices
-are float values of the exact ones, built once per distinct knot window,
-except for float-stored non-uniform knots, where the same degree
-recursion runs per span in double precision.
+The matrix, cumulative and derivative paths share one float core over
+per-span coefficient blocks, de Boor's piecewise-polynomial form: the
+span's basis matrix, Taylor-centred at u = 1/2, times its k+1 local
+control points (the cumulative block applies the centred cumulative matrix
+to the first point and the differences).  A parameter is evaluated by
+Horner's rule in v = u - 1/2 over its span's (k+1, d) block, batched with
+numpy for arrays and in Python floats for a single parameter, with the same
+result bit for bit.  Centring keeps the power form well conditioned next
+to wide spans (Farouki & Rajan 1987).  On exact knots the centred matrices
+are exact until the one rounding of each entry; the exact matrices are
+built once per distinct knot window, except for float-stored non-uniform
+knots, where the same degree recursion runs per span in double precision.
 """
 
 from __future__ import annotations
@@ -20,17 +26,20 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import coxdeboor
-from .basismatrix import BasisMatrix, cumulative_matrix, span_columns, uniform_basis_matrix
+from .basismatrix import BasisMatrix, span_columns, uniform_basis_matrix
 from .errors import DomainError
 from .knots import KnotVector, find_span, normalize
+from .polytoeplitz import horner
 
 # Parameters per pass of the batched core.  Scratch memory per pass is
-# O(_CHUNK * (k+1)^2) floats whatever the number of parameters.
+# O(_CHUNK * (k+1) * d) floats whatever the number of parameters.
 _CHUNK = 1024
 
 
@@ -57,9 +66,10 @@ class SplineCurve:
 
     Counts are tied: a degree-k curve over M knots carries N = M - k - 1
     control points.  Instances are immutable; evaluation is pure and safe
-    to run concurrently.  Float span matrices are cached per touched span,
-    each built whole and made read-only before it is stored, so a reader
-    never sees a half-built span; two racing fills only build a span twice.
+    to run concurrently.  Coefficient blocks are cached per touched span
+    (evenly spaced knots: one table of every span's block), each built
+    whole and made read-only before it is stored, so a reader never sees a
+    half-built block; two racing fills only build a block twice.
     """
 
     degree: int
@@ -88,8 +98,9 @@ class SplineCurve:
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "points", pts)
-        # build seconds and window-hit spans; appends lose no count between threads
-        object.__setattr__(self, "_cache", {"builds": [], "hits": []})
+        # build seconds, window-hit spans and blocks stored per fill; appends
+        # lose no count between threads
+        object.__setattr__(self, "_cache", {"builds": [], "hits": [], "touched": []})
 
     @property
     def count(self) -> int:
@@ -115,42 +126,46 @@ class SplineCurve:
         return self._float_rows("c", span)
 
     def _float_rows(self, kind: str, span: int) -> np.ndarray:
-        """Read-only float span matrix ("m") or cumulative form ("c"), cached.
+        """The span's float matrix ("m") or cumulative form ("c"), uncentred."""
+        cols, den, _ = self._span_columns(span)
+        return _rounded_rows(cols, den, kind)
 
-        Evenly spaced knots round the uniform matrix; others divide the span's
-        numerator columns by their denominator (int division rounds correctly).
+    def _centred_rows(self, kind: str, span: int) -> np.ndarray:
+        """The span's float matrix ("m") or cumulative form ("c"), centred at u = 1/2.
+
+        Exact knots round the exactly centred numerators; float-stored
+        non-uniform knots multiply their float rows by ``_centring``.
         """
-        key = (kind, span)
-        rows = self._cache.get(key)
-        if rows is None:
-            if self.knots.is_uniform:
-                m = uniform_basis_matrix(self.degree)
-                rows = (cumulative_matrix(m) if kind == "c" else m).as_float_rows()
-            else:
-                cols, den = self._span_columns(span)
-                rows = list(zip(*cols))
-                if kind == "c":
-                    # suffix sums along each row, taken right to left
-                    rows = [list(accumulate(reversed(row)))[::-1] for row in rows]
-                rows = [[n / den for n in row] for row in rows]
-            rows = np.array(rows)
-            rows.setflags(write=False)
-            rows = self._cache.setdefault(key, rows)
-        return rows
+        cols, den, centred = self._span_columns(span)
+        if centred is None:
+            return _centring(self.degree) @ _rounded_rows(cols, den, kind)
+        return _rounded_rows(*centred, kind)
 
     def _span_columns(self, span: int) -> tuple:
-        """The span's ``span_columns`` ``(cols, den)``, cached per curve.
+        """``(cols, den, centred)``: the span's matrix is ``cols / den``, cached per curve.
 
-        A span's matrix depends only on its knot window (tau_i - tau_j) /
-        (tau_{j+1} - tau_j), i = j-k+1..j+k, so rational knots build each
-        distinct window once; float knots, where that would not be exact,
-        build each span.
+        ``centred`` holds the same columns Taylor-centred at u = 1/2 as an
+        exact ``(cols, den)`` pair (``_centre``), or None on float-stored
+        non-uniform knots.  Evenly spaced knots share the one uniform
+        matrix.  Otherwise a span's matrix depends only on its knot window
+        (tau_i - tau_j) / (tau_{j+1} - tau_j), i = j-k+1..j+k, so rational
+        knots build (and centre) each distinct window once; float knots,
+        where that would not be exact, build each span.
         """
+        if self.knots.is_uniform:
+            got = self._cache.get("u")
+            if got is None:
+                m = uniform_basis_matrix(self.degree)
+                den = math.lcm(*(v.denominator for row in m.entries for v in row))
+                cols = [[int(v * den) for v in col] for col in zip(*m.entries)]
+                got = self._cache.setdefault("u", (cols, den, _centre(cols, den)))
+            return got
         key = ("x", span)
         got = self._cache.get(key)
         if got is None:
             window = key
-            if self.knots.storage == "rational":
+            exact = self.knots.storage == "rational"
+            if exact:
                 vals, k = self.knots.values, self.degree
                 a, width = vals[span], vals[span + 1] - vals[span]
                 window = ("w",) + tuple((vals[i] - a) / width
@@ -158,7 +173,9 @@ class SplineCurve:
             got = self._cache.get(window)
             if got is None:
                 start = time.perf_counter()
-                got = self._cache.setdefault(window, span_columns(self.knots, self.degree, span))
+                cols, den = span_columns(self.knots, self.degree, span)
+                got = self._cache.setdefault(
+                    window, (cols, den, _centre(cols, den) if exact else None))
                 self._cache["builds"].append(time.perf_counter() - start)
             else:
                 self._cache["hits"].append(span)
@@ -167,19 +184,63 @@ class SplineCurve:
 
     def _exact_matrix(self, span: int) -> BasisMatrix:
         """The span's exact matrix (rational knots), Fractions formed from the cache."""
-        return BasisMatrix.from_columns(*self._span_columns(span), span=span)
+        cols, den, _ = self._span_columns(span)
+        return BasisMatrix.from_columns(cols, den, span=span)
+
+    def _block(self, kind: str, span: int) -> np.ndarray:
+        """The span's read-only (k+1, d) coefficient block, built on first use.
+
+        Row r is the coefficient of v^r, v = u - 1/2, of the span's value:
+        the centred matrix ("m") times the local points, or the centred
+        cumulative matrix ("c") times the first local point and the
+        differences, formed independently of the "m" block.  Evenly spaced
+        knots read it from ``_table``.
+        """
+        if self.knots.is_uniform:
+            return self._table(kind)[span - self.degree]
+        key = (kind, span)
+        block = self._cache.get(key)
+        if block is None:
+            rows = self._centred_rows(kind, span)
+            local = self.points[span - self.degree: span + 1]
+            block = self._store(key, _coefficient_blocks(kind, rows, local)[0])
+        return block
+
+    def _table(self, kind: str) -> np.ndarray:
+        """Evenly spaced knots: every span's block, (N-k, k+1, d), built on first use.
+
+        One table is at most k+1 times the size of the control points;
+        span j's block is row j - k.
+        """
+        key = "table-" + kind
+        table = self._cache.get(key)
+        if table is None:
+            rows = self._centred_rows(kind, self.degree)
+            table = self._store(key, _coefficient_blocks(kind, rows, self.points))
+        return table
+
+    def _store(self, key, blocks: np.ndarray) -> np.ndarray:
+        """Freeze and cache ``blocks``; only the fill that stores them counts them."""
+        blocks.setflags(write=False)
+        got = self._cache.setdefault(key, blocks)
+        if got is blocks:
+            self._cache["touched"].append(1 if blocks.ndim == 2 else len(blocks))
+        return got
 
     def stats(self) -> dict:
-        """Span construction so far: ``spans_built``, ``window_hits`` and ``build_s``.
+        """Construction so far: ``spans_built``, ``window_hits``, ``build_s``, ``spans_touched``.
 
         ``window_hits`` counts spans that reused the build of an earlier span
         with the same knot window; ``build_s`` is the seconds spent in
-        ``span_columns``.  Counted when a span is first needed, never per
-        point; racing threads may build (and count) a span twice.
+        ``span_columns`` and centring.  ``spans_touched`` counts the
+        coefficient blocks built, one per span and kind ("m" or "c"); a
+        table of evenly spaced knots counts each of its spans.  Counted when
+        a span is first needed, never per point; racing threads may build
+        (and count) a span twice, but a block is counted once.
         """
         builds = self._cache["builds"]
         return {"spans_built": len(builds), "window_hits": len(self._cache["hits"]),
-                "build_s": math.fsum(builds)}
+                "build_s": math.fsum(builds), "spans_touched": sum(self._cache["touched"])}
 
     def _float_knots(self) -> _FloatKnots:
         fk = self._cache.get("f")
@@ -239,45 +300,65 @@ class SplineCurve:
                               % arr[wide][0])
         return spans, u
 
-    def _span_rows(self, kind: str, spans: np.ndarray) -> np.ndarray:
-        """Float span matrices ("m") or their cumulative forms ("c") for ``spans``.
+    def _span_blocks(self, kind: str, spans: np.ndarray) -> np.ndarray:
+        """The blocks of ``spans``, looked up once per distinct span.
 
-        One (k+1, k+1) matrix serves the whole batch when it covers one span
-        or the knots are uniform.  Otherwise the result is the
-        (len(spans), k+1, k+1) stack, looked up once per distinct span.
+        One (k+1, d) block when they are all one span, else the
+        (len(spans), k+1, d) stack.
         """
-        rows_of = self._span_matrix_rows if kind == "m" else self._span_cumulative_rows
         if self.knots.is_uniform:
-            return rows_of(self.degree)
+            return self._table(kind)[spans - self.degree]
         distinct = np.unique(spans)
         if len(distinct) == 1:
-            return rows_of(int(distinct[0]))
-        stack = np.stack([rows_of(j) for j in distinct.tolist()])
+            return self._block(kind, int(distinct[0]))
+        stack = np.stack([self._block(kind, j) for j in distinct.tolist()])
         return stack[np.searchsorted(distinct, spans)]
 
     def _combine(self, spans: np.ndarray, u: np.ndarray, kind: str = "m",
                  order: int = 0) -> np.ndarray:
-        """The batched core: Horner weights times the local control points.
+        """The batched core: Horner's rule in u - 1/2 over the spans' blocks.
 
-        ``kind`` "m" applies the span matrices, differentiated ``order``
-        times (chain rule: divided by width**order); "c" applies the
-        cumulative matrices to the first local point and the differences.
+        ``kind`` "m" or "c" picks the block (see ``_block``); ``order`` > 0
+        differentiates it, with the chain rule's division by width**order.
         """
-        k = self.degree
-        offsets = np.arange(k + 1) - k
         out = np.empty((len(u), self.dim))
+        v = u - 0.5
         for start in range(0, len(u), _CHUNK):
             part = slice(start, start + _CHUNK)
-            j = spans[part]
-            weights = _horner(self._span_rows(kind, j), u[part], order)
-            local = np.take(self.points, j[:, None] + offsets, axis=0)
-            if kind == "c":
-                out[part] = local[:, 0] + np.einsum("nc,ncd->nd", weights[:, 1:],
-                                                    np.diff(local, axis=1))
-            else:
-                out[part] = np.einsum("nc,ncd->nd", weights, local)
+            out[part] = _horner(self._span_blocks(kind, spans[part]), v[part], order)
         if order:
-            out /= (self._float_knots().widths[spans] ** order)[:, None]
+            # repeated products, as in _point, not a pow() that numpy and
+            # Python may round differently
+            out /= math.prod([self._float_knots().widths[spans]] * order)[:, None]
+        return out
+
+    def _point(self, tau, kind: str, order: int = 0) -> np.ndarray:
+        """One parameter through ``_combine``'s arithmetic, in Python floats.
+
+        Locates the span, then runs the one scalar ``horner`` per coordinate
+        over the block with the same roundings in the same order, so the
+        result equals the batch's bit for bit.  A float tau inside the
+        domain that is no inexact knot takes one ``searchsorted``; any other
+        tau goes through ``_locate``, with its errors.
+        """
+        fk = self._float_knots()
+        u = math.nan
+        if (isinstance(tau, float) and fk.lo <= tau <= fk.hi and fk.last >= 0
+                and not (fk.inexact.size and tau in fk.inexact)):
+            span = fk.last if tau == fk.hi else int(fk.values.searchsorted(tau, "right")) - 1
+            u = (tau - float(fk.values[span])) / float(fk.widths[span])
+        if math.isnan(u):  # not located above, or a span too wide for floats
+            spans, us = self._locate([tau])
+            span, u = int(spans[0]), float(us[0])
+        if order > self.degree:
+            return np.zeros(self.dim)
+        cols = self._block(kind, span).T.tolist()
+        if order:
+            cols = [[c * math.perm(r, order) for r, c in enumerate(col) if r >= order]
+                    for col in cols]
+        out = np.array([horner(col, u - 0.5) for col in cols])
+        if order:
+            out /= math.prod([float(fk.widths[span])] * order)
         return out
 
     def evaluate(self, taus, derivative: int = 0) -> np.ndarray:
@@ -338,15 +419,14 @@ class SplineCurve:
 
     def eval_matrix(self, tau) -> np.ndarray:
         """Span lookup, parameter normalization, basis matrix times local points."""
-        return self.evaluate([tau])[0]
+        return self._point(tau, "m")
 
     def _matrix_point(self, span: int, u: float) -> np.ndarray:
         return self._combine(np.array([span]), np.array([u], dtype=float))[0]
 
     def eval_cumulative(self, tau) -> np.ndarray:
         """First local point plus cumulative-weighted differences."""
-        spans, u = self._locate([tau])
-        return self._combine(spans, u, "c")[0]
+        return self._point(tau, "c")
 
     def eval_derivative(self, tau, order: int) -> np.ndarray:
         """Derivative of the matrix-path polynomial, chain rule per span width.
@@ -355,7 +435,7 @@ class SplineCurve:
         """
         if order < 1:
             raise ValueError("order must be >= 1")
-        return self.evaluate([tau], order)[0]
+        return self._point(tau, "m", order)
 
     def sample(self, n: int) -> list:
         """n matrix-path evaluations at evenly spaced parameters, ends included."""
@@ -387,10 +467,10 @@ def _to_float(x) -> float:
 
 
 def _horner(rows: np.ndarray, u: np.ndarray, order: int) -> np.ndarray:
-    """Weights sum over r >= order of r!/(r-order)! u^(r-order) rows[..., r, :].
+    """Sum over r >= order of r!/(r-order)! u^(r-order) rows[..., r, :].
 
-    ``rows`` is one (k+1, k+1) matrix or a stack matching ``u``; the result
-    is (len(u), k+1).  Horner's rule, not powers of u, so that values exact
+    ``rows`` is one (k+1, m) matrix or a stack matching ``u``; the result
+    is (len(u), m).  Horner's rule, not powers of u, so that values exact
     in floats stay exact.
     """
     top = rows.shape[-2] - 1
@@ -403,3 +483,62 @@ def _horner(rows: np.ndarray, u: np.ndarray, order: int) -> np.ndarray:
         acc *= x
         acc += rows[..., r, :] * math.perm(r, order) if order else rows[..., r, :]
     return acc
+
+
+def _rounded_rows(cols: list, den, kind: str) -> np.ndarray:
+    """Float rows of the columns ``cols / den`` ("m") or of their suffix sums ("c").
+
+    Int numerators over an int ``den`` round correctly (``int / int``).
+    """
+    rows = list(zip(*cols))
+    if kind == "c":
+        # suffix sums along each row, taken right to left
+        rows = [list(accumulate(reversed(row)))[::-1] for row in rows]
+    return np.array([[n / den for n in row] for row in rows])
+
+
+def _centre(cols: list, den: int) -> tuple:
+    """Exact columns ``cols / den`` Taylor-shifted to the centre u = 1/2.
+
+    Returns ``(cols', den')`` with each column's polynomial p(u) equal to
+    p'(u - 1/2), all in integers: b_i = a_i 2^(k-i) gives P(w) = 2^k p(w/2);
+    a Taylor shift by 1, additions only, gives P(w + 1); row r times 2^r
+    over den 2^k then holds p(v + 1/2).
+    """
+    k = len(cols) - 1
+    out = []
+    for col in cols:
+        b = [a << (k - i) for i, a in enumerate(col)]
+        for i in range(k):
+            for j in range(k - 1, i - 1, -1):
+                b[j] += b[j + 1]
+        out.append([a << r for r, a in enumerate(b)])
+    return out, den << k
+
+
+@lru_cache(maxsize=None)
+def _centring(degree: int) -> np.ndarray:
+    """S(1/2), S[r][i] = C(i, r) 2^(r-i): ``S @ rows`` centres float rows at u = 1/2.
+
+    The entries are dyadic, exact in floats; memoised per degree.
+    """
+    s = np.array([[math.comb(i, r) * 2.0 ** (r - i) for i in range(degree + 1)]
+                  for r in range(degree + 1)])
+    s.setflags(write=False)
+    return s
+
+
+def _coefficient_blocks(kind: str, rows: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Blocks of every run of k+1 consecutive ``points``: (runs, k+1, d).
+
+    "m" applies ``rows`` to the run; "c" applies rows[:, 1:] to its
+    differences and adds its first point to row 0 (column 0 of a
+    cumulative matrix, centred or not, is (1, 0, ..., 0)).
+    """
+    k = len(rows) - 1
+    if kind == "c":
+        out = np.einsum("rc,ndc->nrd", rows[:, 1:],
+                        sliding_window_view(np.diff(points, axis=0), k, axis=0))
+        out[:, 0] += points[:len(out)]
+        return out
+    return np.einsum("rc,ndc->nrd", rows, sliding_window_view(points, k + 1, axis=0))

@@ -430,18 +430,52 @@ class TestExactRows:
     def test_stats_count_one_build_per_window(self):
         kv = clamped(10, range(1, 60), 60)
         curve = SplineCurve(10, kv, np.zeros((70, 1)))
-        assert curve.stats() == {"spans_built": 0, "window_hits": 0, "build_s": 0.0}
+
+        def builds():
+            stats = curve.stats()
+            return {key: stats[key] for key in ("spans_built", "window_hits", "build_s")}
+
+        assert builds() == {"spans_built": 0, "window_hits": 0, "build_s": 0.0}
         mids = [float(kv.values[j] + kv.values[j + 1]) / 2 for j in positive_spans(kv, 10)]
         assert len(mids) == 60
         curve.evaluate(mids)
-        stats = curve.stats()
+        stats = builds()
         assert (stats["spans_built"], stats["window_hits"]) == (19, 41)
         assert stats["build_s"] > 0.0
         # the other row kind, a second pass and single points count nothing
         curve.evaluate(mids, derivative=1)
         for t in mids:
             curve.eval_cumulative(t)
-        assert curve.stats() == stats
+        assert builds() == stats
+
+    def test_stats_count_one_block_per_touched_span_and_kind(self):
+        kv = clamped(10, range(1, 60), 60)
+        curve = SplineCurve(10, kv, np.zeros((70, 3)))
+        assert curve.stats()["spans_touched"] == 0
+        mids = [float(kv.values[j] + kv.values[j + 1]) / 2 for j in positive_spans(kv, 10)]
+        for t in mids[:5]:
+            curve.eval_matrix(t)
+        assert curve.stats()["spans_touched"] == 5
+        curve.evaluate(mids)
+        assert curve.stats()["spans_touched"] == 60
+        # derivatives share the matrix blocks; repeated points build nothing
+        curve.evaluate(mids, derivative=1)
+        for t in mids + mids:
+            curve.eval_derivative(t, 2)
+        assert curve.stats()["spans_touched"] == 60
+        for t in mids:
+            curve.eval_cumulative(t)
+        curve.evaluate(mids)
+        assert curve.stats()["spans_touched"] == 120
+
+    def test_stats_count_every_block_of_a_uniform_table(self):
+        curve = SplineCurve(3, KnotVector.uniform(20), np.zeros((16, 2)))
+        curve.eval_matrix(5.5)
+        assert curve.stats()["spans_touched"] == 13
+        curve.sample(50)
+        curve.eval_cumulative(7.5)
+        assert curve.stats() == {"spans_built": 0, "window_hits": 0, "build_s": 0.0,
+                                 "spans_touched": 26}
 
     def test_stats_count_every_span_on_float_knots(self):
         kv = KnotVector([0.0] * 4 + [1.0, 2.0, 3.0, 4.0] + [5.0] * 4)
@@ -537,3 +571,5 @@ class TestConcurrency:
         stats = fresh.stats()
         assert stats["spans_built"] >= 9
         assert stats["spans_built"] + stats["window_hits"] == len(spans) == 32
+        # a block is counted by the one fill that stores it
+        assert stats["spans_touched"] == 32

@@ -29,6 +29,7 @@ from splinemat import (
     find_span,
     general_basis_matrix,
     lambda_weights,
+    normalize,
 )
 
 SETTINGS = settings(max_examples=100, deadline=None,
@@ -253,6 +254,75 @@ def test_span_cache_grows_with_touched_spans_only():
     finally:
         tracemalloc.stop()
     assert peak < full / 20
-    assert sorted(key for key in curve._cache if isinstance(key, tuple) and key[0] != "x") \
-        == [("c", find_span(kv, 3, 2000.5)), ("m", find_span(kv, 3, 10.5)),
-            ("m", find_span(kv, 3, 1000.5))]
+    # one (k+1, d) coefficient block per touched span and kind
+    blocks = {key: curve._cache[key] for key in curve._cache
+              if isinstance(key, tuple) and key[0] in ("m", "c")}
+    assert sorted(blocks) == [("c", find_span(kv, 3, 2000.5)), ("m", find_span(kv, 3, 10.5)),
+                              ("m", find_span(kv, 3, 1000.5))]
+    assert all(block.shape == (4, 1) for block in blocks.values())
+    assert curve.stats()["spans_touched"] == 3
+
+
+def wide_span_knots(k, width):
+    """Unit gaps with one gap ``width`` wide, k+1 unit gaps on each side."""
+    return KnotVector(list(accumulate([1] * (k + 1) + [width] + [1] * (k + 1), initial=0)))
+
+
+@pytest.mark.parametrize("width", [10 ** 3, 10 ** 6])
+@pytest.mark.parametrize("k", [10, 20, 30])
+def test_wide_span_matches_exact_reference(k, width):
+    # the span matrices next to a wide span have entries far larger than
+    # the basis values; Horner in u over [0, 1] loses up to 13 digits at
+    # k=30, Horner in u - 1/2 keeps the error below 1e-10
+    kv = wide_span_knots(k, width)
+    points = np.random.default_rng(k).normal(0.0, 10.0, (len(kv.values) - k - 1, 2))
+    curve = SplineCurve(k, kv, points)
+    lo, hi = (float(v) for v in curve.domain)
+    taus = np.linspace(lo, hi, 41).tolist()
+    exact_points = [[Fraction(p) for p in row] for row in points.tolist()]
+    matrices = {}
+    want = []
+    for tau in taus:
+        j = find_span(kv, k, tau)
+        if j not in matrices:
+            matrices[j] = general_basis_matrix(kv, k, j)
+        weights = basis_row(matrices[j], normalize(kv, j, Fraction(tau)))
+        local = exact_points[j - k: j + 1]
+        want.append([float(sum(w * p[i] for w, p in zip(weights, local)))
+                     for i in range(curve.dim)])
+    assert row_gaps(curve.evaluate(taus), want).max() <= 1e-10
+    assert row_gaps([curve.eval_matrix(t) for t in taus], want).max() <= 1e-10
+    assert row_gaps([curve.eval_cumulative(t) for t in taus], want).max() <= 1e-10
+
+
+def outcome(fn, *args):
+    """The value of ``fn(*args)``, or the DomainError message it raised."""
+    try:
+        return fn(*args)
+    except DomainError as err:
+        return "DomainError: %s" % err
+
+
+@SETTINGS
+@given(curves_and_taus(), st.data())
+def test_scalar_views_equal_the_batch_bit_for_bit(case, data):
+    curve, taus = case
+    k = curve.degree
+    # int parameters where a knot or domain end is an integer, and exact
+    # copies of float parameters
+    taus += [int(t) for t in taus if isinstance(t, Fraction) and t.denominator == 1]
+    taus += [Fraction(t) for t in taus[:3] if isinstance(t, float)]
+    taus.append(data.draw(st.sampled_from([math.nan, -math.inf, math.inf])))
+    for tau in taus:
+        batch = outcome(curve.evaluate, [tau])
+        if isinstance(batch, str):
+            assert outcome(curve.eval_matrix, tau) == batch
+            assert outcome(curve.eval_cumulative, tau) == batch
+            assert outcome(curve.eval_derivative, tau, 1) == batch
+            continue
+        assert np.array_equal(curve.eval_matrix(tau), batch[0])
+        for order in range(1, k + 2):
+            assert np.array_equal(curve.eval_derivative(tau, order),
+                                  curve.evaluate([tau], order)[0])
+        spans, u = curve._locate([tau])
+        assert np.array_equal(curve.eval_cumulative(tau), curve._combine(spans, u, "c")[0])
