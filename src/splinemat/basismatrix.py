@@ -11,7 +11,8 @@ on integer numerator columns over one common denominator, and the
 ``Fraction`` entries are formed once, at the end.  For evenly spaced knots
 the weights do not depend on the span, so one constant matrix per degree
 serves every span.  On float-stored knots ``span_columns`` runs the same
-loop in double precision with denominator 1.0.
+loop in double precision.  ``centred`` builds the same matrix in powers
+of v = u - 1/2 instead, for the curve's evaluation (see ``_raise_degree``).
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ def _check_degree(degree: int) -> None:
         raise DegreeTooLarge("degree %d exceeds cap %d" % (degree, MAX_DEGREE))
 
 
-def _raise_degree(cols: list, den, pairs: list, scale) -> tuple:
+def _raise_degree(cols: list, den, pairs: list, scale, centred: bool) -> tuple:
     """One level of the degree recursion on numerator columns over ``den``.
 
     ``cols`` holds the level k-1 columns (length-k coefficient vectors);
@@ -78,7 +79,14 @@ def _raise_degree(cols: list, den, pairs: list, scale) -> tuple:
     (scale - a0, -a1); parents outside the range contribute nothing, their
     functions have no support on the span.  Returns the new columns over
     ``den * scale``, divided through by their gcd in integer arithmetic.
+
+    ``centred`` columns are polynomials in v = u - 1/2: a weight
+    a0 + a1 u is (a0 + a1/2) + a1 v, so the pair becomes (2 a0 + a1, 2 a1)
+    over 2 scale.  Scaling by two is exact in floats too, so float knots
+    round only the sum a0 + a1/2, once per weight.
     """
+    if centred:
+        pairs, scale = [(2 * a0 + a1, 2 * a1) for a0, a1 in pairs], 2 * scale
     k = len(pairs)
     new = [[0] * (k + 1) for _ in range(k + 1)]
     for c, (a0, a1) in enumerate(pairs):
@@ -109,11 +117,16 @@ def uniform_basis_matrix(degree: int) -> BasisMatrix:
     is an integer.  Results are memoized per degree (lookup is
     thread-safe; matrices are immutable).
     """
+    return BasisMatrix.from_columns(*uniform_columns(degree))
+
+
+def uniform_columns(degree: int, centred: bool = False) -> tuple:
+    """``(cols, den)`` of the uniform matrix, in powers of u - 1/2 if ``centred``."""
     _check_degree(degree)
     cols, den = [[1]], 1
     for k in range(1, degree + 1):
-        cols, den = _raise_degree(cols, den, [(k - 1 - r, 1) for r in range(k)], k)
-    return BasisMatrix.from_columns(cols, den)
+        cols, den = _raise_degree(cols, den, [(k - 1 - r, 1) for r in range(k)], k, centred)
+    return cols, den
 
 
 def general_basis_matrix(kv: KnotVector, degree: int, span: int) -> BasisMatrix:
@@ -135,14 +148,15 @@ def general_basis_matrix(kv: KnotVector, degree: int, span: int) -> BasisMatrix:
     return BasisMatrix.from_columns(*span_columns(kv, degree, span), span=span)
 
 
-def span_columns(kv: KnotVector, degree: int, span: int) -> tuple:
+def span_columns(kv: KnotVector, degree: int, span: int, centred: bool = False) -> tuple:
     """``(cols, den)``: one span's basis-matrix columns are ``cols / den``.
 
     The degree recursion with weight pairs from the knot differences at
     each level.  On rational storage the columns hold int numerators over
     an int ``den``: each level puts its weights over the lcm of their
     denominators.  On float storage the same loop runs in double precision
-    with ``den`` 1.0.  ``span`` must be a valid span of positive width.
+    with a float ``den``.  ``centred`` gives the columns in powers of
+    v = u - 1/2.  ``span`` must be a valid span of positive width.
     """
     exact = kv.storage == "rational"
     cols, den = ([[1]], 1) if exact else ([[1.0]], 1.0)
@@ -156,7 +170,7 @@ def span_columns(kv: KnotVector, degree: int, span: int) -> tuple:
             scale = math.lcm(*(w.denominator for pair in pairs for w in pair))
             pairs = [tuple(w.numerator * (scale // w.denominator) for w in pair)
                      for pair in pairs]
-        cols, den = _raise_degree(cols, den, pairs, scale)
+        cols, den = _raise_degree(cols, den, pairs, scale, centred)
     return cols, den
 
 

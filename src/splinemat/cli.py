@@ -143,13 +143,18 @@ def save_spline(path: str, curve: SplineCurve) -> None:
 
 
 def load_knots(path: str) -> KnotVector:
-    """Knot file: a JSON array, or an object with a 'knots' array."""
+    """Knot file: a JSON array, or an object with a 'knots' array.
+
+    The knot count may not exceed ``MAX_KNOTS``.
+    """
     with open(path, "r", encoding="utf-8") as f:
         data = json.load(f, parse_constant=_reject_constant)
     if isinstance(data, dict):
         data = data.get("knots")
     if not isinstance(data, list):
         raise ValueError("knots file must hold a JSON array (or {'knots': [...]})")
+    if len(data) > MAX_KNOTS:
+        raise ValueError("knot count %d exceeds cap %d" % (len(data), MAX_KNOTS))
     return KnotVector([_parse_scalar(v) for v in data])
 
 
@@ -251,10 +256,13 @@ def _check_knot_vectors(degree: int):
 def run_check(degree_max: int, trials: int, seed: int, corrupt: bool = False, out=None) -> int:
     """Cross-check matrix evaluation against the recursive reference.
 
-    Per degree: exact column-sum invariants for the uniform matrix and for
-    every span of a plain and a clamped knot vector, then ``trials`` random
-    parameter draws per curve comparing all three evaluation paths.
-    Reports the worst relative disagreement per degree.
+    Per degree: ``trials`` random parameter draws per curve over a plain
+    and a clamped knot vector, comparing all three evaluation paths, then
+    exact column-sum invariants (row 0 sums to 1, every other row to 0) for
+    the uniform matrix and every span of both vectors.  The clamped spans
+    are the curve's own exact matrices, centred at u = 1/2 in the powers of
+    v = u - 1/2; the invariant is the same there, since the basis sums to
+    one in v too.  Reports the worst relative disagreement per degree.
     """
     if out is None:
         out = sys.stdout
@@ -283,7 +291,8 @@ def run_check(degree_max: int, trials: int, seed: int, corrupt: bool = False, ou
         worst = float(np.max(np.concatenate(gaps)))
 
         # general construction runs on the uniform knots; the clamped spans
-        # come from the build of the clamped curve, the last one above
+        # are the centred matrices of the clamped curve, the last one above,
+        # whose column sums are those of the uncentred ones
         matrices = [uniform_basis_matrix(k)]
         for kv, exact in ((uniform_kv, lambda j: general_basis_matrix(uniform_kv, k, j)),
                           (clamped_kv, curve._exact_matrix)):

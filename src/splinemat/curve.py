@@ -15,10 +15,11 @@ to the first point and the differences).  A parameter is evaluated by
 Horner's rule in v = u - 1/2 over its span's (k+1, d) block, batched with
 numpy for arrays and in Python floats for a single parameter, with the same
 result bit for bit.  Centring keeps the power form well conditioned next
-to wide spans (Farouki & Rajan 1987).  On exact knots the centred matrices
-are exact until the one rounding of each entry; the exact matrices are
-built once per distinct knot window, except for float-stored non-uniform
-knots, where the same degree recursion runs per span in double precision.
+to wide spans (Farouki & Rajan 1987).  The degree recursion builds the
+centred matrices directly, for every kind of knots: on exact knots they
+are exact until the one rounding of each entry and built once per
+distinct knot window; on float-stored non-uniform knots the recursion
+runs per span in double precision.
 """
 
 from __future__ import annotations
@@ -26,14 +27,13 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import coxdeboor
-from .basismatrix import BasisMatrix, span_columns, uniform_basis_matrix
+from .basismatrix import BasisMatrix, span_columns, uniform_columns
 from .errors import DomainError
 from .knots import KnotVector, find_span, normalize
 from .polytoeplitz import horner
@@ -119,53 +119,31 @@ class SplineCurve:
         if not lo <= tau <= hi:
             raise DomainError("tau outside evaluable domain: %s not in [%s, %s]" % (tau, lo, hi))
 
-    def _span_matrix_rows(self, span: int) -> np.ndarray:
-        return self._float_rows("m", span)
-
-    def _span_cumulative_rows(self, span: int) -> np.ndarray:
-        return self._float_rows("c", span)
-
-    def _float_rows(self, kind: str, span: int) -> np.ndarray:
-        """The span's float matrix ("m") or cumulative form ("c"), uncentred."""
-        cols, den, _ = self._span_columns(span)
-        return _rounded_rows(cols, den, kind)
-
     def _centred_rows(self, kind: str, span: int) -> np.ndarray:
-        """The span's float matrix ("m") or cumulative form ("c"), centred at u = 1/2.
-
-        Exact knots round the exactly centred numerators; float-stored
-        non-uniform knots multiply their float rows by ``_centring``.
-        """
-        cols, den, centred = self._span_columns(span)
-        if centred is None:
-            return _centring(self.degree) @ _rounded_rows(cols, den, kind)
-        return _rounded_rows(*centred, kind)
+        """The span's float matrix ("m") or cumulative form ("c"), centred at u = 1/2."""
+        return _rounded_rows(*self._span_columns(span), kind)
 
     def _span_columns(self, span: int) -> tuple:
-        """``(cols, den, centred)``: the span's matrix is ``cols / den``, cached per curve.
+        """``(cols, den)``: the span's centred matrix is ``cols / den``, cached per curve.
 
-        ``centred`` holds the same columns Taylor-centred at u = 1/2 as an
-        exact ``(cols, den)`` pair (``_centre``), or None on float-stored
-        non-uniform knots.  Evenly spaced knots share the one uniform
-        matrix.  Otherwise a span's matrix depends only on its knot window
+        The columns are in powers of v = u - 1/2 (``span_columns`` with
+        ``centred``).  Evenly spaced knots share the one uniform matrix,
+        built per curve, not memoized across curves.  Otherwise a
+        span's matrix depends only on its knot window
         (tau_i - tau_j) / (tau_{j+1} - tau_j), i = j-k+1..j+k, so rational
-        knots build (and centre) each distinct window once; float knots,
-        where that would not be exact, build each span.
+        knots build each distinct window once; float knots, where that
+        would not be exact, build each span.
         """
         if self.knots.is_uniform:
             got = self._cache.get("u")
             if got is None:
-                m = uniform_basis_matrix(self.degree)
-                den = math.lcm(*(v.denominator for row in m.entries for v in row))
-                cols = [[int(v * den) for v in col] for col in zip(*m.entries)]
-                got = self._cache.setdefault("u", (cols, den, _centre(cols, den)))
+                got = self._cache.setdefault("u", uniform_columns(self.degree, centred=True))
             return got
         key = ("x", span)
         got = self._cache.get(key)
         if got is None:
             window = key
-            exact = self.knots.storage == "rational"
-            if exact:
+            if self.knots.storage == "rational":
                 vals, k = self.knots.values, self.degree
                 a, width = vals[span], vals[span + 1] - vals[span]
                 window = ("w",) + tuple((vals[i] - a) / width
@@ -173,9 +151,8 @@ class SplineCurve:
             got = self._cache.get(window)
             if got is None:
                 start = time.perf_counter()
-                cols, den = span_columns(self.knots, self.degree, span)
                 got = self._cache.setdefault(
-                    window, (cols, den, _centre(cols, den) if exact else None))
+                    window, span_columns(self.knots, self.degree, span, centred=True))
                 self._cache["builds"].append(time.perf_counter() - start)
             else:
                 self._cache["hits"].append(span)
@@ -183,9 +160,8 @@ class SplineCurve:
         return got
 
     def _exact_matrix(self, span: int) -> BasisMatrix:
-        """The span's exact matrix (rational knots), Fractions formed from the cache."""
-        cols, den, _ = self._span_columns(span)
-        return BasisMatrix.from_columns(cols, den, span=span)
+        """The span's exact matrix centred at u = 1/2 (rational knots), rows powers of v."""
+        return BasisMatrix.from_columns(*self._span_columns(span), span=span)
 
     def _block(self, kind: str, span: int) -> np.ndarray:
         """The span's read-only (k+1, d) coefficient block, built on first use.
@@ -232,11 +208,11 @@ class SplineCurve:
 
         ``window_hits`` counts spans that reused the build of an earlier span
         with the same knot window; ``build_s`` is the seconds spent in
-        ``span_columns`` and centring.  ``spans_touched`` counts the
-        coefficient blocks built, one per span and kind ("m" or "c"); a
-        table of evenly spaced knots counts each of its spans.  Counted when
-        a span is first needed, never per point; racing threads may build
-        (and count) a span twice, but a block is counted once.
+        ``span_columns`` building centred matrices.  ``spans_touched``
+        counts the coefficient blocks built, one per span and kind ("m" or
+        "c"); a table of evenly spaced knots counts each of its spans.
+        Counted when a span is first needed, never per point; racing threads
+        may build (and count) a span twice, but a block is counted once.
         """
         builds = self._cache["builds"]
         return {"spans_built": len(builds), "window_hits": len(self._cache["hits"]),
@@ -495,37 +471,6 @@ def _rounded_rows(cols: list, den, kind: str) -> np.ndarray:
         # suffix sums along each row, taken right to left
         rows = [list(accumulate(reversed(row)))[::-1] for row in rows]
     return np.array([[n / den for n in row] for row in rows])
-
-
-def _centre(cols: list, den: int) -> tuple:
-    """Exact columns ``cols / den`` Taylor-shifted to the centre u = 1/2.
-
-    Returns ``(cols', den')`` with each column's polynomial p(u) equal to
-    p'(u - 1/2), all in integers: b_i = a_i 2^(k-i) gives P(w) = 2^k p(w/2);
-    a Taylor shift by 1, additions only, gives P(w + 1); row r times 2^r
-    over den 2^k then holds p(v + 1/2).
-    """
-    k = len(cols) - 1
-    out = []
-    for col in cols:
-        b = [a << (k - i) for i, a in enumerate(col)]
-        for i in range(k):
-            for j in range(k - 1, i - 1, -1):
-                b[j] += b[j + 1]
-        out.append([a << r for r, a in enumerate(b)])
-    return out, den << k
-
-
-@lru_cache(maxsize=None)
-def _centring(degree: int) -> np.ndarray:
-    """S(1/2), S[r][i] = C(i, r) 2^(r-i): ``S @ rows`` centres float rows at u = 1/2.
-
-    The entries are dyadic, exact in floats; memoised per degree.
-    """
-    s = np.array([[math.comb(i, r) * 2.0 ** (r - i) for i in range(degree + 1)]
-                  for r in range(degree + 1)])
-    s.setflags(write=False)
-    return s
 
 
 def _coefficient_blocks(kind: str, rows: np.ndarray, points: np.ndarray) -> np.ndarray:

@@ -326,6 +326,23 @@ class TestSplineFiles:
         assert load_knots(str(plain)).values == KnotVector([0, 1, 2]).values
         assert load_knots(str(wrapped)).values == (Fraction(0), Fraction(1, 2), Fraction(1))
 
+    def test_knot_count_cap_applies_to_both_loaders(self, tmp_path, capsys, monkeypatch):
+        def build(*args, **kwargs):
+            raise AssertionError("knots built before the count was checked")
+
+        monkeypatch.setattr(cli, "MAX_KNOTS", 8)
+        monkeypatch.setattr(cli, "KnotVector", build)
+        knots = tmp_path / "knots.json"
+        knots.write_text(json.dumps(list(range(12))))
+        spline = tmp_path / "spline.json"
+        spline.write_text(json.dumps({"degree": 1, "knots": list(range(12)),
+                                      "control_points": [[0.0]] * 10}))
+        for argv in (["basis-matrix", "--degree", "1", "--knots-file", str(knots), "--span", "1"],
+                     ["sample", str(spline), "-n", "3", "-o", str(tmp_path / "out.csv")]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err == "error: knot count 12 exceeds cap 8\n"
+
 
 def test_console_entry_point_runs():
     proc = subprocess.run(

@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from splinemat import (
+    BasisMatrix,
     DomainError,
     KnotVector,
     SplineCurve,
@@ -14,7 +16,6 @@ from splinemat import (
     cumulative_matrix,
     find_span,
     general_basis_matrix,
-    local_coefficients,
     uniform_basis_matrix,
 )
 from splinemat import cli
@@ -308,6 +309,17 @@ class TestSample:
         assert rows[0][0] == pytest.approx(1 / 3) and rows[-1][0] == pytest.approx(2 / 3)
 
 
+def centred(m):
+    """``m`` Taylor-shifted to u = 1/2, in Fractions: rows are powers of u - 1/2.
+
+    M'[r][c] = sum over i >= r of C(i, r) 2^(r-i) M[i][c].
+    """
+    n = m.size
+    entries = tuple(tuple(sum(math.comb(i, r) * Fraction(2) ** (r - i) * m.entries[i][c]
+                              for i in range(r, n)) for c in range(n)) for r in range(n))
+    return BasisMatrix(degree=m.degree, entries=entries, span=m.span)
+
+
 def float_knots(rng, degree, gaps):
     """Float knots over ``gaps`` with end knots repeated 1..degree+1 times."""
     breaks = (rng.uniform(-10.0, 10.0) + np.concatenate(([0.0], np.cumsum(gaps)))).tolist()
@@ -332,12 +344,12 @@ class TestFloatConstruction:
                 if kv.values[j] == kv.values[j + 1]:
                     continue
                 m = general_basis_matrix(exact_kv, degree, j)
-                for rows, exact in ((curve._span_matrix_rows(j), m),
-                                    (curve._span_cumulative_rows(j), cumulative_matrix(m))):
+                for kind, exact in (("m", m), ("c", cumulative_matrix(m))):
+                    rows = curve._centred_rows(kind, j)
                     assert rows.shape == (degree + 1, degree + 1)
-                    want = _horner(np.array(exact.as_float_rows()), u, 0)
-                    assert np.abs(_horner(rows, u, 0) - want).max() <= 1e-12
-                basis = _horner(curve._span_matrix_rows(j), u, 0)
+                    want = _horner(np.array(centred(exact).as_float_rows()), u - 0.5, 0)
+                    assert np.abs(_horner(rows, u - 0.5, 0) - want).max() <= 1e-12
+                basis = _horner(curve._centred_rows("m", j), u - 0.5, 0)
                 assert np.abs(basis.sum(axis=1) - 1.0).max() <= 1e-12
 
 
@@ -358,24 +370,6 @@ def exact_vectors():
            (10, KnotVector([Fraction(i * i, 3) for i in range(40)])),
            (10, KnotVector(np.sort(rng.uniform(-5.0, 5.0, 40)).tolist()).as_rational())]
     return out + [(k, kv) for k in range(1, 7) for kv in cli._check_knot_vectors(k)]
-
-
-def parent_float_rows(kv, degree, span):
-    """The float recursion with one multiply-add pass per weight pair, and
-    the cumulative form as a reversed ``np.cumsum``."""
-    cols = [[1.0]]
-    for level in range(1, degree + 1):
-        lc = local_coefficients(kv, level, span)
-        new = [[0] * (level + 1) for _ in range(level + 1)]
-        for c in range(level):
-            a0, a1 = lc.d0[c + 1], lc.d1[c + 1]
-            for dst, w0, w1 in ((new[c + 1], a0, a1), (new[c], 1 - a0, -a1)):
-                for r, v in enumerate(cols[c]):
-                    dst[r] += w0 * v
-                    dst[r + 1] += w1 * v
-        cols = new
-    m = np.array(cols).T
-    return m, np.cumsum(m[:, ::-1], axis=1)[:, ::-1]
 
 
 def fraction_uniform_matrices(degree_max):
@@ -402,24 +396,10 @@ class TestExactRows:
         curve = SplineCurve(degree, kv, np.zeros((len(kv.values) - degree - 1, 1)))
         for j in positive_spans(kv, degree):
             m = general_basis_matrix(kv, degree, j)
-            assert np.array_equal(curve._span_matrix_rows(j), m.as_float_rows())
-            assert same_bits(curve._span_matrix_rows(j), m.as_float_rows())
-            assert same_bits(curve._span_cumulative_rows(j), cumulative_matrix(m).as_float_rows())
-            if not kv.is_uniform:
-                assert curve._exact_matrix(j) == m
-
-    @pytest.mark.parametrize("degree", range(1, 11))
-    def test_float_storage_rows_match_the_float_recursion(self, degree):
-        rng = np.random.default_rng(200 + degree)
-        count = 2 * degree + 3
-        for gaps in (10 ** rng.uniform(-3.0, 3.0, count),
-                     np.where(np.arange(count) % 2, 1e3, 1.0), rng.uniform(0.0, 1.0, count)):
-            kv = float_knots(rng, degree, gaps)
-            curve = SplineCurve(degree, kv, np.zeros((len(kv.values) - degree - 1, 1)))
-            for j in positive_spans(kv, degree):
-                m, c = parent_float_rows(kv, degree, j)
-                assert same_bits(curve._span_matrix_rows(j), m)
-                assert same_bits(curve._span_cumulative_rows(j), c)
+            assert same_bits(curve._centred_rows("m", j), centred(m).as_float_rows())
+            assert same_bits(curve._centred_rows("c", j),
+                             centred(cumulative_matrix(m)).as_float_rows())
+            assert curve._exact_matrix(j).entries == centred(m).entries
 
     def test_uniform_matrices_equal_fraction_recursion(self):
         for k, want in enumerate(fraction_uniform_matrices(30)):
@@ -564,8 +544,8 @@ class TestConcurrency:
             for (a, da), (b, db) in zip(want_batches, got_batches):
                 assert np.array_equal(a, b) and np.array_equal(da, db)
         for j in spans:
-            assert same_bits(fresh._span_matrix_rows(j), serial._span_matrix_rows(j))
-            assert same_bits(fresh._span_cumulative_rows(j), serial._span_cumulative_rows(j))
+            for kind in "mc":
+                assert same_bits(fresh._centred_rows(kind, j), serial._centred_rows(kind, j))
         assert serial.stats()["spans_built"] == 9
         # every span is filled by one thread: a lost update would break the sum
         stats = fresh.stats()

@@ -268,13 +268,19 @@ def wide_span_knots(k, width):
     return KnotVector(list(accumulate([1] * (k + 1) + [width] + [1] * (k + 1), initial=0)))
 
 
-@pytest.mark.parametrize("width", [10 ** 3, 10 ** 6])
-@pytest.mark.parametrize("k", [10, 20, 30])
-def test_wide_span_matches_exact_reference(k, width):
+@pytest.mark.parametrize("k, width, storage", [
+    pytest.param(k, width, storage, id="%d-%d%s" % (k, width, "-float" * (storage == "float")))
+    for k in (10, 20, 30) for width in (10 ** 3, 10 ** 6) for storage in ("rational", "float")])
+def test_wide_span_matches_exact_reference(k, width, storage):
     # the span matrices next to a wide span have entries far larger than
     # the basis values; Horner in u over [0, 1] loses up to 13 digits at
-    # k=30, Horner in u - 1/2 keeps the error below 1e-10
+    # k=30, Horner in u - 1/2 keeps the error below 1e-10.  Float-stored
+    # knots build the centred matrices in double precision.
     kv = wide_span_knots(k, width)
+    if storage == "float":
+        kv = kv.as_float()
+    assert kv.storage == storage
+    exact_kv = kv.as_rational()
     points = np.random.default_rng(k).normal(0.0, 10.0, (len(kv.values) - k - 1, 2))
     curve = SplineCurve(k, kv, points)
     lo, hi = (float(v) for v in curve.domain)
@@ -283,10 +289,10 @@ def test_wide_span_matches_exact_reference(k, width):
     matrices = {}
     want = []
     for tau in taus:
-        j = find_span(kv, k, tau)
+        j = find_span(exact_kv, k, tau)
         if j not in matrices:
-            matrices[j] = general_basis_matrix(kv, k, j)
-        weights = basis_row(matrices[j], normalize(kv, j, Fraction(tau)))
+            matrices[j] = general_basis_matrix(exact_kv, k, j)
+        weights = basis_row(matrices[j], normalize(exact_kv, j, Fraction(tau)))
         local = exact_points[j - k: j + 1]
         want.append([float(sum(w * p[i] for w, p in zip(weights, local)))
                      for i in range(curve.dim)])
