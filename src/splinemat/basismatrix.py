@@ -10,9 +10,10 @@ multiplied (as polynomials in u) by its linear weight.  The recursion runs
 on integer numerator columns over one common denominator, and the
 ``Fraction`` entries are formed once, at the end.  For evenly spaced knots
 the weights do not depend on the span, so one constant matrix per degree
-serves every span.  On float-stored knots ``span_columns`` runs the same
-loop in double precision.  ``centred`` builds the same matrix in powers
-of v = u - 1/2 instead, for the curve's evaluation (see ``_raise_degree``).
+serves every span.  ``centred`` builds the same matrix in powers of
+v = u - 1/2 instead, for the curve's evaluation (see ``_raise_degree``).
+On float-stored knots ``float_span_columns`` runs the centred recursion in
+double precision, for a whole batch of spans at once with numpy.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from typing import Optional
+
+import numpy as np
 
 from .errors import DegenerateSpan, DegreeTooLarge, DomainError, NonRationalKnots
 from .knots import KnotVector, local_coefficients
@@ -82,8 +85,7 @@ def _raise_degree(cols: list, den, pairs: list, scale, centred: bool) -> tuple:
 
     ``centred`` columns are polynomials in v = u - 1/2: a weight
     a0 + a1 u is (a0 + a1/2) + a1 v, so the pair becomes (2 a0 + a1, 2 a1)
-    over 2 scale.  Scaling by two is exact in floats too, so float knots
-    round only the sum a0 + a1/2, once per weight.
+    over 2 scale.
     """
     if centred:
         pairs, scale = [(2 * a0 + a1, 2 * a1) for a0, a1 in pairs], 2 * scale
@@ -97,11 +99,10 @@ def _raise_degree(cols: list, den, pairs: list, scale, centred: bool) -> tuple:
             down[r] += b0 * v
             down[r + 1] -= a1 * v
     den *= scale
-    if type(den) is int:
-        g = math.gcd(den, *(v for col in new for v in col))
-        if g > 1:
-            new = [[v // g for v in col] for col in new]
-            den //= g
+    g = math.gcd(den, *(v for col in new for v in col))
+    if g > 1:
+        new = [[v // g for v in col] for col in new]
+        den //= g
     return new, den
 
 
@@ -152,26 +153,71 @@ def span_columns(kv: KnotVector, degree: int, span: int, centred: bool = False) 
     """``(cols, den)``: one span's basis-matrix columns are ``cols / den``.
 
     The degree recursion with weight pairs from the knot differences at
-    each level.  On rational storage the columns hold int numerators over
-    an int ``den``: each level puts its weights over the lcm of their
-    denominators.  On float storage the same loop runs in double precision
-    with a float ``den``.  ``centred`` gives the columns in powers of
+    each level, on rationally stored knots: the columns hold int numerators
+    over an int ``den``, and each level puts its weights over the lcm of
+    their denominators.  ``centred`` gives the columns in powers of
     v = u - 1/2.  ``span`` must be a valid span of positive width.
     """
-    exact = kv.storage == "rational"
-    cols, den = ([[1]], 1) if exact else ([[1.0]], 1.0)
+    cols, den = [[1]], 1
     for level in range(1, degree + 1):
         lc = local_coefficients(kv, level, span)
         # Transition r pairs with basis index first+1+r; the d entry of the
         # leftmost index never enters (its partner function vanishes here).
         pairs = list(zip(lc.d0[1:], lc.d1[1:]))
-        scale = 1
-        if exact:
-            scale = math.lcm(*(w.denominator for pair in pairs for w in pair))
-            pairs = [tuple(w.numerator * (scale // w.denominator) for w in pair)
-                     for pair in pairs]
+        scale = math.lcm(*(w.denominator for pair in pairs for w in pair))
+        pairs = [tuple(w.numerator * (scale // w.denominator) for w in pair) for pair in pairs]
         cols, den = _raise_degree(cols, den, pairs, scale, centred)
     return cols, den
+
+
+def float_span_columns(values: np.ndarray, degree: int, spans) -> tuple:
+    """``(cols, den)``: the centred columns of ``spans`` over float knots, in one batch.
+
+    ``values`` are the knots as floats, ``spans`` valid spans of positive
+    width.  ``cols`` is the (s, k+1, k+1) stack of span, column, power of
+    v = u - 1/2, and every span's matrix is ``cols[i] / den``.  This is the
+    centred recursion of ``span_columns`` run level by level across all
+    spans in double precision: the weights are ``local_coefficients``'
+    d0 + d1 u, centred as (2 d0 + d1, 2 d1) over 2, and each entry takes
+    its terms in the order of ``_raise_degree``'s loop, so running that
+    loop in floats gives the same entries bit for bit.  Every weight's
+    denominator covers the span, so none is zero.  Scratch memory is
+    O(s (k+1)^2) floats.
+    """
+    spans = np.asarray(spans, dtype=np.intp)[:, None]
+    # every level's weights at once, level after level (see _transitions)
+    back, c = _transitions(degree)
+    low, high = values[spans - back], values[spans + 1 + c]
+    left, den = values[spans], high - low
+    d0, d1 = (left - low) / den, (values[spans + 1] - left) / den
+    a0, a1 = 2 * d0 + d1, 2 * d1
+    cols = np.ones((len(spans), 1, 1))
+    for level in range(1, degree + 1):
+        at = slice(level * (level - 1) // 2, level * (level + 1) // 2)
+        up0, up1 = a0[:, at, None], a1[:, at, None]
+        # parent column c feeds new column c+1 by (a0, a1) and column c by
+        # (2 - a0, -a1); an entry takes the terms in this order
+        new = np.zeros((len(spans), level + 1, level + 1))
+        new[:, 1:, 1:] += up1 * cols
+        new[:, 1:, :-1] += up0 * cols
+        new[:, :-1, 1:] -= up1 * cols
+        new[:, :-1, :-1] += (2 - up0) * cols
+        cols = new
+    return cols, 2.0 ** degree
+
+
+@lru_cache(maxsize=None)
+def _transitions(degree: int) -> tuple:
+    """Per transition c of levels 1..degree in turn, ``(L - 1 - c, c)`` as two arrays.
+
+    Transition c of level L pairs with basis index span - (L - 1 - c),
+    whose weight denominator is tau_{span+1+c} - tau_{span-(L-1-c)}.
+    """
+    levels, c = np.tril_indices(degree)
+    back = levels - c
+    c.setflags(write=False)
+    back.setflags(write=False)
+    return back, c
 
 
 def cumulative_matrix(m: BasisMatrix) -> BasisMatrix:

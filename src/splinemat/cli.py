@@ -37,6 +37,9 @@ MAX_KNOTS = 1_000_000
 # most ``check`` draws per curve, checked before any work.
 MAX_SAMPLES = 1_000_000
 
+# Rows of the ``sample`` CSV formatted per write.
+CSV_BLOCK_ROWS = 256
+
 # Exact scalar strings: integer, decimal or 'p/q'.  No exponent, since
 # Fraction('1e10000000') builds the whole power of ten; the digits of these
 # forms are bounded by the interpreter's limit on int string length.
@@ -226,12 +229,13 @@ def cmd_sample(args) -> int:
     if args.count > MAX_SAMPLES:
         raise ValueError("sample count %d exceeds cap %d" % (args.count, MAX_SAMPLES))
     curve = load_spline(args.spline)
-    taus, points = zip(*curve.sample(args.count))
-    table = np.column_stack((taus, points))
+    table = np.column_stack(curve._sample_grid(args.count))
     line = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with open(args.output, "w", encoding="utf-8") as f:
         f.write("tau," + ",".join("x%d" % i for i in range(curve.dim)) + "\n")
-        f.writelines(line % tuple(row) for row in table.tolist())
+        for start in range(0, len(table), CSV_BLOCK_ROWS):
+            block = table[start:start + CSV_BLOCK_ROWS]
+            f.write(line * len(block) % tuple(block.ravel().tolist()))
     return 0
 
 

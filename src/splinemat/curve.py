@@ -18,8 +18,9 @@ result bit for bit.  Centring keeps the power form well conditioned next
 to wide spans (Farouki & Rajan 1987).  The degree recursion builds the
 centred matrices directly, for every kind of knots: on exact knots they
 are exact until the one rounding of each entry and built once per
-distinct knot window; on float-stored non-uniform knots the recursion
-runs per span in double precision.
+distinct knot window; on float-stored non-uniform knots one batched numpy
+recursion in double precision builds every span a chunk needs that is
+not yet cached, and one ``einsum`` forms their blocks.
 """
 
 from __future__ import annotations
@@ -33,13 +34,14 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import coxdeboor
-from .basismatrix import BasisMatrix, span_columns, uniform_columns
+from .basismatrix import BasisMatrix, float_span_columns, span_columns, uniform_columns
 from .errors import DomainError
 from .knots import KnotVector, find_span, normalize
 from .polytoeplitz import horner
 
 # Parameters per pass of the batched core.  Scratch memory per pass is
-# O(_CHUNK * (k+1) * d) floats whatever the number of parameters.
+# O(_CHUNK * (k+1) * d) floats whatever the number of parameters, and
+# O(_CHUNK * (k+1)^2) more in a pass that builds the matrices of new spans.
 _CHUNK = 1024
 
 
@@ -121,18 +123,37 @@ class SplineCurve:
 
     def _centred_rows(self, kind: str, span: int) -> np.ndarray:
         """The span's float matrix ("m") or cumulative form ("c"), centred at u = 1/2."""
-        return _rounded_rows(*self._span_columns(span), kind)
+        return self._rows(kind, [span])[0]
+
+    def _rows(self, kind: str, spans: list) -> np.ndarray:
+        """The (s, k+1, k+1) stack of ``_centred_rows`` of ``spans``.
+
+        Float-stored non-uniform knots build the columns of every span not
+        yet cached with one ``float_span_columns`` call and cache them per
+        span; a window would not give the same rows bit for bit there.
+        """
+        if self.knots.is_uniform or self.knots.storage == "rational":
+            return np.stack([_rounded_rows(*self._span_columns(j), kind) for j in spans])
+        got = [self._cache.get(("x", j)) for j in spans]
+        missing = [j for j, entry in zip(spans, got) if entry is None]
+        if missing:
+            start = time.perf_counter()
+            cols, den = float_span_columns(self._float_knots().values, self.degree, missing)
+            self._cache["builds"].append((len(missing), time.perf_counter() - start))
+            fresh = iter([self._cache.setdefault(("x", j), (c, den))
+                          for j, c in zip(missing, cols)])
+            got = [entry if entry is not None else next(fresh) for entry in got]
+        return _float_rows(np.stack([cols for cols, _ in got]), got[0][1], kind)
 
     def _span_columns(self, span: int) -> tuple:
         """``(cols, den)``: the span's centred matrix is ``cols / den``, cached per curve.
 
-        The columns are in powers of v = u - 1/2 (``span_columns`` with
-        ``centred``).  Evenly spaced knots share the one uniform matrix,
-        built per curve, not memoized across curves.  Otherwise a
-        span's matrix depends only on its knot window
-        (tau_i - tau_j) / (tau_{j+1} - tau_j), i = j-k+1..j+k, so rational
-        knots build each distinct window once; float knots, where that
-        would not be exact, build each span.
+        Rational or evenly spaced knots; the columns are int numerators in
+        powers of v = u - 1/2 (``span_columns`` with ``centred``).  Evenly
+        spaced knots share the one uniform matrix, built per curve, not
+        memoized across curves.  Otherwise a span's matrix depends only on
+        its knot window (tau_i - tau_j) / (tau_{j+1} - tau_j),
+        i = j-k+1..j+k, so each distinct window is built once.
         """
         if self.knots.is_uniform:
             got = self._cache.get("u")
@@ -142,18 +163,16 @@ class SplineCurve:
         key = ("x", span)
         got = self._cache.get(key)
         if got is None:
-            window = key
-            if self.knots.storage == "rational":
-                vals, k = self.knots.values, self.degree
-                a, width = vals[span], vals[span + 1] - vals[span]
-                window = ("w",) + tuple((vals[i] - a) / width
-                                        for i in range(span - k + 1, span + k + 1))
+            vals, k = self.knots.values, self.degree
+            a, width = vals[span], vals[span + 1] - vals[span]
+            window = ("w",) + tuple((vals[i] - a) / width
+                                    for i in range(span - k + 1, span + k + 1))
             got = self._cache.get(window)
             if got is None:
                 start = time.perf_counter()
                 got = self._cache.setdefault(
                     window, span_columns(self.knots, self.degree, span, centred=True))
-                self._cache["builds"].append(time.perf_counter() - start)
+                self._cache["builds"].append((1, time.perf_counter() - start))
             else:
                 self._cache["hits"].append(span)
             got = self._cache.setdefault(key, got)
@@ -174,13 +193,24 @@ class SplineCurve:
         """
         if self.knots.is_uniform:
             return self._table(kind)[span - self.degree]
-        key = (kind, span)
-        block = self._cache.get(key)
-        if block is None:
-            rows = self._centred_rows(kind, span)
-            local = self.points[span - self.degree: span + 1]
-            block = self._store(key, _coefficient_blocks(kind, rows, local)[0])
-        return block
+        block = self._cache.get((kind, span))
+        return block if block is not None else self._blocks(kind, [span])[0]
+
+    def _blocks(self, kind: str, spans: list) -> list:
+        """The blocks of non-uniform ``spans``; the ones not cached are built together.
+
+        One ``_rows`` call and one ``einsum`` over the missing spans, then
+        each block is stored on its own.
+        """
+        blocks = [self._cache.get((kind, j)) for j in spans]
+        missing = [j for j, block in zip(spans, blocks) if block is None]
+        if missing:
+            runs = np.array(missing)[:, None] + np.arange(-self.degree, 1)
+            windows = self.points[runs].transpose(0, 2, 1)
+            built = _coefficient_blocks(kind, self._rows(kind, missing), windows)
+            fresh = iter([self._store((kind, j), block) for j, block in zip(missing, built)])
+            blocks = [block if block is not None else next(fresh) for block in blocks]
+        return blocks
 
     def _table(self, kind: str) -> np.ndarray:
         """Evenly spaced knots: every span's block, (N-k, k+1, d), built on first use.
@@ -192,7 +222,8 @@ class SplineCurve:
         table = self._cache.get(key)
         if table is None:
             rows = self._centred_rows(kind, self.degree)
-            table = self._store(key, _coefficient_blocks(kind, rows, self.points))
+            windows = sliding_window_view(self.points, self.degree + 1, axis=0)
+            table = self._store(key, _coefficient_blocks(kind, rows, windows))
         return table
 
     def _store(self, key, blocks: np.ndarray) -> np.ndarray:
@@ -208,15 +239,17 @@ class SplineCurve:
 
         ``window_hits`` counts spans that reused the build of an earlier span
         with the same knot window; ``build_s`` is the seconds spent in
-        ``span_columns`` building centred matrices.  ``spans_touched``
+        ``span_columns`` or ``float_span_columns`` building centred
+        matrices, and ``spans_built`` the spans they built.  ``spans_touched``
         counts the coefficient blocks built, one per span and kind ("m" or
         "c"); a table of evenly spaced knots counts each of its spans.
         Counted when a span is first needed, never per point; racing threads
         may build (and count) a span twice, but a block is counted once.
         """
         builds = self._cache["builds"]
-        return {"spans_built": len(builds), "window_hits": len(self._cache["hits"]),
-                "build_s": math.fsum(builds), "spans_touched": sum(self._cache["touched"])}
+        return {"spans_built": sum(n for n, _ in builds), "window_hits": len(self._cache["hits"]),
+                "build_s": math.fsum(s for _, s in builds),
+                "spans_touched": sum(self._cache["touched"])}
 
     def _float_knots(self) -> _FloatKnots:
         fk = self._cache.get("f")
@@ -285,10 +318,10 @@ class SplineCurve:
         if self.knots.is_uniform:
             return self._table(kind)[spans - self.degree]
         distinct = np.unique(spans)
-        if len(distinct) == 1:
-            return self._block(kind, int(distinct[0]))
-        stack = np.stack([self._block(kind, j) for j in distinct.tolist()])
-        return stack[np.searchsorted(distinct, spans)]
+        blocks = self._blocks(kind, distinct.tolist())
+        if len(blocks) == 1:
+            return blocks[0]
+        return np.stack(blocks)[np.searchsorted(distinct, spans)]
 
     def _combine(self, spans: np.ndarray, u: np.ndarray, kind: str = "m",
                  order: int = 0) -> np.ndarray:
@@ -414,7 +447,15 @@ class SplineCurve:
         return self._point(tau, "m", order)
 
     def sample(self, n: int) -> list:
-        """n matrix-path evaluations at evenly spaced parameters, ends included."""
+        """n matrix-path evaluations at evenly spaced parameters, ends included.
+
+        A list of ``(tau, point)`` pairs; ``_sample_grid`` gives the arrays.
+        """
+        grid, points = self._sample_grid(n)
+        return list(zip(grid.tolist(), points))
+
+    def _sample_grid(self, n: int) -> tuple:
+        """``sample``'s parameters and points as arrays, (n,) and (n, d)."""
         if n < 2:
             raise ValueError("need at least 2 samples")
         lo, hi = self.domain
@@ -431,7 +472,7 @@ class SplineCurve:
         points[~edge] = self.evaluate(grid[~edge])
         if edge.any():
             points[edge] = self.evaluate([lo if t < lo else hi for t in grid[edge].tolist()])
-        return list(zip(grid.tolist(), points))
+        return grid, points
 
 
 def _to_float(x) -> float:
@@ -473,17 +514,27 @@ def _rounded_rows(cols: list, den, kind: str) -> np.ndarray:
     return np.array([[n / den for n in row] for row in rows])
 
 
-def _coefficient_blocks(kind: str, rows: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Blocks of every run of k+1 consecutive ``points``: (runs, k+1, d).
-
-    "m" applies ``rows`` to the run; "c" applies rows[:, 1:] to its
-    differences and adds its first point to row 0 (column 0 of a
-    cumulative matrix, centred or not, is (1, 0, ..., 0)).
-    """
-    k = len(rows) - 1
+def _float_rows(cols: np.ndarray, den: float, kind: str) -> np.ndarray:
+    """``_rounded_rows`` of an (s, k+1, k+1) stack of float columns, same operations."""
     if kind == "c":
-        out = np.einsum("rc,ndc->nrd", rows[:, 1:],
-                        sliding_window_view(np.diff(points, axis=0), k, axis=0))
-        out[:, 0] += points[:len(out)]
+        # add.accumulate sums in order: right to left, as accumulate() does
+        cols = np.cumsum(cols[:, ::-1], axis=1)[:, ::-1]
+    return cols.transpose(0, 2, 1) / den
+
+
+def _coefficient_blocks(kind: str, rows: np.ndarray, windows: np.ndarray) -> np.ndarray:
+    """Blocks of runs of k+1 consecutive points: (runs, k+1, d).
+
+    ``windows`` is (runs, d, k+1), each run along the last axis (as from
+    ``sliding_window_view``); ``rows`` is one (k+1, k+1) matrix for every
+    run or a stack of one per run.  "m" applies the rows to the run; "c"
+    applies rows[..., 1:] to its differences and adds its first point to
+    row 0 (column 0 of a cumulative matrix, centred or not, is
+    (1, 0, ..., 0)).
+    """
+    subscripts = ("rc" if rows.ndim == 2 else "nrc") + ",ndc->nrd"
+    if kind == "c":
+        out = np.einsum(subscripts, rows[..., 1:], np.diff(windows, axis=-1))
+        out[:, 0] += windows[..., 0]
         return out
-    return np.einsum("rc,ndc->nrd", rows, sliding_window_view(points, k + 1, axis=0))
+    return np.einsum(subscripts, rows, windows)

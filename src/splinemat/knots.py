@@ -33,7 +33,10 @@ class KnotVector:
             raise InvalidKnots("need at least 2 knots, got %d" % len(vals))
         if any(isinstance(v, float) for v in vals):
             storage = "float"
-            vals = tuple(float(v) for v in vals)
+            try:
+                vals = tuple(float(v) for v in vals)
+            except OverflowError:
+                raise InvalidKnots("knot values are beyond the float range") from None
             if not all(math.isfinite(v) for v in vals):
                 raise InvalidKnots("knots must be finite")
             # Span widths and the spacing test are taken in floats; a range

@@ -131,6 +131,22 @@ class TestSampleCommand:
         rows = [tuple(float(v) for v in line.split(",")) for line in lines[1:]]
         assert rows == [(3.0, 1.0), (3.5, 1.5), (4.0, 2.0)]
 
+    # more rows than one formatted write, and the fewest a sample has
+    @pytest.mark.parametrize("count", [cli.CSV_BLOCK_ROWS * 2 + 37, 2])
+    def test_csv_bytes_are_the_rows_formatted_one_by_one(self, tmp_path, count):
+        rng = np.random.default_rng(count)
+        knots = np.concatenate(([0.0], np.cumsum(rng.uniform(0.5, 1.5, 11)))).tolist()
+        path = tmp_path / "spline.json"
+        path.write_text(json.dumps({"degree": 3, "knots": knots,
+                                    "control_points": rng.normal(0.0, 10.0, (8, 2)).tolist()}))
+        out = tmp_path / "samples.csv"
+        assert main(["sample", str(path), "-n", str(count), "-o", str(out)]) == 0
+        curve = load_spline(str(path))
+        grid = np.linspace(knots[3], knots[8], count)
+        rows = zip(grid.tolist(), curve.evaluate(grid).tolist())
+        want = "tau,x0,x1\n" + "".join("%.17g,%.17g,%.17g\n" % ((t,) + tuple(p)) for t, p in rows)
+        assert out.read_bytes() == want.encode()
+
     def test_unwritable_output_exits_three(self, tmp_path):
         spline = write_cubic_spline(tmp_path / "c.json")
         assert main(["sample", spline, "-n", "3", "-o", str(tmp_path / "no" / "dir.csv")]) == 3
@@ -342,6 +358,23 @@ class TestSplineFiles:
             assert main(argv) == 2
             err = capsys.readouterr().err
             assert err == "error: knot count 12 exceeds cap 8\n"
+
+    @pytest.mark.parametrize("command", ["sample", "eval", "basis-matrix"])
+    def test_mixed_float_and_huge_integer_knots_exit_two(self, tmp_path, capsys, command):
+        knots = [0, 0, 0.5, 10 ** 400, 10 ** 400]
+        spline = tmp_path / "spline.json"
+        spline.write_text(json.dumps({"degree": 1, "knots": knots,
+                                      "control_points": [[0.0], [1.0], [2.0]]}))
+        knots_file = tmp_path / "knots.json"
+        knots_file.write_text(json.dumps(knots))
+        argv = {"sample": ["sample", str(spline), "-n", "3", "-o", str(tmp_path / "s.csv")],
+                "eval": ["eval", str(spline), "--tau", "0.25"],
+                "basis-matrix": ["basis-matrix", "--degree", "1", "--knots-file", str(knots_file),
+                                 "--span", "2"]}[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "beyond the float range" in err
+        assert err.count("\n") == 1
 
 
 def test_console_entry_point_runs():

@@ -1,8 +1,10 @@
 import math
 import random
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -19,7 +21,9 @@ from splinemat import (
     uniform_basis_matrix,
 )
 from splinemat import cli
-from splinemat.curve import _horner
+from splinemat import curve as curve_module
+from splinemat.curve import _CHUNK, _horner
+from splinemat.knots import local_coefficients
 
 
 def clamped(degree, interior, last):
@@ -327,7 +331,107 @@ def float_knots(rng, degree, gaps):
     return KnotVector([breaks[0]] * first + breaks[1:-1] + [breaks[-1]] * last)
 
 
+def float_loop_rows(kv, degree, span, kind):
+    """One span's centred rows by the degree recursion in Python floats, column by column.
+
+    The reference the batched build must equal bit for bit: level by
+    level, parent column c adds (a0, a1) v to column c+1 and
+    (2 - a0, -a1) v to column c, a0 + a1 u being the centred weight pair
+    (2 d0 + d1, 2 d1) over 2; the cumulative rows are suffix sums of the
+    numerators, right to left, and the rows are the numerators over 2^k.
+    """
+    cols, den = [[1.0]], 1.0
+    for level in range(1, degree + 1):
+        lc = local_coefficients(kv, level, span)
+        pairs = [(2 * d0 + d1, 2 * d1) for d0, d1 in zip(lc.d0[1:], lc.d1[1:])]
+        new = [[0] * (level + 1) for _ in range(level + 1)]
+        for c, (a0, a1) in enumerate(pairs):
+            up, down, b0 = new[c + 1], new[c], 2 - a0
+            for r, v in enumerate(cols[c]):
+                up[r] += a0 * v
+                up[r + 1] += a1 * v
+                down[r] += b0 * v
+                down[r + 1] -= a1 * v
+        cols, den = new, den * 2
+    rows = list(zip(*cols))
+    if kind == "c":
+        rows = [list(accumulate(reversed(row)))[::-1] for row in rows]
+    return np.array([[n / den for n in row] for row in rows])
+
+
+def float_knot_family(degree, seed):
+    """Float knots: 1:1e3 gap ratios, repeated interior knots, end knots repeated 1..k+1 times."""
+    rng = np.random.default_rng(seed)
+    count = 2 * degree + 5
+    spread = 10 ** rng.uniform(0.0, 3.0, count)
+    alternating = np.where(np.arange(count) % 2, 1e3, 1.0)
+    repeated = spread.copy()
+    repeated[rng.choice(count, count // 3, replace=False)] = 0.0  # repeated interior knots
+    return [float_knots(rng, degree, gaps) for gaps in (spread, alternating, repeated)]
+
+
 class TestFloatConstruction:
+    @pytest.mark.parametrize("degree", range(1, 11))
+    def test_batched_rows_equal_the_float_loop_bit_for_bit(self, degree):
+        for kv in float_knot_family(degree, 200 + degree):
+            assert kv.storage == "float" and not kv.is_uniform
+            curve = SplineCurve(degree, kv, np.zeros((len(kv.values) - degree - 1, 1)))
+            spans = positive_spans(kv, degree)
+            for kind in "mc":
+                rows = curve._rows(kind, spans)
+                assert rows.shape == (len(spans), degree + 1, degree + 1)
+                for j, got in zip(spans, rows):
+                    assert got.tobytes() == float_loop_rows(kv, degree, j, kind).tobytes()
+
+    def test_a_chunk_builds_its_new_spans_in_one_kernel_call(self, monkeypatch):
+        calls = []
+        build = curve_module.float_span_columns
+
+        def counting(values, degree, spans):
+            calls.append(list(spans))
+            return build(values, degree, spans)
+
+        monkeypatch.setattr(curve_module, "float_span_columns", counting)
+        kv = float_knot_family(5, 7)[2]
+        curve = SplineCurve(5, kv, np.random.default_rng(7).normal(size=(len(kv.values) - 6, 3)))
+        spans = positive_spans(kv, 5)
+        mids = [(kv.values[j] + kv.values[j + 1]) / 2 for j in spans]
+        curve.evaluate(mids[:3])
+        curve.evaluate(mids)
+        assert calls == [spans[:3], spans[3:]]
+        # derivatives, the cumulative blocks and repeated points reuse the columns
+        curve.evaluate(mids, derivative=1)
+        for t in mids + mids:
+            curve.eval_cumulative(t)
+            curve.eval_derivative(t, 2)
+        assert len(calls) == 2
+        stats = curve.stats()
+        assert (stats["spans_built"], stats["window_hits"]) == (len(spans), 0)
+        assert stats["spans_touched"] == 2 * len(spans)
+        assert stats["build_s"] > 0.0
+
+    def test_fill_scratch_is_bounded_by_the_chunk_and_silent(self):
+        import tracemalloc
+
+        # four chunks of spans not built yet, next to repeated interior knots
+        k = 5
+        kv = KnotVector(list(accumulate([1.0, 0.0, 2.0, 1e3] * (4 * _CHUNK // 3 + k), initial=0.0)))
+        curve = SplineCurve(k, kv, np.zeros((len(kv.values) - k - 1, 2)))
+        mids = [(kv.values[j] + kv.values[j + 1]) / 2 for j in positive_spans(kv, k)]
+        assert len(mids) >= 4 * _CHUNK
+        curve.evaluate(mids[:1])  # builds the float knot tables
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings(), np.errstate(all="raise"):
+                warnings.simplefilter("error")
+                curve.evaluate(mids[:4 * _CHUNK])
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one batch over every span would take four times a chunk's scratch
+        assert peak - retained < 8 * _CHUNK * (k + 1) ** 2 * 8
+        assert curve.stats()["spans_built"] == 4 * _CHUNK
+
     @pytest.mark.parametrize("degree", range(1, 11))
     def test_float_built_rows_match_exact(self, degree):
         # neighbouring gaps differ by up to 1e3: random, and alternating
@@ -511,6 +615,48 @@ class TestConcurrency:
                 assert np.array_equal(a, b)
         every = np.concatenate([t for i in range(8) for t in batches(i)])
         assert np.array_equal(fresh.evaluate(every), serial.evaluate(every))
+
+    def test_parallel_batches_fill_float_span_cache_consistently(self):
+        # the float-knot counterpart: 8 threads fill disjoint spans of one
+        # fresh curve, each chunk building its spans in one batch
+        kv = KnotVector([0.0] * 4 + [1.0, 3.0, 4.0, 7.0, 7.0, 8.0, 10.0, 13.0, 14.0, 15.0,
+                                     18.0, 19.0, 21.0, 24.0, 25.0, 27.0] + [30.0] * 4)
+        assert kv.storage == "float" and not kv.is_uniform
+        rng = random.Random(34)
+        n = len(kv.values) - 4
+        pts = [[rng.uniform(-10.0, 10.0) for _ in range(2)] for _ in range(n)]
+        spans = positive_spans(kv, 3)
+
+        def batches(thread):
+            return [np.linspace(kv.values[j], kv.values[j + 1], 5)[:-1]
+                    for j in spans[thread::8]]
+
+        serial = SplineCurve(3, kv, pts)
+        expected = [[(serial.evaluate(t), serial.evaluate(t, 1)) for t in batches(i)]
+                    for i in range(8)]
+        fresh = SplineCurve(3, kv, pts)
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(lambda i: [(fresh.evaluate(t), fresh.evaluate(t, 1))
+                                                  for t in batches(i)], i)
+                           for i in range(8)]
+                got = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(old)
+        for want_batches, got_batches in zip(expected, got):
+            for (a, da), (b, db) in zip(want_batches, got_batches):
+                assert np.array_equal(a, b) and np.array_equal(da, db)
+        every = np.concatenate([t for i in range(8) for t in batches(i)])
+        assert np.array_equal(fresh.evaluate(every), serial.evaluate(every))
+        for j in spans:
+            for kind in "mc":
+                assert same_bits(fresh._centred_rows(kind, j), serial._centred_rows(kind, j))
+        assert serial.stats()["spans_built"] == len(spans)
+        # a racing fill may build a span twice, but a block is counted once
+        assert fresh.stats()["spans_built"] >= len(spans)
+        assert fresh.stats()["spans_touched"] == serial.stats()["spans_touched"] == len(spans)
 
     def test_parallel_fills_of_spans_sharing_a_window(self):
         # clamped knots with a uniform interior: 32 spans over 8 edge windows

@@ -40,6 +40,13 @@ class TestKnotVector:
         halved = KnotVector([v / 2 for v in values])
         assert halved.storage == "float" and not halved.is_uniform
 
+    # one float makes the storage float; the integer then has no double
+    @pytest.mark.parametrize("values", [[0, 0.5, 10 ** 400], [-(10 ** 400), 0.5, 1],
+                                        [0.0, Fraction(10 ** 400, 3)]])
+    def test_mixed_float_and_huge_exact_knots_raise_invalid_knots(self, values):
+        with pytest.raises(InvalidKnots, match="beyond the float range"):
+            KnotVector(values)
+
     def test_as_float_beyond_float_range_raises_invalid_knots(self):
         with pytest.raises(InvalidKnots, match="beyond the float range"):
             KnotVector([0, 10 ** 400]).as_float()
