@@ -6,14 +6,14 @@ span, u being the span-normalized parameter.  Row index is the power of u,
 column index is the local basis function; serializers must keep that
 orientation.  Matrices are built by raising the degree one level at a
 time: each new column is the previous level's neighbouring columns, each
-multiplied (as polynomials in u) by its linear weight.  The recursion runs
-on integer numerator columns over one common denominator, and the
-``Fraction`` entries are formed once, at the end.  For evenly spaced knots
-the weights do not depend on the span, so one constant matrix per degree
-serves every span.  ``centred`` builds the same matrix in powers of
-v = u - 1/2 instead, for the curve's evaluation (see ``_raise_degree``).
-On float-stored knots ``float_span_columns`` runs the centred recursion in
-double precision, for a whole batch of spans at once with numpy.
+multiplied (as polynomials in u) by its linear weight.  Exact
+construction runs on the span's knot window (``knot_window``), its only
+input, in integers, and forms the ``Fraction`` entries once, at the end;
+evenly spaced knots are the one window (1-k, ..., k).  ``centred`` builds
+the same matrix in powers of v = u - 1/2 instead, for the curve's
+evaluation (see ``_raise_degree``).  On float-stored knots
+``float_span_columns`` runs the centred recursion in double precision, for
+a whole batch of spans at once with numpy.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateSpan, DegreeTooLarge, DomainError, NonRationalKnots
-from .knots import KnotVector, local_coefficients
+from .knots import KnotVector
 from .polytoeplitz import horner
 
 # Factorials inside the entries grow fast; nothing practical needs more.
@@ -110,32 +110,24 @@ def _raise_degree(cols: list, den, pairs: list, scale, centred: bool) -> tuple:
 def uniform_basis_matrix(degree: int) -> BasisMatrix:
     """Constant basis matrix for evenly spaced knots.
 
-    Built by the degree recursion with the span-independent weight pairs
-    ((k-1-r)/k, 1/k), run as the integer pairs (k-1-r, 1) over k: written
-    as banded matrices the level-k step is
+    ``span_columns`` of the evenly spaced window (1-k, ..., k), whose
+    weight pairs ((k-1-r)/k, 1/k) do not depend on the span: written as
+    banded matrices the level-k step is
     M^k = (1/k) ([M^{k-1}; 0] A + [0; M^{k-1}] B) with A[r][r] = r+1,
     A[r][r+1] = k-1-r, B[r][r] = -1, B[r][r+1] = 1.  Every entry times k!
     is an integer.  Results are memoized per degree (lookup is
     thread-safe; matrices are immutable).
     """
-    return BasisMatrix.from_columns(*uniform_columns(degree))
-
-
-def uniform_columns(degree: int, centred: bool = False) -> tuple:
-    """``(cols, den)`` of the uniform matrix, in powers of u - 1/2 if ``centred``."""
     _check_degree(degree)
-    cols, den = [[1]], 1
-    for k in range(1, degree + 1):
-        cols, den = _raise_degree(cols, den, [(k - 1 - r, 1) for r in range(k)], k, centred)
-    return cols, den
+    return BasisMatrix.from_columns(*span_columns(tuple(range(1 - degree, degree + 1))))
 
 
 def general_basis_matrix(kv: KnotVector, degree: int, span: int) -> BasisMatrix:
     """Basis matrix of one span for an arbitrary (rationally stored) knot vector.
 
-    Runs the same degree recursion with weight pairs taken from the knot
-    differences at each level, so the result is exact.  Float-stored knot
-    vectors are rejected; convert deliberately with ``kv.as_rational()``.
+    Runs the degree recursion on the span's ``knot_window``, so the result
+    is exact.  Float-stored knot vectors are rejected; convert deliberately
+    with ``kv.as_rational()``.
     """
     _check_degree(degree)
     if kv.storage != "rational":
@@ -146,26 +138,42 @@ def general_basis_matrix(kv: KnotVector, degree: int, span: int) -> BasisMatrix:
         )
     if kv.values[span] == kv.values[span + 1]:
         raise DegenerateSpan("span %d has zero width" % span)
-    return BasisMatrix.from_columns(*span_columns(kv, degree, span), span=span)
+    window = knot_window(kv.values, degree, span)
+    return BasisMatrix.from_columns(*span_columns(window), span=span)
 
 
-def span_columns(kv: KnotVector, degree: int, span: int, centred: bool = False) -> tuple:
-    """``(cols, den)``: one span's basis-matrix columns are ``cols / den``.
+def knot_window(values, degree: int, span: int) -> tuple:
+    """The span's knot window as a canonical tuple of 2k ints, its matrix's only input.
 
-    The degree recursion with weight pairs from the knot differences at
-    each level, on rationally stored knots: the columns hold int numerators
-    over an int ``den``, and each level puts its weights over the lcm of
-    their denominators.  ``centred`` gives the columns in powers of
-    v = u - 1/2.  ``span`` must be a valid span of positive width.
+    tau_i - tau_span for i = span-k+1..span+k over their common denominator,
+    divided by the numerators' gcd: equal for two spans exactly when the
+    ratios (tau_i - tau_span) / (tau_{span+1} - tau_span) are (Qin 2000).
+    ``values`` are exact (Fractions or ints); the span has positive width.
     """
+    window = values[span - degree + 1:span + degree + 1]
+    den = math.lcm(*(v.denominator for v in window))
+    nums = [v.numerator * (den // v.denominator) for v in window]
+    nums = [n - nums[degree - 1] for n in nums]  # tau_span is entry k - 1
+    g = math.gcd(*nums)
+    return tuple(n // g for n in nums)
+
+
+def span_columns(window: tuple, centred: bool = False) -> tuple:
+    """``(cols, den)``: the basis-matrix columns of a ``knot_window`` are ``cols / den``.
+
+    The degree recursion, degree k = len(window) / 2, on int numerators
+    over an int ``den``.  Transition c of level L has the weight a0 + a1 u,
+    a0 = -window[k-L+c] and a1 = window[k] over window[k+c] - window[k-L+c]
+    (positive: that support covers the span); each level puts its weights
+    over the lcm of those.  ``centred`` gives powers of v = u - 1/2.
+    """
+    k = len(window) // 2
     cols, den = [[1]], 1
-    for level in range(1, degree + 1):
-        lc = local_coefficients(kv, level, span)
-        # Transition r pairs with basis index first+1+r; the d entry of the
-        # leftmost index never enters (its partner function vanishes here).
-        pairs = list(zip(lc.d0[1:], lc.d1[1:]))
-        scale = math.lcm(*(w.denominator for pair in pairs for w in pair))
-        pairs = [tuple(w.numerator * (scale // w.denominator) for w in pair) for pair in pairs]
+    for level in range(1, k + 1):
+        low = window[k - level:k]
+        dens = [window[k + c] - low[c] for c in range(level)]
+        scale = math.lcm(*dens)
+        pairs = [(-lo * (scale // d), window[k] * (scale // d)) for lo, d in zip(low, dens)]
         cols, den = _raise_degree(cols, den, pairs, scale, centred)
     return cols, den
 
@@ -177,8 +185,8 @@ def float_span_columns(values: np.ndarray, degree: int, spans) -> tuple:
     width.  ``cols`` is the (s, k+1, k+1) stack of span, column, power of
     v = u - 1/2, and every span's matrix is ``cols[i] / den``.  This is the
     centred recursion of ``span_columns`` run level by level across all
-    spans in double precision: the weights are ``local_coefficients``'
-    d0 + d1 u, centred as (2 d0 + d1, 2 d1) over 2, and each entry takes
+    spans in double precision: its weights, as floats d0 + d1 u, are
+    centred as (2 d0 + d1, 2 d1) over 2, and each entry takes
     its terms in the order of ``_raise_degree``'s loop, so running that
     loop in floats gives the same entries bit for bit.  Every weight's
     denominator covers the span, so none is zero.  Scratch memory is

@@ -16,11 +16,11 @@ Horner's rule in v = u - 1/2 over its span's (k+1, d) block, batched with
 numpy for arrays and in Python floats for a single parameter, with the same
 result bit for bit.  Centring keeps the power form well conditioned next
 to wide spans (Farouki & Rajan 1987).  The degree recursion builds the
-centred matrices directly, for every kind of knots: on exact knots they
+centred matrices directly, one way per knot storage: on exact knots they
 are exact until the one rounding of each entry and built once per
-distinct knot window; on float-stored non-uniform knots one batched numpy
-recursion in double precision builds every span a chunk needs that is
-not yet cached, and one ``einsum`` forms their blocks.
+distinct knot window (evenly spaced knots have one); on float-stored
+knots one batched numpy recursion in double precision builds every span
+a chunk needs that is not yet cached, and one ``einsum`` forms their blocks.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import coxdeboor
-from .basismatrix import BasisMatrix, float_span_columns, span_columns, uniform_columns
+from .basismatrix import BasisMatrix, float_span_columns, knot_window, span_columns
 from .errors import DomainError
 from .knots import KnotVector, find_span, normalize
 from .polytoeplitz import horner
@@ -62,22 +62,23 @@ class _FloatKnots:
     inexact: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SplineCurve:
     """Degree, knots, and an (N, d) float array of control points.
 
     Counts are tied: a degree-k curve over M knots carries N = M - k - 1
-    control points.  Instances are immutable; evaluation is pure and safe
-    to run concurrently.  Coefficient blocks are cached per touched span
-    (evenly spaced knots: one table of every span's block), each built
-    whole and made read-only before it is stored, so a reader never sees a
-    half-built block; two racing fills only build a block twice.
+    control points.  Instances are immutable and compare and hash by
+    identity; evaluation is pure and safe to run concurrently.  Coefficient
+    blocks are cached per touched span (evenly spaced knots: one table of
+    every span's block), each built whole and made read-only before it is
+    stored, so a reader never sees a half-built block; two racing fills
+    only build a block twice.
     """
 
     degree: int
     knots: KnotVector
     points: np.ndarray
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, repr=False)
 
     def __init__(self, degree: int, knots: KnotVector, points):
         if degree < 0:
@@ -128,11 +129,11 @@ class SplineCurve:
     def _rows(self, kind: str, spans: list) -> np.ndarray:
         """The (s, k+1, k+1) stack of ``_centred_rows`` of ``spans``.
 
-        Float-stored non-uniform knots build the columns of every span not
-        yet cached with one ``float_span_columns`` call and cache them per
-        span; a window would not give the same rows bit for bit there.
+        Float-stored knots build the columns of every span not yet cached
+        with one ``float_span_columns`` call and cache them per span; a
+        window would not give the same rows bit for bit there.
         """
-        if self.knots.is_uniform or self.knots.storage == "rational":
+        if self.knots.storage == "rational":
             return np.stack([_rounded_rows(*self._span_columns(j), kind) for j in spans])
         got = [self._cache.get(("x", j)) for j in spans]
         missing = [j for j, entry in zip(spans, got) if entry is None]
@@ -148,30 +149,18 @@ class SplineCurve:
     def _span_columns(self, span: int) -> tuple:
         """``(cols, den)``: the span's centred matrix is ``cols / den``, cached per curve.
 
-        Rational or evenly spaced knots; the columns are int numerators in
-        powers of v = u - 1/2 (``span_columns`` with ``centred``).  Evenly
-        spaced knots share the one uniform matrix, built per curve, not
-        memoized across curves.  Otherwise a span's matrix depends only on
-        its knot window (tau_i - tau_j) / (tau_{j+1} - tau_j),
-        i = j-k+1..j+k, so each distinct window is built once.
+        Rational knots; the columns are int numerators in powers of
+        v = u - 1/2 (``span_columns`` with ``centred``), built once per
+        distinct ``knot_window``: evenly spaced knots have one window.
         """
-        if self.knots.is_uniform:
-            got = self._cache.get("u")
-            if got is None:
-                got = self._cache.setdefault("u", uniform_columns(self.degree, centred=True))
-            return got
         key = ("x", span)
         got = self._cache.get(key)
         if got is None:
-            vals, k = self.knots.values, self.degree
-            a, width = vals[span], vals[span + 1] - vals[span]
-            window = ("w",) + tuple((vals[i] - a) / width
-                                    for i in range(span - k + 1, span + k + 1))
-            got = self._cache.get(window)
+            window = knot_window(self.knots.values, self.degree, span)
+            got = self._cache.get(("w", window))
             if got is None:
                 start = time.perf_counter()
-                got = self._cache.setdefault(
-                    window, span_columns(self.knots, self.degree, span, centred=True))
+                got = self._cache.setdefault(("w", window), span_columns(window, centred=True))
                 self._cache["builds"].append((1, time.perf_counter() - start))
             else:
                 self._cache["hits"].append(span)

@@ -18,6 +18,7 @@ from splinemat import (
     lambda_weights,
     uniform_basis_matrix,
 )
+from splinemat.basismatrix import knot_window
 
 F = Fraction
 
@@ -51,6 +52,12 @@ def bernstein_entries(degree):
 
 def clamped(degree, interior, last):
     return KnotVector([0] * (degree + 1) + list(interior) + [last] * (degree + 1))
+
+
+# coprime denominators, negative knots, a repeated knot and a jump to ~1e20
+MIXED = KnotVector([F(-7, 3), F(-5, 4), F(-1, 5), F(2, 7), F(2, 7), F(9, 11), F(3, 2),
+                    F(13, 5), F(40, 13), F(17, 4), F(31, 6), 10 ** 20, 10 ** 20 + F(1, 3),
+                    10 ** 20 + F(5, 2), 10 ** 20 + F(22, 7), 10 ** 20 + 4])
 
 
 def column_sums(m):
@@ -167,10 +174,11 @@ class TestGeneralMatrices:
             clamped(3, [1, 2, 3], 4),
             KnotVector([0, 0, 1, 3, 3, 4, 7, 11, 11, 12]),
             KnotVector([F(-1, 2), F(0), F(1, 3), F(2, 3), F(5, 3), F(2), F(3), F(4)]),
+            MIXED,
         ]
         for kv in vectors:
             m_count = len(kv.values)
-            for k in (1, 2, 3):
+            for k in range(1, 7):
                 for j in range(k, m_count - k - 1):
                     if kv.values[j] == kv.values[j + 1]:
                         continue
@@ -180,6 +188,31 @@ class TestGeneralMatrices:
                         tau = kv.values[j] + u * width
                         want = [basis(kv, j - k + c, k, tau) for c in range(k + 1)]
                         assert basis_row(m, u) == want, (kv, k, j, u)
+
+    def test_knot_window_keys_exactly_the_normalised_knots(self):
+        # the int window is a key for the ratios (tau_i - tau_j) / (tau_{j+1} - tau_j):
+        # the same under a shift or a positive scaling of the knots, and
+        # different whenever the ratios differ
+        moved = [F(-3, 7) + F(11, 2) * v for v in MIXED.values]
+        even = KnotVector.uniform(14, F(-5, 3), F(2, 9))
+        keys = {}
+        for kv in (MIXED, clamped(6, [1, 2, 3], 4), even):
+            vals = kv.values
+            for k in range(0, 7):
+                for j in range(k, len(vals) - k - 1):
+                    if vals[j] == vals[j + 1]:
+                        continue
+                    window = knot_window(vals, k, j)
+                    assert len(window) == 2 * k and all(type(n) is int for n in window)
+                    if kv is MIXED:
+                        assert knot_window(moved, k, j) == window
+                    if kv is even:
+                        assert window == tuple(range(1 - k, k + 1))
+                    ratios = tuple((vals[i] - vals[j]) / (vals[j + 1] - vals[j])
+                                   for i in range(j - k + 1, j + k + 1))
+                    keys.setdefault(ratios, set()).add(window)
+        assert all(len(windows) == 1 for windows in keys.values())
+        assert len({w for windows in keys.values() for w in windows}) == len(keys) == 58
 
     def test_column_sums_exact(self):
         vectors = [

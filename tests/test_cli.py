@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from splinemat import MAX_DEGREE, KnotVector, SplineCurve
+from splinemat import MAX_DEGREE, BasisMatrix, KnotVector, SplineCurve, uniform_basis_matrix
 from splinemat import cli
 from splinemat.cli import MAX_KNOTS, MAX_SAMPLES, load_knots, load_spline, main, save_spline
 
@@ -183,8 +183,14 @@ class TestCheckCommand:
         assert main(["check", "--degree-max", "0"]) == 0
         assert "no degrees to check" in capsys.readouterr().out
 
-    def test_corrupted_matrix_detected(self, capsys):
-        assert main(["check", "--degree-max", "2", "--trials", "5", "--corrupt"]) == 1
+    def test_corrupted_matrix_detected(self, capsys, monkeypatch):
+        def broken(degree):
+            entries = [list(row) for row in uniform_basis_matrix(degree).entries]
+            entries[0][0] += Fraction(1, 10 ** 6)
+            return BasisMatrix(degree=degree, entries=tuple(map(tuple, entries)))
+
+        monkeypatch.setattr(cli, "uniform_basis_matrix", broken)
+        assert main(["check", "--degree-max", "2", "--trials", "5"]) == 1
         assert "BROKEN" in capsys.readouterr().out
 
     def test_clamped_spans_come_from_the_curve_build(self, monkeypatch):
@@ -375,6 +381,21 @@ class TestSplineFiles:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "beyond the float range" in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["sample", "eval", "basis-matrix"])
+    def test_deeply_nested_json_exits_two(self, tmp_path, capsys, command):
+        nested = tmp_path / "nested.json"
+        nested.write_text("[" * 200_000)
+        out = tmp_path / "out"
+        argv = {"sample": ["sample", str(nested), "-n", "3", "-o", str(out)],
+                "eval": ["eval", str(nested), "--tau", "0.25"],
+                "basis-matrix": ["basis-matrix", "--degree", "1", "--knots-file", str(nested),
+                                 "--span", "1", "--output", str(out)]}[command]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "nested too deeply" in captured.err
+        assert captured.err.count("\n") == 1
+        assert captured.out == "" and not out.exists()
 
 
 def test_console_entry_point_runs():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from splinemat import (
+    MAX_DEGREE,
     BasisMatrix,
     DomainError,
     KnotVector,
@@ -69,6 +70,12 @@ class TestConstruction:
         with pytest.raises(ValueError):
             CUBIC.points[0] = 9.0
 
+    def test_curves_compare_and_hash_by_identity(self):
+        twin = SplineCurve(3, KnotVector.uniform(8), [0, 1, 2, 3])
+        assert CUBIC == CUBIC and CUBIC != twin and not CUBIC == twin
+        assert {CUBIC, twin, CUBIC} == {CUBIC, twin} and len({CUBIC, twin}) == 2
+        assert twin in {twin} and CUBIC not in {twin}
+
 
 class TestEvaluationPaths:
     @pytest.mark.parametrize("tau,want", [(3.0, 1.0), (3.5, 1.5), (4.0, 2.0)])
@@ -112,6 +119,18 @@ class TestEvaluationPaths:
                         c = curve.eval_cumulative(tau)
                         worst = max(worst, relative_gap(a, b), relative_gap(a, c))
         assert worst <= 1e-10
+
+    @pytest.mark.parametrize("kind", ["uniform", "uniform-float", "clamped"])
+    def test_one_degree_rule_for_every_knot_kind(self, kind):
+        # only load_spline and basis-matrix cap the degree; a curve evaluates
+        # above MAX_DEGREE on every kind of knots
+        degree = MAX_DEGREE + 1
+        curve = random_curve(random.Random(31), degree, 2, kind)
+        lo, hi = (float(v) for v in curve.domain)
+        taus = np.linspace(lo, hi, 7).tolist()
+        want = np.array([curve.eval_coxdeboor(t) for t in taus])
+        assert relative_gap(curve.evaluate(taus), want) < 1e-12
+        assert relative_gap(np.array([curve.eval_cumulative(t) for t in taus]), want) < 1e-12
 
     def test_non_uniform_rational_knots_agree_with_reference(self):
         kv = KnotVector([0, 0, 1, 3, 3, 4, 7, 11, 11, 12])
@@ -558,8 +577,10 @@ class TestExactRows:
         assert curve.stats()["spans_touched"] == 13
         curve.sample(50)
         curve.eval_cumulative(7.5)
-        assert curve.stats() == {"spans_built": 0, "window_hits": 0, "build_s": 0.0,
-                                 "spans_touched": 26}
+        # the table's one knot window is built once
+        stats = curve.stats()
+        assert (stats["spans_built"], stats["window_hits"], stats["spans_touched"]) == (1, 0, 26)
+        assert stats["build_s"] > 0.0
 
     def test_stats_count_every_span_on_float_knots(self):
         kv = KnotVector([0.0] * 4 + [1.0, 2.0, 3.0, 4.0] + [5.0] * 4)
