@@ -27,7 +27,7 @@ from .errors import (
     SizeError,
     SplineError,
 )
-from .knots import KnotVector, LocalCoefficients, find_span, local_coefficients, normalize
+from .knots import KnotVector, find_span, normalize
 from .polytoeplitz import PowerPoly, ToeplitzLT, poly_mul, toeplitz_from_poly
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "DomainError",
     "InvalidKnots",
     "KnotVector",
-    "LocalCoefficients",
     "NonRationalKnots",
     "PowerPoly",
     "SizeError",
@@ -53,7 +52,6 @@ __all__ = [
     "find_span",
     "general_basis_matrix",
     "lambda_weights",
-    "local_coefficients",
     "normalize",
     "poly_mul",
     "toeplitz_from_poly",

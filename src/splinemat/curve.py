@@ -378,20 +378,21 @@ class SplineCurve:
     def eval_coxdeboor(self, tau) -> np.ndarray:
         """Reference evaluation: sum every basis function times its point.
 
+        One recursion table over every basis index gives all the weights.
         Raises DomainError where a knot difference the recursion needs at a
         float tau is beyond the float range.
         """
         self._check_tau(tau)
         kv = self._oracle_knots(tau)
-        out = np.zeros(self.dim)
         try:
-            for i in range(self.count):
-                w = coxdeboor.basis(kv, i, self.degree, tau)
-                if w:
-                    out += float(w) * self.points[i]
+            weights = coxdeboor.basis_values(kv, 0, self.count - 1, self.degree, tau)
         except OverflowError:
             raise DomainError("tau %s needs knot differences beyond the float range"
                               % tau) from None
+        out = np.zeros(self.dim)
+        for w, p in zip(weights, self.points):
+            if w:
+                out += float(w) * p
         return out
 
     def _oracle_knots(self, tau) -> KnotVector:

@@ -1,10 +1,9 @@
-"""Knot vectors, span lookup, and the local span-normalization coefficients."""
+"""Knot vectors, span lookup, and span-local parameter normalisation."""
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -155,63 +154,3 @@ def normalize(kv: KnotVector, span: int, tau: Scalar) -> Scalar:
     if a == b:
         raise DegenerateSpan("span %d has zero width" % span)
     return (tau - a) / (b - a)
-
-
-@dataclass(frozen=True)
-class LocalCoefficients:
-    """Span-local interpolation coefficients for one degree level.
-
-    Entry c of ``d0``/``d1`` belongs to basis index ``first + c`` where
-    ``first = span - degree``.  The recursion's second factor for index i
-    is the complement ``(1 - d0, -d1)`` of the entry for index i + 1.
-    """
-
-    degree: int
-    span: int
-    first: int
-    d0: tuple
-    d1: tuple
-
-
-def local_coefficients(kv: KnotVector, degree: int, span: int) -> LocalCoefficients:
-    """Coefficient table for raising degree ``degree-1`` functions on a span.
-
-    For basis index i the pair is
-
-        d_i = ((tau_span - tau_i) / w_i,  (tau_{span+1} - tau_span) / w_i)
-
-    with w_i = tau_{i+degree} - tau_i, so that (tau - tau_i) / w_i equals
-    d0 + d1 u on the span.  A zero denominator means the factor multiplies a
-    basis function that vanishes identically on the span, so the whole pair
-    is set to zero (this subsumes the 0/0 = 0 convention).
-    """
-    vals = kv.values
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
-    first = span - degree
-    if first < 0 or span + degree + 1 > len(vals) - 1:
-        raise DomainError("span %d invalid for degree %d" % (span, degree))
-    tj, tj1 = vals[span], vals[span + 1]
-    if tj == tj1:
-        raise DegenerateSpan("span %d has zero width" % span)
-    width = tj1 - tj
-    d0, d1 = [], []
-    for i in range(first, span + 1):
-        den = vals[i + degree] - vals[i]
-        if den == 0:
-            d0.append(_zero_like(den))
-            d1.append(_zero_like(den))
-        else:
-            d0.append((tj - vals[i]) / den)
-            d1.append(width / den)
-    return LocalCoefficients(
-        degree=degree,
-        span=span,
-        first=first,
-        d0=tuple(d0),
-        d1=tuple(d1),
-    )
-
-
-def _zero_like(x):
-    return Fraction(0) if isinstance(x, (Fraction, int)) else 0.0

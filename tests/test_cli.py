@@ -96,6 +96,16 @@ class TestEvalCommand:
         assert main(["eval", spline, "--tau", "3.5", "--method", method]) == 0
         assert float(capsys.readouterr().out.strip()) == 1.5
 
+    def test_recursion_and_matrix_agree_at_a_closed_domain_end(self, tmp_path, capsys):
+        path = tmp_path / "jump.json"
+        path.write_text(json.dumps({"degree": 2, "knots": [0, 0, 0, 1, 2, 3, 3, 3, 4],
+                                    "control_points": [[0], [1], [2], [3], [4], [5]]}))
+        lines = []
+        for method in ("coxdeboor", "matrix"):
+            assert main(["eval", str(path), "--tau", "3", "--method", method]) == 0
+            lines.append(capsys.readouterr().out)
+        assert lines == ["4\n", "4\n"]
+
     def test_full_precision_output(self, tmp_path, capsys):
         spline = write_cubic_spline(tmp_path / "c.json")
         assert main(["eval", spline, "--tau", "3.1"]) == 0

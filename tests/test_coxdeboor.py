@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from splinemat import DomainError, KnotVector, basis, basis0, cumulative_basis
+from splinemat.coxdeboor import basis_values
 
 
 def clamped(degree, interior, last):
@@ -12,6 +13,8 @@ def clamped(degree, interior, last):
 
 KV8 = KnotVector.uniform(8)
 BEZIER = KnotVector([0, 0, 0, 0, 1, 1, 1, 1])
+# the domain [0, 3] ends at a knot of multiplicity k + 1 = 3 that a larger knot follows
+CLOSED_END = KnotVector([0, 0, 0, 1, 2, 3, 3, 3, 4])
 
 
 class TestDegreeZero:
@@ -137,3 +140,58 @@ class TestCumulative:
     def test_index_bounds(self):
         with pytest.raises(IndexError):
             cumulative_basis(KV8, 4, 3, 3.0)
+
+
+def random_knots(rng, degree):
+    """Knots with repeats up to degree + 2, as ints, sevenths or floats."""
+    q = rng.choice([1, 7])
+    breaks = sorted(rng.sample(range(-40, 40), rng.randint(2, degree + 3)))
+    values = [Fraction(b, q) for b in breaks for _ in range(rng.choice([1, 1, 2, degree + 1, degree + 2]))]
+    if rng.random() < 0.4:
+        values = [float(v) for v in values]
+    return KnotVector(values)
+
+
+class TestSharedTriangle:
+    @pytest.mark.parametrize("degree", range(9))
+    def test_entries_equal_one_table_per_function(self, degree):
+        rng = random.Random(40 + degree)
+        for _ in range(5):
+            kv = random_knots(rng, degree)
+            m = len(kv.values)
+            last = m - degree - 2
+            if last < 0:
+                continue
+            # every knot, the domain ends among them, exactly and as a float
+            taus = [t for v in sorted(set(kv.values)) for t in (Fraction(v), float(v))]
+            taus.append(Fraction(kv.values[degree] + kv.values[m - degree - 1]) / 2 + Fraction(1, 3))
+            for tau in taus:
+                row = basis_values(kv, 0, last, degree, tau)
+                assert len(row) == last + 1
+                for i, value in enumerate(row):
+                    want = basis(kv, i, degree, tau)
+                    assert value == want and type(value) is type(want), (kv, degree, tau, i)
+                for i in (0, last // 2, last):
+                    total = 0
+                    for value in basis_values(kv, i, last, degree, tau):
+                        total += value
+                    got = cumulative_basis(kv, i, degree, tau)
+                    assert got == total and type(got) is type(total)
+
+    def test_index_window_is_checked(self):
+        with pytest.raises(IndexError):
+            basis_values(KV8, 0, 4, 3, 3.0)
+        with pytest.raises(IndexError):
+            basis_values(KV8, 2, 1, 3, 3.0)
+
+
+class TestDomainEnd:
+    def test_closed_end_takes_the_span_from_the_left(self):
+        for tau in (Fraction(3), 3.0):
+            assert basis_values(CLOSED_END, 0, 5, 2, tau) == [0, 0, 0, 0, 1, 0]
+            assert cumulative_basis(CLOSED_END, 5, 2, tau) == 0
+            assert cumulative_basis(CLOSED_END, 0, 2, tau) == 1
+        # inside the domain and at its left end nothing changes
+        assert basis_values(CLOSED_END, 0, 5, 2, Fraction(5, 2)) == [
+            0, 0, Fraction(1, 8), Fraction(5, 8), Fraction(1, 4), 0]
+        assert basis(CLOSED_END, 0, 2, 0.0) == 1.0

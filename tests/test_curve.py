@@ -24,7 +24,6 @@ from splinemat import (
 from splinemat import cli
 from splinemat import curve as curve_module
 from splinemat.curve import _CHUNK, _horner
-from splinemat.knots import local_coefficients
 
 
 def clamped(degree, interior, last):
@@ -103,6 +102,18 @@ class TestEvaluationPaths:
         curve = SplineCurve(3, clamped(3, [1, 2], 3), [[0, 0], [1, 2], [3, 1], [4, 4], [5, 0], [6, 3]])
         assert curve.eval_matrix(0.0) == pytest.approx([0.0, 0.0], abs=1e-12)
         assert curve.eval_matrix(3.0) == pytest.approx([6.0, 3.0], abs=1e-12)
+
+    @pytest.mark.parametrize("storage", ["rational", "float"])
+    def test_domain_end_before_a_larger_knot_takes_the_left_span(self, storage):
+        # the end knot 3 has multiplicity k + 1 and the knot 4 follows: the
+        # curve jumps there, and every path takes the value from the left
+        kv = KnotVector([0, 0, 0, 1, 2, 3, 3, 3, 4])
+        curve = SplineCurve(2, kv if storage == "rational" else kv.as_float(),
+                            [[0], [1], [2], [3], [4], [5]])
+        for tau in (3.0, Fraction(3)):
+            for path in (curve.eval_coxdeboor, curve.eval_matrix, curve.eval_cumulative):
+                assert path(tau).tolist() == [4.0]
+            assert curve.evaluate([tau]).tolist() == [[4.0]]
 
     def test_agreement_random_sweep(self):
         rng = random.Random(101)
@@ -359,10 +370,15 @@ def float_loop_rows(kv, degree, span, kind):
     (2 d0 + d1, 2 d1) over 2; the cumulative rows are suffix sums of the
     numerators, right to left, and the rows are the numerators over 2^k.
     """
+    t = kv.values
     cols, den = [[1.0]], 1.0
     for level in range(1, degree + 1):
-        lc = local_coefficients(kv, level, span)
-        pairs = [(2 * d0 + d1, 2 * d1) for d0, d1 in zip(lc.d0[1:], lc.d1[1:])]
+        pairs = []
+        for i in range(span - level + 1, span + 1):
+            w = t[i + level] - t[i]
+            # (tau - t_i) / w is d0 + d1 u on the span; the pair is zero where w vanishes
+            d0, d1 = ((t[span] - t[i]) / w, (t[span + 1] - t[span]) / w) if w else (0.0, 0.0)
+            pairs.append((2 * d0 + d1, 2 * d1))
         new = [[0] * (level + 1) for _ in range(level + 1)]
         for c, (a0, a1) in enumerate(pairs):
             up, down, b0 = new[c + 1], new[c], 2 - a0

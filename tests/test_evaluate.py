@@ -2,7 +2,8 @@
 and of the exact span matrices it is built from.
 
 Knot vectors are drawn with repeated knots (multiplicity up to the degree
-inside, up to degree + 1 at the ends), in integer, rational (thirds,
+inside, up to degree + 1 at the ends; the recursion test also draws the
+last interior knot up to degree + 1 times), in integer, rational (thirds,
 sevenths, tenths: not exactly representable as doubles) and float storage,
 evenly spaced or not.  Parameters are drawn at knots, at both domain ends,
 inside spans and one step outside the domain, both as floats and exactly.
@@ -43,7 +44,7 @@ def row_gaps(a, b):
 
 
 @st.composite
-def curves(draw, storages=("integer", "rational", "float")):
+def curves(draw, storages=("integer", "rational", "float"), closed_end=False):
     k = draw(st.integers(0, 5))
     storage = draw(st.sampled_from(storages))
     even = draw(st.booleans())
@@ -68,6 +69,10 @@ def curves(draw, storages=("integer", "rational", "float")):
         mults = ([draw(st.integers(1, k + 1))]
                  + [draw(inner) for _ in range(breaks_count - 2)]
                  + [draw(st.integers(1, k + 1))])
+        if closed_end and breaks_count > 2:
+            # mostly k + 1, where the curve jumps and the domain can end
+            # before a larger knot
+            mults[-2] = draw(st.one_of(st.just(k + 1), st.integers(1, k + 1)))
     values = [b for b, m in zip(breaks, mults) for _ in range(m)]
     assume(len(values) >= 2 * k + 2)
     kv = KnotVector(values)
@@ -80,8 +85,8 @@ def curves(draw, storages=("integer", "rational", "float")):
 
 
 @st.composite
-def curves_and_taus(draw):
-    curve = draw(curves())
+def curves_and_taus(draw, closed_end=False):
+    curve = draw(curves(closed_end=closed_end))
     lo, hi = curve.domain
     lo_f, hi_f = float(lo), float(hi)
     inside = st.floats(0.0, 1.0).map(lambda f: min(hi_f, lo_f + f * (hi_f - lo_f)))
@@ -91,6 +96,8 @@ def curves_and_taus(draw):
     exact = st.one_of(at_knot, at_end)
     taus = draw(st.lists(st.one_of(inside, exact.map(float), exact, outside),
                          min_size=1, max_size=12))
+    if closed_end:
+        taus += [hi, hi_f]
     return curve, taus
 
 
@@ -119,7 +126,7 @@ def test_batched_span_index_equals_find_span(case):
 
 
 @SETTINGS
-@given(curves_and_taus())
+@given(curves_and_taus(closed_end=True))
 def test_evaluate_agrees_with_recursion(case):
     curve, taus = case
     good = in_domain(curve, taus)

@@ -9,7 +9,6 @@ from splinemat import (
     InvalidKnots,
     KnotVector,
     find_span,
-    local_coefficients,
     normalize,
 )
 
@@ -151,54 +150,3 @@ class TestNormalize:
                 jj = find_span(kv, 3, tau)
                 assert jj + normalize(kv, jj, tau) == tau
         assert normalize(kv, 5, Fraction(5)) == 0
-
-
-class TestLocalCoefficients:
-    def test_uniform_golden_entries(self):
-        kv = KnotVector.uniform(8)
-        lc = local_coefficients(kv, 3, 3)
-        assert lc.first == 0
-        assert lc.d0[1] == Fraction(2, 3) and lc.d1[1] == Fraction(1, 3)
-
-    def test_clamped_zero_over_zero(self):
-        kv = KnotVector([0, 0, 0, 0, 1, 1, 1, 1])
-        lc = local_coefficients(kv, 3, 3)
-        assert lc.d0[0] == 0
-        assert lc.d1[0] == 0  # same vanishing denominator
-
-    def test_complement_identities(self):
-        vectors = [
-            KnotVector.uniform(10),
-            KnotVector([0, 0, 0, 0, 1, 1, 1, 1]),
-            KnotVector([0, 1, 1, 2, 5, 7, 7, 9, 12]),
-        ]
-        for kv in vectors:
-            m = len(kv.values)
-            for k in range(1, 4):
-                for j in range(k, m - k - 1):
-                    if kv.values[j] == kv.values[j + 1]:
-                        continue
-                    lc = local_coefficients(kv, k, j)
-                    assert len(lc.d0) == k + 1
-                    # the complement of entry c+1 is the second factor of
-                    # index i = first + c: (tau_{i+k+1} - tau) / v_i on the span
-                    width = kv.values[j + 1] - kv.values[j]
-                    for c in range(k):
-                        i = lc.first + c
-                        v = kv.values[i + k + 1] - kv.values[i + 1]
-                        if v == 0:
-                            assert lc.d0[c + 1] == 0 and lc.d1[c + 1] == 0
-                            continue
-                        assert 1 - lc.d0[c + 1] == (kv.values[i + k + 1] - kv.values[j]) / v
-                        assert -lc.d1[c + 1] == -width / v
-
-    def test_uniform_d1_is_reciprocal_degree(self):
-        kv = KnotVector.uniform(14)
-        for k in range(1, 6):
-            lc = local_coefficients(kv, k, 6)
-            assert all(v == Fraction(1, k) for v in lc.d1)
-
-    def test_degenerate_span_rejected(self):
-        kv = KnotVector([0, 1, 1, 2])
-        with pytest.raises(DegenerateSpan):
-            local_coefficients(kv, 1, 1)
