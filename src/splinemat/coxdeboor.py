@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError
-from .knots import KnotVector
+from .knots import KnotVector, find_span
 
 
 def basis0(kv: KnotVector, i: int, tau) -> int:
@@ -60,9 +60,7 @@ def basis_values(kv: KnotVector, first: int, last: int, degree: int, tau) -> lis
     spans = range(first, last + degree + 1)
     end = len(vals) - degree - 1
     if tau == vals[end] < vals[-1] and vals[degree] < vals[end]:
-        j = end - 1
-        while vals[j] == vals[end]:
-            j -= 1
+        j = find_span(kv, degree, tau)
         row = [int(s == j) for s in spans]
     else:
         row = [basis0(kv, s, tau) for s in spans]

@@ -12,15 +12,16 @@ per-span coefficient blocks, de Boor's piecewise-polynomial form: the
 span's basis matrix, Taylor-centred at u = 1/2, times its k+1 local
 control points (the cumulative block applies the centred cumulative matrix
 to the first point and the differences).  A parameter is evaluated by
-Horner's rule in v = u - 1/2 over its span's (k+1, d) block, batched with
-numpy for arrays and in Python floats for a single parameter, with the same
-result bit for bit.  Centring keeps the power form well conditioned next
-to wide spans (Farouki & Rajan 1987).  The degree recursion builds the
-centred matrices directly, one way per knot storage: on exact knots they
-are exact until the one rounding of each entry and built once per
-distinct knot window (evenly spaced knots have one); on float-stored
-knots one batched numpy recursion in double precision builds every span
-a chunk needs that is not yet cached, and one ``einsum`` forms their blocks.
+``polytoeplitz.horner`` in v = u - 1/2 over its span's (k+1, d) block, on
+numpy stacks for arrays and in Python floats for a single parameter, with
+the same result bit for bit.  Centring keeps the power form well
+conditioned next to wide spans (Farouki & Rajan 1987).  The degree
+recursion builds the centred matrices directly, one way per knot storage:
+on exact knots they are exact until the one rounding of each entry and
+built once per distinct knot window (evenly spaced knots have one); on
+float-stored knots one batched numpy recursion in double precision builds
+every span a chunk needs that is not yet cached.  One ``_cached`` fill
+stores the columns and the blocks, which one ``einsum`` forms per fill.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from itertools import accumulate
+from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -83,7 +84,10 @@ class SplineCurve:
     def __init__(self, degree: int, knots: KnotVector, points):
         if degree < 0:
             raise ValueError("degree must be non-negative")
-        pts = np.asarray(points, dtype=float)
+        try:
+            pts = np.asarray(points, dtype=float)
+        except OverflowError:  # an int coordinate beyond the float range
+            raise ValueError("control points must be finite") from None
         if pts.ndim == 1:
             pts = pts[:, None]
         if pts.ndim != 2 or pts.shape[0] == 0 or pts.shape[1] == 0:
@@ -101,9 +105,9 @@ class SplineCurve:
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "points", pts)
-        # build seconds, window-hit spans and blocks stored per fill; appends
+        # spans and seconds built, and window-hit spans, per fill; appends
         # lose no count between threads
-        object.__setattr__(self, "_cache", {"builds": [], "hits": [], "touched": []})
+        object.__setattr__(self, "_cache", {"builds": [], "hits": []})
 
     @property
     def count(self) -> int:
@@ -119,57 +123,57 @@ class SplineCurve:
 
     def _check_tau(self, tau) -> None:
         lo, hi = self.domain
+        if not lo < hi:
+            raise DomainError("evaluable domain [%s, %s] is degenerate" % (lo, hi))
         if not lo <= tau <= hi:
             raise DomainError("tau outside evaluable domain: %s not in [%s, %s]" % (tau, lo, hi))
 
-    def _centred_rows(self, kind: str, span: int) -> np.ndarray:
-        """The span's float matrix ("m") or cumulative form ("c"), centred at u = 1/2."""
-        return self._rows(kind, [span])[0]
+    def _cached(self, kind: str, spans: list, build) -> list:
+        """The cache entries ``(kind, j)`` of distinct ``spans``: "x" columns, "m"/"c" blocks.
 
-    def _rows(self, kind: str, spans: list) -> np.ndarray:
-        """The (s, k+1, k+1) stack of ``_centred_rows`` of ``spans``.
-
-        Float-stored knots build the columns of every span not yet cached
-        with one ``float_span_columns`` call and cache them per span; a
-        window would not give the same rows bit for bit there.
+        ``build(missing)`` makes the missing entries in one call; each is
+        stored with ``setdefault``, so a racing fill only builds it twice.
         """
-        if self.knots.storage == "rational":
-            return np.stack([_rounded_rows(*self._span_columns(j), kind) for j in spans])
-        got = [self._cache.get(("x", j)) for j in spans]
+        got = [self._cache.get((kind, j)) for j in spans]
         missing = [j for j, entry in zip(spans, got) if entry is None]
         if missing:
-            start = time.perf_counter()
-            cols, den = float_span_columns(self._float_knots().values, self.degree, missing)
-            self._cache["builds"].append((len(missing), time.perf_counter() - start))
-            fresh = iter([self._cache.setdefault(("x", j), (c, den))
-                          for j, c in zip(missing, cols)])
+            fresh = iter([self._cache.setdefault((kind, j), entry)
+                          for j, entry in zip(missing, build(missing))])
             got = [entry if entry is not None else next(fresh) for entry in got]
-        return _float_rows(np.stack([cols for cols, _ in got]), got[0][1], kind)
-
-    def _span_columns(self, span: int) -> tuple:
-        """``(cols, den)``: the span's centred matrix is ``cols / den``, cached per curve.
-
-        Rational knots; the columns are int numerators in powers of
-        v = u - 1/2 (``span_columns`` with ``centred``), built once per
-        distinct ``knot_window``: evenly spaced knots have one window.
-        """
-        key = ("x", span)
-        got = self._cache.get(key)
-        if got is None:
-            window = knot_window(self.knots.values, self.degree, span)
-            got = self._cache.get(("w", window))
-            if got is None:
-                start = time.perf_counter()
-                got = self._cache.setdefault(("w", window), span_columns(window, centred=True))
-                self._cache["builds"].append((1, time.perf_counter() - start))
-            else:
-                self._cache["hits"].append(span)
-            got = self._cache.setdefault(key, got)
         return got
+
+    def _columns(self, spans: list) -> list:
+        """``(cols, den)`` per span, its centred matrix ``cols / den`` in powers of v = u - 1/2.
+
+        Rational knots: int columns over an int ``den`` (``span_columns``),
+        built once per distinct ``knot_window``; evenly spaced knots have
+        one.  Float-stored knots: one ``float_span_columns`` call, as a
+        window would not give the same columns bit for bit there.
+        """
+        if self.knots.storage == "float":
+            start = time.perf_counter()
+            cols, den = float_span_columns(self._float_knots().values, self.degree, spans)
+            self._cache["builds"].append((len(spans), time.perf_counter() - start))
+            return [(c, den) for c in cols]
+        windows = [knot_window(self.knots.values, self.degree, j) for j in spans]
+        new = [w for w in dict.fromkeys(windows) if ("w", w) not in self._cache]
+        if new:
+            start = time.perf_counter()
+            for w in new:
+                self._cache.setdefault(("w", w), span_columns(w, centred=True))
+            self._cache["builds"].append((len(new), time.perf_counter() - start))
+        self._cache["hits"].append(len(spans) - len(new))
+        return [self._cache[("w", w)] for w in windows]
+
+    def _rows(self, kind: str, spans: list) -> np.ndarray:
+        """Float rows of the spans' centred matrices ("m") or cumulative forms ("c")."""
+        cols, dens = zip(*self._cached("x", spans, self._columns))
+        dtype = float if self.knots.storage == "float" else object
+        return _float_rows(np.array(cols, dtype), np.array(dens, dtype)[:, None, None], kind)
 
     def _exact_matrix(self, span: int) -> BasisMatrix:
         """The span's exact matrix centred at u = 1/2 (rational knots), rows powers of v."""
-        return BasisMatrix.from_columns(*self._span_columns(span), span=span)
+        return BasisMatrix.from_columns(*self._cached("x", [span], self._columns)[0], span=span)
 
     def _block(self, kind: str, span: int) -> np.ndarray:
         """The span's read-only (k+1, d) coefficient block, built on first use.
@@ -183,22 +187,16 @@ class SplineCurve:
         if self.knots.is_uniform:
             return self._table(kind)[span - self.degree]
         block = self._cache.get((kind, span))
-        return block if block is not None else self._blocks(kind, [span])[0]
+        if block is None:
+            block = self._cached(kind, [span], partial(self._blocks, kind))[0]
+        return block
 
-    def _blocks(self, kind: str, spans: list) -> list:
-        """The blocks of non-uniform ``spans``; the ones not cached are built together.
-
-        One ``_rows`` call and one ``einsum`` over the missing spans, then
-        each block is stored on its own.
-        """
-        blocks = [self._cache.get((kind, j)) for j in spans]
-        missing = [j for j, block in zip(spans, blocks) if block is None]
-        if missing:
-            runs = np.array(missing)[:, None] + np.arange(-self.degree, 1)
-            windows = self.points[runs].transpose(0, 2, 1)
-            built = _coefficient_blocks(kind, self._rows(kind, missing), windows)
-            fresh = iter([self._store((kind, j), block) for j, block in zip(missing, built)])
-            blocks = [block if block is not None else next(fresh) for block in blocks]
+    def _blocks(self, kind: str, spans: list) -> np.ndarray:
+        """The read-only blocks of non-uniform ``spans``: one ``_rows`` call, one ``einsum``."""
+        runs = np.array(spans)[:, None] + np.arange(-self.degree, 1)
+        windows = self.points[runs].transpose(0, 2, 1)
+        blocks = _coefficient_blocks(kind, self._rows(kind, spans), windows)
+        blocks.setflags(write=False)
         return blocks
 
     def _table(self, kind: str) -> np.ndarray:
@@ -207,21 +205,15 @@ class SplineCurve:
         One table is at most k+1 times the size of the control points;
         span j's block is row j - k.
         """
-        key = "table-" + kind
+        key = (kind, "table")
         table = self._cache.get(key)
         if table is None:
-            rows = self._centred_rows(kind, self.degree)
+            rows = self._rows(kind, [self.degree])[0]
             windows = sliding_window_view(self.points, self.degree + 1, axis=0)
-            table = self._store(key, _coefficient_blocks(kind, rows, windows))
+            table = _coefficient_blocks(kind, rows, windows)
+            table.setflags(write=False)
+            table = self._cache.setdefault(key, table)
         return table
-
-    def _store(self, key, blocks: np.ndarray) -> np.ndarray:
-        """Freeze and cache ``blocks``; only the fill that stores them counts them."""
-        blocks.setflags(write=False)
-        got = self._cache.setdefault(key, blocks)
-        if got is blocks:
-            self._cache["touched"].append(1 if blocks.ndim == 2 else len(blocks))
-        return got
 
     def stats(self) -> dict:
         """Construction so far: ``spans_built``, ``window_hits``, ``build_s``, ``spans_touched``.
@@ -229,24 +221,25 @@ class SplineCurve:
         ``window_hits`` counts spans that reused the build of an earlier span
         with the same knot window; ``build_s`` is the seconds spent in
         ``span_columns`` or ``float_span_columns`` building centred
-        matrices, and ``spans_built`` the spans they built.  ``spans_touched``
-        counts the coefficient blocks built, one per span and kind ("m" or
-        "c"); a table of evenly spaced knots counts each of its spans.
-        Counted when a span is first needed, never per point; racing threads
-        may build (and count) a span twice, but a block is counted once.
+        matrices, and ``spans_built`` the spans they built.  Those three are
+        counted when a span is first needed, never per point; racing threads
+        may build (and count) a span twice.  ``spans_touched`` counts the
+        stored coefficient blocks, one per span and kind ("m" or "c"); a
+        table of evenly spaced knots counts each of its spans.  A block is
+        stored once, so it is counted once.
         """
-        builds = self._cache["builds"]
-        return {"spans_built": sum(n for n, _ in builds), "window_hits": len(self._cache["hits"]),
+        cache = self._cache.copy()  # fills may store entries meanwhile
+        builds = cache["builds"]
+        blocks = [b for key, b in cache.items() if isinstance(key, tuple) and key[0] in "mc"]
+        return {"spans_built": sum(n for n, _ in builds), "window_hits": sum(cache["hits"]),
                 "build_s": math.fsum(s for _, s in builds),
-                "spans_touched": sum(self._cache["touched"])}
+                "spans_touched": sum(len(b) if b.ndim == 3 else 1 for b in blocks)}
 
     def _float_knots(self) -> _FloatKnots:
         fk = self._cache.get("f")
         if fk is None:
             vals = self.knots.values
             lo, hi = self.domain
-            positive = [j for j in range(self.degree, len(vals) - self.degree - 1)
-                        if vals[j] < vals[j + 1]]
             values = np.array([_to_float(v) for v in vals])
             widths = np.array([_to_float(b - a) for a, b in zip(vals, vals[1:])])
             widths[np.isinf(widths)] = np.nan
@@ -255,7 +248,7 @@ class SplineCurve:
                 widths=widths,
                 lo=_to_float(lo),
                 hi=_to_float(hi),
-                last=positive[-1] if positive else -1,
+                last=find_span(self.knots, self.degree, hi) if lo < hi else -1,
                 inexact=values[[f != v for f, v in zip(values.tolist(), vals)]],
             )
             self._cache["f"] = fk
@@ -276,10 +269,9 @@ class SplineCurve:
             tau = arr.astype(float, copy=False)
             exact = np.isin(tau, fk.inexact) if fk.inexact.size else np.zeros(tau.shape, bool)
             inside = ((tau >= fk.lo) & (tau <= fk.hi)) | exact
-            if not inside.all():
-                self._check_tau(float(tau[~inside][0]))
-            if fk.last < 0 and tau.size:
-                raise DomainError("evaluable domain [%s, %s] is degenerate" % self.domain)
+            if not inside.all() or fk.last < 0 and tau.size:
+                # the domain's error, degenerate first, for the first tau outside
+                self._check_tau(float(tau[inside.argmin()]))
             # Piegl & Tiller A2.1 (FindSpan) over the whole batch
             spans = np.searchsorted(fk.values, tau, side="right") - 1
             spans[tau == fk.hi] = fk.last
@@ -307,7 +299,7 @@ class SplineCurve:
         if self.knots.is_uniform:
             return self._table(kind)[spans - self.degree]
         distinct = np.unique(spans)
-        blocks = self._blocks(kind, distinct.tolist())
+        blocks = self._cached(kind, distinct.tolist(), partial(self._blocks, kind))
         if len(blocks) == 1:
             return blocks[0]
         return np.stack(blocks)[np.searchsorted(distinct, spans)]
@@ -320,10 +312,12 @@ class SplineCurve:
         differentiates it, with the chain rule's division by width**order.
         """
         out = np.empty((len(u), self.dim))
-        v = u - 0.5
+        x = (u - 0.5)[:, None]
         for start in range(0, len(u), _CHUNK):
             part = slice(start, start + _CHUNK)
-            out[part] = _horner(self._span_blocks(kind, spans[part]), v[part], order)
+            rows = _derivative_rows(self._span_blocks(kind, spans[part]), order)
+            # the power axis first: horner sums (len(part), d) terms
+            out[part] = horner(rows.swapaxes(0, -2), x[part])
         if order:
             # repeated products, as in _point, not a pow() that numpy and
             # Python may round differently
@@ -350,10 +344,7 @@ class SplineCurve:
             span, u = int(spans[0]), float(us[0])
         if order > self.degree:
             return np.zeros(self.dim)
-        cols = self._block(kind, span).T.tolist()
-        if order:
-            cols = [[c * math.perm(r, order) for r, c in enumerate(col) if r >= order]
-                    for col in cols]
+        cols = _derivative_rows(self._block(kind, span), order).T.tolist()
         out = np.array([horner(col, u - 0.5) for col in cols])
         if order:
             out /= math.prod([float(fk.widths[span])] * order)
@@ -473,43 +464,30 @@ def _to_float(x) -> float:
         return math.inf if x > 0 else -math.inf
 
 
-def _horner(rows: np.ndarray, u: np.ndarray, order: int) -> np.ndarray:
-    """Sum over r >= order of r!/(r-order)! u^(r-order) rows[..., r, :].
+def _derivative_rows(rows: np.ndarray, order: int) -> np.ndarray:
+    """Rows r >= order of (a stack of) (k+1, m) power-basis rows, times r!/(r-order)!.
 
-    ``rows`` is one (k+1, m) matrix or a stack matching ``u``; the result
-    is (len(u), m).  Horner's rule, not powers of u, so that values exact
-    in floats stay exact.
+    These are the coefficients of the ``order``-th derivative.
     """
-    top = rows.shape[-2] - 1
-    x = u[:, None]
-    acc = np.empty((len(u), rows.shape[-1]))
-    acc[...] = rows[..., top, :]
-    if order:
-        acc *= math.perm(top, order)
-    for r in range(top - 1, order - 1, -1):
-        acc *= x
-        acc += rows[..., r, :] * math.perm(r, order) if order else rows[..., r, :]
-    return acc
+    if not order:
+        return rows
+    scale = [math.perm(r, order) for r in range(order, rows.shape[-2])]
+    return rows[..., order:, :] * np.array(scale, dtype=float)[:, None]
 
 
-def _rounded_rows(cols: list, den, kind: str) -> np.ndarray:
-    """Float rows of the columns ``cols / den`` ("m") or of their suffix sums ("c").
+def _float_rows(cols: np.ndarray, den: np.ndarray, kind: str) -> np.ndarray:
+    """Float rows of (s, k+1, k+1) columns ``cols / den`` ("m") or of their suffix sums ("c").
 
-    Int numerators over an int ``den`` round correctly (``int / int``).
+    Floats over (s, 1, 1) float ``den``s, or an object array of ints over
+    int ones: their suffix sums are exact and ``int / int`` rounds correctly.
     """
-    rows = list(zip(*cols))
     if kind == "c":
-        # suffix sums along each row, taken right to left
-        rows = [list(accumulate(reversed(row)))[::-1] for row in rows]
-    return np.array([[n / den for n in row] for row in rows])
-
-
-def _float_rows(cols: np.ndarray, den: float, kind: str) -> np.ndarray:
-    """``_rounded_rows`` of an (s, k+1, k+1) stack of float columns, same operations."""
-    if kind == "c":
-        # add.accumulate sums in order: right to left, as accumulate() does
+        # add.accumulate sums in order: right to left
         cols = np.cumsum(cols[:, ::-1], axis=1)[:, ::-1]
-    return cols.transpose(0, 2, 1) / den
+    rows = cols.transpose(0, 2, 1) / den
+    # einsum sums in memory order, so the layout is part of the blocks' bits:
+    # exact rows are C-contiguous, float rows keep the division's layout
+    return rows if rows.dtype == float else rows.astype(float, order="C")
 
 
 def _coefficient_blocks(kind: str, rows: np.ndarray, windows: np.ndarray) -> np.ndarray:

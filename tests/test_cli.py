@@ -118,6 +118,15 @@ class TestEvalCommand:
         assert main(["eval", spline, "--tau", "9.0"]) == 2
         assert "tau outside evaluable domain" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["coxdeboor", "matrix", "cumulative"])
+    def test_degenerate_domain_exits_two(self, tmp_path, capsys, method):
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps({"degree": 1, "knots": [0, 0, 0, 1],
+                                    "control_points": [[1.0], [2.0]]}))
+        assert main(["eval", str(path), "--tau", "0", "--method", method]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: evaluable domain [0, 0] is degenerate\n"
+
     def test_missing_file_is_io_error(self, tmp_path):
         assert main(["eval", str(tmp_path / "nope.json"), "--tau", "1.0"]) == 3
 

@@ -23,7 +23,8 @@ from splinemat import (
 )
 from splinemat import cli
 from splinemat import curve as curve_module
-from splinemat.curve import _CHUNK, _horner
+from splinemat.curve import _CHUNK
+from splinemat.polytoeplitz import horner
 
 
 def clamped(degree, interior, last):
@@ -61,6 +62,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             SplineCurve(3, KnotVector.uniform(8), [0, 1, float("nan"), 3])
 
+    def test_int_coordinate_beyond_float_range_is_a_value_error(self):
+        for points in ([[10 ** 400], [1]], [10 ** 400, 1], [[1, -10 ** 400], [1, 2]]):
+            with pytest.raises(ValueError, match="control points must be finite"):
+                SplineCurve(1, KnotVector([0, 1, 2, 3]), points)
+
     def test_one_dimensional_points_get_a_column(self):
         assert CUBIC.points.shape == (4, 1)
         assert CUBIC.dim == 1 and CUBIC.count == 4
@@ -97,6 +103,17 @@ class TestEvaluationPaths:
                 CUBIC.eval_coxdeboor(tau)
             with pytest.raises(DomainError):
                 CUBIC.eval_cumulative(tau)
+
+    @pytest.mark.parametrize("storage", ["rational", "float"])
+    def test_degenerate_domain_rejected_by_every_path(self, storage):
+        kv = KnotVector([0, 0, 0, 1])
+        curve = SplineCurve(1, kv if storage == "rational" else kv.as_float(), [[1.0], [2.0]])
+        paths = (curve.eval_coxdeboor, curve.eval_matrix, curve.eval_cumulative,
+                 lambda t: curve.evaluate([t]), lambda t: curve.eval_derivative(t, 1))
+        for tau in (0, 0.0, Fraction(0), 1.0, -1):
+            for path in paths:
+                with pytest.raises(DomainError, match="is degenerate"):
+                    path(tau)
 
     def test_clamped_curve_interpolates_endpoints(self):
         curve = SplineCurve(3, clamped(3, [1, 2], 3), [[0, 0], [1, 2], [3, 1], [4, 4], [5, 0], [6, 3]])
@@ -484,11 +501,11 @@ class TestFloatConstruction:
                     continue
                 m = general_basis_matrix(exact_kv, degree, j)
                 for kind, exact in (("m", m), ("c", cumulative_matrix(m))):
-                    rows = curve._centred_rows(kind, j)
+                    rows = curve._rows(kind, [j])[0]
                     assert rows.shape == (degree + 1, degree + 1)
-                    want = _horner(np.array(centred(exact).as_float_rows()), u - 0.5, 0)
-                    assert np.abs(_horner(rows, u - 0.5, 0) - want).max() <= 1e-12
-                basis = _horner(curve._centred_rows("m", j), u - 0.5, 0)
+                    want = horner(np.array(centred(exact).as_float_rows()), (u - 0.5)[:, None])
+                    assert np.abs(horner(rows, (u - 0.5)[:, None]) - want).max() <= 1e-12
+                basis = horner(curve._rows("m", [j])[0], (u - 0.5)[:, None])
                 assert np.abs(basis.sum(axis=1) - 1.0).max() <= 1e-12
 
 
@@ -535,8 +552,8 @@ class TestExactRows:
         curve = SplineCurve(degree, kv, np.zeros((len(kv.values) - degree - 1, 1)))
         for j in positive_spans(kv, degree):
             m = general_basis_matrix(kv, degree, j)
-            assert same_bits(curve._centred_rows("m", j), centred(m).as_float_rows())
-            assert same_bits(curve._centred_rows("c", j),
+            assert same_bits(curve._rows("m", [j])[0], centred(m).as_float_rows())
+            assert same_bits(curve._rows("c", [j])[0],
                              centred(cumulative_matrix(m)).as_float_rows())
             assert curve._exact_matrix(j).entries == centred(m).entries
 
@@ -689,7 +706,7 @@ class TestConcurrency:
         assert np.array_equal(fresh.evaluate(every), serial.evaluate(every))
         for j in spans:
             for kind in "mc":
-                assert same_bits(fresh._centred_rows(kind, j), serial._centred_rows(kind, j))
+                assert same_bits(fresh._rows(kind, [j])[0], serial._rows(kind, [j])[0])
         assert serial.stats()["spans_built"] == len(spans)
         # a racing fill may build a span twice, but a block is counted once
         assert fresh.stats()["spans_built"] >= len(spans)
@@ -728,7 +745,7 @@ class TestConcurrency:
                 assert np.array_equal(a, b) and np.array_equal(da, db)
         for j in spans:
             for kind in "mc":
-                assert same_bits(fresh._centred_rows(kind, j), serial._centred_rows(kind, j))
+                assert same_bits(fresh._rows(kind, [j])[0], serial._rows(kind, [j])[0])
         assert serial.stats()["spans_built"] == 9
         # every span is filled by one thread: a lost update would break the sum
         stats = fresh.stats()

@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from splinemat import PowerPoly, SizeError, poly_mul, toeplitz_from_poly
+from splinemat.polytoeplitz import horner
 
 
 def convolve(a, b):
@@ -32,6 +34,30 @@ class TestPowerPoly:
         p = PowerPoly((1, -2, 1))  # (1 - x)^2
         assert p(Fraction(1, 2)) == Fraction(1, 4)
         assert p(1) == 0
+
+
+class TestHorner:
+    @pytest.mark.parametrize("degree", range(11))
+    def test_batch_equals_scalar_bit_for_bit(self, degree):
+        rng = np.random.default_rng(degree)
+        n, d = 37, 3
+        stack = rng.normal(0.0, 10.0, (degree + 1, n, d))
+        stack[:, 0] = 0.0  # all-zero coefficients keep the sign of zero
+        stack[:, 1] = -0.0
+        x = rng.uniform(-0.5, 0.5, (n, 1))
+        x[2] = 0.0
+        got = horner(stack, x)
+        want = [[horner(stack[:, i, c].tolist(), float(x[i, 0])) for c in range(d)]
+                for i in range(n)]
+        assert got.shape == (n, d) and got.tobytes() == np.array(want).tobytes()
+
+    def test_exact_arguments_stay_exact(self):
+        coeffs = [Fraction(1, 3), -2, Fraction(5, 7)]
+        got = horner(coeffs, Fraction(-3, 2))
+        assert type(got) is Fraction and got == Fraction(1, 3) + 3 + Fraction(5, 7) * Fraction(9, 4)
+        assert type(horner([1, -2, 5], 3)) is int and horner([1, -2, 5], 3) == 40
+        assert type(horner([1, -2, 5], Fraction(1, 2))) is Fraction
+        assert horner([], 3) == 0
 
 
 class TestToeplitz:
