@@ -126,9 +126,7 @@ def load_spline(path: str) -> SplineCurve:
             raise ValueError("uniform knot count %d exceeds cap %d" % (count, MAX_KNOTS))
         kv = KnotVector.uniform(count, start=start, step=delta)
     elif isinstance(knots_spec, list):
-        if len(knots_spec) > MAX_KNOTS:
-            raise ValueError("knot count %d exceeds cap %d" % (len(knots_spec), MAX_KNOTS))
-        kv = KnotVector([_parse_scalar(v) for v in knots_spec])
+        kv = _knot_list(knots_spec)
     else:
         raise ValueError("knots must be a list or a {start, delta, count} object")
     if not isinstance(points, list) or not points:
@@ -154,18 +152,20 @@ def save_spline(path: str, curve: SplineCurve) -> None:
 
 
 def load_knots(path: str) -> KnotVector:
-    """Knot file: a JSON array, or an object with a 'knots' array.
-
-    The knot count may not exceed ``MAX_KNOTS``.
-    """
+    """Knot file: a JSON array, or an object with a 'knots' array (see ``_knot_list``)."""
     data = _read_json(path)
     if isinstance(data, dict):
         data = data.get("knots")
     if not isinstance(data, list):
         raise ValueError("knots file must hold a JSON array (or {'knots': [...]})")
-    if len(data) > MAX_KNOTS:
-        raise ValueError("knot count %d exceeds cap %d" % (len(data), MAX_KNOTS))
-    return KnotVector([_parse_scalar(v) for v in data])
+    return _knot_list(data)
+
+
+def _knot_list(values: list) -> KnotVector:
+    """A JSON list of knots, at most ``MAX_KNOTS`` of them."""
+    if len(values) > MAX_KNOTS:
+        raise ValueError("knot count %d exceeds cap %d" % (len(values), MAX_KNOTS))
+    return KnotVector([_parse_scalar(v) for v in values])
 
 
 def matrix_payload(m, cumulative: bool) -> dict:

@@ -48,7 +48,7 @@ _CHUNK = 1024
 
 @dataclass(frozen=True)
 class _FloatKnots:
-    """Float tables for span lookup, built once per curve."""
+    """Float tables for span lookup and the oracle's knots, built with the curve."""
 
     values: np.ndarray  # float copy of the knots
     # float(exact width) per span, so that u matches ``normalize`` bit for
@@ -61,6 +61,7 @@ class _FloatKnots:
     # may compare differently with the float than with the exact knot, so it
     # takes the exact lookup.
     inexact: np.ndarray
+    oracle: KnotVector  # the knots the recursion runs on at a float tau
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,6 +81,7 @@ class SplineCurve:
     knots: KnotVector
     points: np.ndarray
     _cache: dict = field(default_factory=dict, repr=False)
+    _view: _FloatKnots = field(init=False, repr=False)
 
     def __init__(self, degree: int, knots: KnotVector, points):
         if degree < 0:
@@ -105,6 +107,7 @@ class SplineCurve:
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "_view", _float_view(knots, degree))
         # spans and seconds built, and window-hit spans, per fill; appends
         # lose no count between threads
         object.__setattr__(self, "_cache", {"builds": [], "hits": []})
@@ -152,7 +155,7 @@ class SplineCurve:
         """
         if self.knots.storage == "float":
             start = time.perf_counter()
-            cols, den = float_span_columns(self._float_knots().values, self.degree, spans)
+            cols, den = float_span_columns(self._view.values, self.degree, spans)
             self._cache["builds"].append((len(spans), time.perf_counter() - start))
             return [(c, den) for c in cols]
         windows = [knot_window(self.knots.values, self.degree, j) for j in spans]
@@ -235,25 +238,6 @@ class SplineCurve:
                 "build_s": math.fsum(s for _, s in builds),
                 "spans_touched": sum(len(b) if b.ndim == 3 else 1 for b in blocks)}
 
-    def _float_knots(self) -> _FloatKnots:
-        fk = self._cache.get("f")
-        if fk is None:
-            vals = self.knots.values
-            lo, hi = self.domain
-            values = np.array([_to_float(v) for v in vals])
-            widths = np.array([_to_float(b - a) for a, b in zip(vals, vals[1:])])
-            widths[np.isinf(widths)] = np.nan
-            fk = _FloatKnots(
-                values=values,
-                widths=widths,
-                lo=_to_float(lo),
-                hi=_to_float(hi),
-                last=find_span(self.knots, self.degree, hi) if lo < hi else -1,
-                inexact=values[[f != v for f, v in zip(values.tolist(), vals)]],
-            )
-            self._cache["f"] = fk
-        return fk
-
     def _locate(self, taus) -> tuple:
         """Span index and span-normalised parameter for each tau.
 
@@ -264,8 +248,8 @@ class SplineCurve:
         arr = np.asarray(taus)
         if arr.ndim != 1:
             raise ValueError("taus must be a 1-D sequence")
-        fk = self._float_knots()
-        if arr.dtype.kind == "f":
+        fk = self._view
+        if np.issubdtype(arr.dtype, np.floating):
             tau = arr.astype(float, copy=False)
             exact = np.isin(tau, fk.inexact) if fk.inexact.size else np.zeros(tau.shape, bool)
             inside = ((tau >= fk.lo) & (tau <= fk.hi)) | exact
@@ -321,7 +305,7 @@ class SplineCurve:
         if order:
             # repeated products, as in _point, not a pow() that numpy and
             # Python may round differently
-            out /= math.prod([self._float_knots().widths[spans]] * order)[:, None]
+            out /= math.prod([self._view.widths[spans]] * order)[:, None]
         return out
 
     def _point(self, tau, kind: str, order: int = 0) -> np.ndarray:
@@ -333,7 +317,7 @@ class SplineCurve:
         domain that is no inexact knot takes one ``searchsorted``; any other
         tau goes through ``_locate``, with its errors.
         """
-        fk = self._float_knots()
+        fk = self._view
         u = math.nan
         if (isinstance(tau, float) and fk.lo <= tau <= fk.hi and fk.last >= 0
                 and not (fk.inexact.size and tau in fk.inexact)):
@@ -374,7 +358,7 @@ class SplineCurve:
         float tau is beyond the float range.
         """
         self._check_tau(tau)
-        kv = self._oracle_knots(tau)
+        kv = self._view.oracle if isinstance(tau, float) else self.knots
         try:
             weights = coxdeboor.basis_values(kv, 0, self.count - 1, self.degree, tau)
         except OverflowError:
@@ -385,27 +369,6 @@ class SplineCurve:
             if w:
                 out += float(w) * p
         return out
-
-    def _oracle_knots(self, tau) -> KnotVector:
-        """The knots the recursion runs on for ``tau``.
-
-        A float tau on rational knots that are all exact doubles, over a
-        range finite in floats, gets the float copy of the knots, with the
-        same result bit for bit: Fraction-float arithmetic already rounds
-        the knot (or the exact knot difference, which then equals the
-        rounded float difference) and runs in floats, and the comparisons
-        and zero tests are exact either way.  Every other case keeps the
-        knots as stored.
-        """
-        if not isinstance(tau, float) or self.knots.storage != "rational":
-            return self.knots
-        kv = self._cache.get("o")
-        if kv is None:
-            fk = self._float_knots()
-            exact = not fk.inexact.size and math.isfinite(
-                float(fk.values[-1]) - float(fk.values[0]))
-            kv = self._cache.setdefault("o", self.knots.as_float() if exact else self.knots)
-        return kv
 
     def eval_matrix(self, tau) -> np.ndarray:
         """Span lookup, parameter normalization, basis matrix times local points."""
@@ -439,21 +402,43 @@ class SplineCurve:
         """``sample``'s parameters and points as arrays, (n,) and (n, d)."""
         if n < 2:
             raise ValueError("need at least 2 samples")
-        lo, hi = self.domain
-        if not lo < hi:
-            raise DomainError("evaluable domain [%s, %s] is degenerate" % (lo, hi))
-        lo_f, hi_f = _to_float(lo), _to_float(hi)
-        if not math.isfinite(hi_f - lo_f):
+        fk = self._view
+        if fk.last < 0:
+            self._check_tau(fk.lo)  # raises: the domain is degenerate
+        if not math.isfinite(fk.hi - fk.lo):
             raise DomainError("evaluable domain width is beyond the float range")
-        grid = np.clip(np.linspace(lo_f, hi_f, n), lo_f, hi_f)
+        grid = np.clip(np.linspace(fk.lo, fk.hi, n), fk.lo, fk.hi)
         # Rounding an exact bound to float may step just outside the domain;
         # parameters that landed there are evaluated at the exact bound.
-        edge = ((grid == lo_f) & (lo_f < lo)) | ((grid == hi_f) & (hi_f > hi))
+        lo, hi = self.domain
+        edge = ((grid == fk.lo) & (fk.lo < lo)) | ((grid == fk.hi) & (fk.hi > hi))
         points = np.empty((n, self.dim))
         points[~edge] = self.evaluate(grid[~edge])
         if edge.any():
             points[edge] = self.evaluate([lo if t < lo else hi for t in grid[edge].tolist()])
         return grid, points
+
+
+def _float_view(knots: KnotVector, degree: int) -> _FloatKnots:
+    """The float tables of a degree-``degree`` curve over ``knots``.
+
+    The oracle's knots are the float copy if every knot is a double and
+    their range is finite in floats, else the stored knots.  The copy gives
+    the same result at a float tau bit for bit: Fraction-float arithmetic
+    already rounds the knot (or the exact knot difference, which then
+    equals the rounded float difference) and runs in floats, and the
+    comparisons and zero tests are exact either way.
+    """
+    vals = knots.values
+    lo, hi = knots.domain(degree)
+    values = np.array([_to_float(v) for v in vals])
+    widths = np.array([_to_float(b - a) for a, b in zip(vals, vals[1:])])
+    widths[np.isinf(widths)] = np.nan
+    inexact = values[[f != v for f, v in zip(values.tolist(), vals)]]
+    exact = not inexact.size and math.isfinite(float(values[-1]) - float(values[0]))
+    return _FloatKnots(values=values, widths=widths, lo=_to_float(lo), hi=_to_float(hi),
+                       last=find_span(knots, degree, hi) if lo < hi else -1,
+                       inexact=inexact, oracle=knots.as_float() if exact else knots)
 
 
 def _to_float(x) -> float:

@@ -166,6 +166,15 @@ class TestSampleCommand:
         want = "tau,x0,x1\n" + "".join("%.17g,%.17g,%.17g\n" % ((t,) + tuple(p)) for t, p in rows)
         assert out.read_bytes() == want.encode()
 
+    def test_bounds_that_round_outward_write_the_exact_bound_values(self, tmp_path):
+        path = tmp_path / "spline.json"
+        path.write_text(json.dumps({"degree": 1, "knots": [0, "1/3", "1/2", "11/10", 2],
+                                    "control_points": [[0.0], [1.0], [3.0]]}))
+        out = tmp_path / "samples.csv"
+        assert main(["sample", str(path), "-n", "5", "-o", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[1] == "%.17g,0" % (1 / 3) and lines[-1] == "%.17g,3" % 1.1
+
     def test_unwritable_output_exits_three(self, tmp_path):
         spline = write_cubic_spline(tmp_path / "c.json")
         assert main(["sample", spline, "-n", "3", "-o", str(tmp_path / "no" / "dir.csv")]) == 3

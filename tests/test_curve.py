@@ -199,7 +199,7 @@ class TestOracleKnots:
             lo, hi = (float(v) for v in curve.domain)
             taus = [float(v) for v in kv.values if lo <= v <= hi]
             taus += [rng.uniform(lo, hi) for _ in range(10)]
-            assert curve._oracle_knots(lo).storage == "float"
+            assert curve._view.oracle.storage == "float"
             for tau in taus:
                 assert (curve.eval_coxdeboor(tau) == fraction_reference(curve, tau)).all()
 
@@ -210,11 +210,22 @@ class TestOracleKnots:
         tau = float(third)
         got = curve.eval_coxdeboor(tau)
         assert (got == fraction_reference(curve, tau)).all()
-        assert curve._oracle_knots(tau) is curve.knots
+        assert curve._view.oracle is curve.knots
         # float(1/3) lies left of the knot 1/3 but on the rounded knot itself,
         # so a float copy of these knots gives another last bit
         as_float = SplineCurve(1, curve.knots.as_float(), curve.points)
         assert (as_float.eval_coxdeboor(tau) != got).all()
+
+    def test_knot_range_beyond_float_range_keeps_the_fractions(self):
+        # every knot is a double, but their range overflows one: a float
+        # copy of these knots is no valid KnotVector, so the oracle keeps them
+        big = 2 ** 1023
+        curve = SplineCurve(1, KnotVector([-big, -big, 0, 1, big, big]),
+                            [[0.0], [1.0], [2.0], [3.0]])
+        assert curve._view.oracle is curve.knots
+        got = curve.eval_coxdeboor(0.5)
+        assert (got == fraction_reference(curve, 0.5)).all()
+        assert (got == curve.eval_matrix(0.5)).all() and got.tolist() == [1.5]
 
     def test_knot_differences_beyond_float_range_raise_domain_error(self):
         curve = SplineCurve(1, KnotVector([0, 0, 10 ** 400, 10 ** 400]), [[0.0], [1.0]])
@@ -358,6 +369,16 @@ class TestSample:
         rows = curve.sample(7)
         assert len(rows) == 7
         assert rows[0][0] == pytest.approx(1 / 3) and rows[-1][0] == pytest.approx(2 / 3)
+
+    def test_bounds_that_round_outward_take_the_exact_bound_values(self):
+        # float(1/3) < 1/3 and float(11/10) > 11/10: both end samples lie
+        # outside the domain in floats and are evaluated at the exact bounds
+        kv = KnotVector([0, Fraction(1, 3), Fraction(1, 2), Fraction(11, 10), 2])
+        curve = SplineCurve(1, kv, [[0.0], [1.0], [3.0]])
+        rows = curve.sample(5)
+        want = curve.evaluate([Fraction(1, 3), Fraction(11, 10)])
+        assert rows[0][1].tolist() == want[0].tolist() == [0.0]
+        assert rows[-1][1].tolist() == want[1].tolist() == [3.0]
 
 
 def centred(m):

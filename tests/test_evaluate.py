@@ -252,7 +252,7 @@ def test_span_cache_grows_with_touched_spans_only():
     n = len(kv.values) - 4
     curve = SplineCurve(3, kv, np.zeros((n, 1)))
     full = (len(kv.values) - 1) * 4 * 4 * 8
-    curve.evaluate([10.5])  # builds the float knot tables
+    curve.evaluate([10.5])  # first use, outside the trace
     tracemalloc.start()
     try:
         curve.evaluate([1000.5])
