@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import re
 import sys
@@ -253,9 +254,17 @@ def _relative_gaps(a, b) -> np.ndarray:
 
 
 def _column_sums_ok(m: BasisMatrix) -> bool:
-    n = m.degree + 1
-    sums = [sum(m.entries[r][c] for c in range(n)) for r in range(n)]
-    return sums[0] == 1 and all(s == 0 for s in sums[1:])
+    """Row 0 of the exact entries sums to 1 and every other row to 0.
+
+    Each row is summed in ints, its numerators scaled to their common
+    denominator, which row 0 must then equal.
+    """
+    for r, row in enumerate(m.entries):
+        den = math.lcm(*(v.denominator for v in row))
+        total = sum(v.numerator * (den // v.denominator) for v in row)
+        if total != (den if r == 0 else 0):
+            return False
+    return True
 
 
 def _check_knot_vectors(degree: int):
@@ -295,7 +304,7 @@ def run_check(degree_max: int, trials: int, seed: int, out=None) -> int:
             lo, hi = (float(v) for v in curve.domain)
             taus = [rng.uniform(lo, hi) for _ in range(trials)]
             # the recursion and the cumulative form are the scalar paths under test
-            a = np.array([curve.eval_coxdeboor(t) for t in taus])
+            a = curve._coxdeboor(taus)
             b = curve.evaluate(taus)
             c = np.array([curve.eval_cumulative(t) for t in taus])
             gaps += [_relative_gaps(a, b), _relative_gaps(a, c), _relative_gaps(b, c)]

@@ -45,6 +45,11 @@ from .polytoeplitz import horner
 # O(_CHUNK * (k+1)^2) more in a pass that builds the matrices of new spans.
 _CHUNK = 1024
 
+# Table entries per pass of ``_coxdeboor``: a pass runs the recursion for
+# max(1, _TABLE_ENTRIES // (N + k)) parameters, so its scratch memory is
+# O(_TABLE_ENTRIES) values whatever the number of parameters and of points.
+_TABLE_ENTRIES = 1 << 16
+
 
 @dataclass(frozen=True)
 class _FloatKnots:
@@ -251,10 +256,8 @@ class SplineCurve:
         fk = self._view
         if np.issubdtype(arr.dtype, np.floating):
             tau = arr.astype(float, copy=False)
-            exact = np.isin(tau, fk.inexact) if fk.inexact.size else np.zeros(tau.shape, bool)
-            inside = ((tau >= fk.lo) & (tau <= fk.hi)) | exact
-            if not inside.all() or fk.last < 0 and tau.size:
-                # the domain's error, degenerate first, for the first tau outside
+            inside, exact = self._inside(tau)
+            if not inside.all():
                 self._check_tau(float(tau[inside.argmin()]))
             # Piegl & Tiller A2.1 (FindSpan) over the whole batch
             spans = np.searchsorted(fk.values, tau, side="right") - 1
@@ -273,6 +276,23 @@ class SplineCurve:
             raise DomainError("tau %s lies in a span too wide for float evaluation"
                               % arr[wide][0])
         return spans, u
+
+    def _inside(self, tau: np.ndarray) -> tuple:
+        """``(inside, exact)`` masks of a float batch: in the domain, equal to an inexact knot.
+
+        The float bounds decide for every tau but one equal to the float of
+        a knot a double cannot hold; the exact bounds decide for those.  No
+        tau is inside a degenerate domain, so ``_check_tau`` of the first
+        tau not inside raises the domain's error.
+        """
+        fk = self._view
+        inside = (tau >= fk.lo) & (tau <= fk.hi) & (fk.last >= 0)
+        if not fk.inexact.size:
+            return inside, np.zeros(tau.shape, bool)
+        exact = np.isin(tau, fk.inexact)
+        lo, hi = self.domain
+        inside[exact] = [lo <= t <= hi and fk.last >= 0 for t in tau[exact].tolist()]
+        return inside, exact
 
     def _span_blocks(self, kind: str, spans: np.ndarray) -> np.ndarray:
         """The blocks of ``spans``, looked up once per distinct span.
@@ -370,6 +390,46 @@ class SplineCurve:
                 out += float(w) * p
         return out
 
+    def _coxdeboor(self, taus) -> np.ndarray:
+        """``eval_coxdeboor`` at a 1-D sequence of parameters, as an (n, d) array.
+
+        The domain is checked once for the batch; ``coxdeboor.basis_table``
+        then runs in passes of about ``_TABLE_ENTRIES`` entries, and each
+        weight column that holds a nonzero weight is added times its point
+        in basis-index order.  Equal bit for bit to the stacked
+        ``eval_coxdeboor(tau)``, and raises its error at the first tau that
+        fails.
+        """
+        arr = np.asarray(taus)
+        if arr.ndim != 1:
+            raise ValueError("taus must be a 1-D sequence")
+        values = arr.tolist()
+        if np.issubdtype(arr.dtype, np.floating):
+            inside = self._inside(arr.astype(float, copy=False))[0]
+            kv = self._view.oracle
+        else:
+            lo, hi = self.domain
+            inside = np.array([lo < hi and lo <= t <= hi for t in values], bool)
+            kv = self.knots
+        stop = len(values) if inside.all() else int(inside.argmin())
+        out = np.zeros((len(values), self.dim))
+        step = max(1, _TABLE_ENTRIES // (self.count + self.degree))
+        for start in range(0, stop, step):
+            part = values[start:min(start + step, stop)]
+            try:
+                table = coxdeboor.basis_table(kv, 0, self.count - 1, self.degree, part)
+            except OverflowError:
+                for tau in part:  # the error of the first tau that fails
+                    self.eval_coxdeboor(tau)
+                raise
+            weights = table.astype(float, copy=False)
+            rows = out[start:start + len(part)]
+            for i in np.flatnonzero(weights.any(axis=0)).tolist():
+                rows += weights[:, i, None] * self.points[i]
+        if stop < len(values):
+            self._check_tau(values[stop])
+        return out
+
     def eval_matrix(self, tau) -> np.ndarray:
         """Span lookup, parameter normalization, basis matrix times local points."""
         return self._point(tau, "m")
@@ -431,22 +491,32 @@ def _float_view(knots: KnotVector, degree: int) -> _FloatKnots:
     """
     vals = knots.values
     lo, hi = knots.domain(degree)
-    values = np.array([_to_float(v) for v in vals])
-    widths = np.array([_to_float(b - a) for a, b in zip(vals, vals[1:])])
+    if knots.storage == "float":
+        values = np.array(vals)
+        widths = np.diff(values)
+        inexact = values[:0]
+    else:
+        # in ints: int / int rounds correctly, as float(Fraction) does
+        ratios = [(v.numerator, v.denominator) for v in vals]
+        values = np.array([_quotient(n, d) for n, d in ratios])
+        widths = np.array([_quotient(nb * da - na * db, da * db)
+                           for (na, da), (nb, db) in zip(ratios, ratios[1:])])
+        inexact = values[[not math.isfinite(f) or f.as_integer_ratio() != r
+                          for f, r in zip(values.tolist(), ratios)]]
     widths[np.isinf(widths)] = np.nan
-    inexact = values[[f != v for f, v in zip(values.tolist(), vals)]]
     exact = not inexact.size and math.isfinite(float(values[-1]) - float(values[0]))
-    return _FloatKnots(values=values, widths=widths, lo=_to_float(lo), hi=_to_float(hi),
+    return _FloatKnots(values=values, widths=widths,
+                       lo=float(values[degree]), hi=float(values[-degree - 1]),
                        last=find_span(knots, degree, hi) if lo < hi else -1,
                        inexact=inexact, oracle=knots.as_float() if exact else knots)
 
 
-def _to_float(x) -> float:
-    """float(x), or a signed infinity where x is beyond the float range."""
+def _quotient(n: int, d: int) -> float:
+    """n / d for ints, d > 0, or a signed infinity where it is beyond the float range."""
     try:
-        return float(x)
+        return n / d
     except OverflowError:
-        return math.inf if x > 0 else -math.inf
+        return math.inf if n > 0 else -math.inf
 
 
 def _derivative_rows(rows: np.ndarray, order: int) -> np.ndarray:

@@ -211,10 +211,13 @@ class TestCheckCommand:
         assert main(["check", "--degree-max", "0"]) == 0
         assert "no degrees to check" in capsys.readouterr().out
 
-    def test_corrupted_matrix_detected(self, capsys, monkeypatch):
+    # row 0 must sum to 1, row 2 to 0
+    @pytest.mark.parametrize("row, col", [(0, 0), (2, 1)])
+    def test_corrupted_matrix_detected(self, capsys, monkeypatch, row, col):
         def broken(degree):
-            entries = [list(row) for row in uniform_basis_matrix(degree).entries]
-            entries[0][0] += Fraction(1, 10 ** 6)
+            entries = [list(line) for line in uniform_basis_matrix(degree).entries]
+            if row <= degree:
+                entries[row][col] += Fraction(1, 10 ** 6)
             return BasisMatrix(degree=degree, entries=tuple(map(tuple, entries)))
 
         monkeypatch.setattr(cli, "uniform_basis_matrix", broken)
@@ -235,8 +238,8 @@ class TestCheckCommand:
         assert cli.run_check(4, 3, 1, out=io.StringIO()) == 0
         assert len(calls) == 5 * 4 and all(kv.is_uniform for kv in calls)
 
-    def test_worst_matches_scalar_recomputation(self):
-        degree_max, trials, seed = 4, 12, 9
+    @pytest.mark.parametrize("degree_max, trials, seed", [(4, 12, 9), (10, 30, 3)])
+    def test_worst_matches_scalar_recomputation(self, degree_max, trials, seed):
         out = io.StringIO()
         assert cli.run_check(degree_max, trials, seed, out=out) == 0
         printed = re.findall(r"max relative error (\S+)", out.getvalue())

@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from splinemat import DomainError, KnotVector, basis, basis0, cumulative_basis
-from splinemat.coxdeboor import basis_values
+from splinemat.coxdeboor import basis_table, basis_values
 
 
 def clamped(degree, interior, last):
@@ -152,12 +153,31 @@ def random_knots(rng, degree):
     return KnotVector(values)
 
 
+def assert_rows_equal_basis_values(kv, degree, taus):
+    """``basis_table`` row i is ``basis_values`` at taus[i].
+
+    Bit for bit when the table is float64, else in value and type.
+    """
+    last = len(kv.values) - degree - 2
+    table = basis_table(kv, 0, last, degree, taus)
+    assert table.shape == (len(taus), last + 1)
+    floats = kv.storage == "float" and all(isinstance(t, float) for t in taus)
+    assert table.dtype == (float if floats else object)
+    for row, tau in zip(table, taus):
+        want = basis_values(kv, 0, last, degree, tau)
+        if floats:
+            assert row.tobytes() == np.array(want, dtype=float).tobytes(), (kv, degree, tau)
+        else:
+            assert [(v, type(v)) for v in row] == [(v, type(v)) for v in want], (kv, degree, tau)
+
+
 class TestSharedTriangle:
     @pytest.mark.parametrize("degree", range(9))
     def test_entries_equal_one_table_per_function(self, degree):
         rng = random.Random(40 + degree)
-        for _ in range(5):
-            kv = random_knots(rng, degree)
+        # a domain ending at a knot of multiplicity k + 1 that a larger knot follows
+        closed = KnotVector([0] * (degree + 1) + [1, 2] + [3] * (degree + 1) + [4])
+        for kv in [random_knots(rng, degree) for _ in range(5)] + [closed, closed.as_float()]:
             m = len(kv.values)
             last = m - degree - 2
             if last < 0:
@@ -165,6 +185,9 @@ class TestSharedTriangle:
             # every knot, the domain ends among them, exactly and as a float
             taus = [t for v in sorted(set(kv.values)) for t in (Fraction(v), float(v))]
             taus.append(Fraction(kv.values[degree] + kv.values[m - degree - 1]) / 2 + Fraction(1, 3))
+            for batch in (taus, [t for t in taus if isinstance(t, float)],
+                          [t for t in taus if not isinstance(t, float)]):
+                assert_rows_equal_basis_values(kv, degree, batch)
             for tau in taus:
                 row = basis_values(kv, 0, last, degree, tau)
                 assert len(row) == last + 1
@@ -183,6 +206,19 @@ class TestSharedTriangle:
             basis_values(KV8, 0, 4, 3, 3.0)
         with pytest.raises(IndexError):
             basis_values(KV8, 2, 1, 3, 3.0)
+        with pytest.raises(IndexError):
+            basis_table(KV8, 0, 4, 3, [3.0])
+
+    def test_table_rejects_the_first_non_finite_parameter(self):
+        with pytest.raises(DomainError, match="got inf"):
+            basis_table(KV8, 0, 3, 3, [3.5, float("inf"), float("nan")])
+        assert basis_table(KV8, 0, 3, 3, []).shape == (0, 4)
+
+    def test_table_overflows_as_python_floats(self):
+        # the subnormal first span makes (tau - 0) / 5e-324 overflow where
+        # B_0 vanishes; Python floats give inf * 0 = nan, without a warning
+        kv = KnotVector([0.0, 5e-324, 1.0, 2.0, 3.0])
+        assert_rows_equal_basis_values(kv, 1, [0.5, 1.5])
 
 
 class TestDomainEnd:

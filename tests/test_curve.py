@@ -232,6 +232,12 @@ class TestOracleKnots:
         with pytest.raises(DomainError, match="beyond the float range"):
             curve.eval_coxdeboor(1.0)
         assert curve.eval_coxdeboor(Fraction(1)) == pytest.approx([0.0])
+        # the batch raises the error of the first tau that fails
+        with pytest.raises(DomainError, match="tau 1.0 needs knot differences"):
+            curve._coxdeboor([Fraction(1), 1.0, -1])
+        with pytest.raises(DomainError, match="tau 1.0 needs knot differences"):
+            curve._coxdeboor([1.0, -1.0])
+        assert curve._coxdeboor([Fraction(1)]).tolist() == [[0.0]]
 
 
 class TestGeometricProperties:

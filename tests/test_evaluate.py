@@ -136,6 +136,7 @@ def test_evaluate_agrees_with_recursion(case):
             continue
         got = curve.evaluate(np.array(batch, dtype=float if isinstance(batch[0], float) else object))
         ref = np.array([curve.eval_coxdeboor(t) for t in batch])
+        assert curve._coxdeboor(batch).tobytes() == ref.tobytes()
         assert got.shape == (len(batch), curve.dim)
         assert row_gaps(got, ref).max() <= 1e-10
         cumulative = np.array([curve.eval_cumulative(t) for t in batch])
@@ -168,6 +169,7 @@ def test_domain_error_exactly_where_check_tau_rejects(case):
     for t in taus:
         assert rejects(curve.evaluate, [t]) == rejects(curve._check_tau, t)
         assert rejects(curve.eval_cumulative, t) == rejects(curve._check_tau, t)
+        assert rejects(curve._coxdeboor, [t]) == rejects(curve._check_tau, t)
     floats = [t for t in taus if isinstance(t, float)]
     if floats:
         any_bad = any(rejects(curve._check_tau, t) for t in floats)
@@ -215,6 +217,10 @@ def test_inexact_bounds_fall_back_to_exact_lookup():
     assert float(third) < third and float(2 * third) < 2 * third
     with pytest.raises(DomainError):
         curve.evaluate([float(third)])
+    # a batch names the first tau outside, whichever bounds decide it
+    for batch_path in (curve.evaluate, curve._coxdeboor):
+        with pytest.raises(DomainError, match="0.3333333333333333 not in"):
+            batch_path([float(third), 0.0])
     assert curve.evaluate([float(2 * third)])[0, 0] == pytest.approx(1.0, abs=1e-15)
     assert curve.evaluate([third, 2 * third]).tolist() == [[0.0], [1.0]]
 
@@ -268,6 +274,27 @@ def test_span_cache_grows_with_touched_spans_only():
                               ("m", find_span(kv, 3, 1000.5))]
     assert all(block.shape == (4, 1) for block in blocks.values())
     assert curve.stats()["spans_touched"] == 3
+
+
+def test_recursion_batch_memory_is_bounded_by_its_passes():
+    import tracemalloc
+
+    # the curve above: one table for every tau would hold 4096 * 20003
+    # entries (655 MB)
+    kv = KnotVector([float(v) for v in accumulate([0] + [1, 2] * 10_000)])
+    n = len(kv.values) - 4
+    curve = SplineCurve(3, kv, np.arange(n, dtype=float)[:, None])
+    lo, hi = (float(v) for v in curve.domain)
+    taus = np.linspace(lo, hi, 4096)
+    tracemalloc.start()
+    try:
+        got = curve._coxdeboor(taus)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+    for i in (0, 1, 2047, 4095):
+        assert got[i].tobytes() == curve.eval_coxdeboor(float(taus[i])).tobytes()
 
 
 def wide_span_knots(k, width):
