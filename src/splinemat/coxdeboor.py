@@ -44,9 +44,10 @@ def basis_values(kv: KnotVector, first: int, last: int, degree: int, tau) -> lis
     The whole-range form of Piegl & Tiller's BasisFuns: the degree-0
     indicators of spans first..last+k are raised one degree at a time, so
     a call costs O((last - first + 1 + k) * k) and each value takes the
-    same operations as in a table of its own.  A term whose denominator
-    vanishes is dropped: the subordinate function it weights has no support
-    there, which is the working form of the 0/0 = 0 convention.
+    same operations as in a table of its own.  A term whose lower-degree
+    value is zero is dropped, the working form of the 0/0 = 0 convention:
+    a nonzero value puts tau inside that function's support, so the
+    term's denominator is positive and its ratio at most 1.
 
     At the right end of the evaluable domain, tau_{M-k-1}, the degree-0
     row is the last span of positive width, the span ``find_span`` takes
@@ -54,14 +55,7 @@ def basis_values(kv: KnotVector, first: int, last: int, degree: int, tau) -> lis
     larger knot follows.
     """
     vals = kv.values
-    if degree < 0:
-        raise ValueError("degree must be non-negative")
-    if not 0 <= first <= last <= len(vals) - degree - 2:
-        raise IndexError(
-            "basis index %d out of range for degree %d with %d knots" % (first, degree, len(vals))
-        )
-    if isinstance(tau, float) and not math.isfinite(tau):
-        raise DomainError("tau must be finite, got %r" % tau)
+    _check_arguments(kv, first, last, degree, [tau])
     spans = range(first, last + degree + 1)
     end = len(vals) - degree - 1
     if tau == vals[end] < vals[-1] and vals[degree] < vals[end]:
@@ -73,12 +67,10 @@ def basis_values(kv: KnotVector, first: int, last: int, degree: int, tau) -> lis
         for s in range(len(row) - k):
             g = first + s
             acc = 0
-            den = vals[g + k] - vals[g]
-            if den != 0:
-                acc += (tau - vals[g]) / den * row[s]
-            den = vals[g + k + 1] - vals[g + 1]
-            if den != 0:
-                acc += (vals[g + k + 1] - tau) / den * row[s + 1]
+            if row[s]:
+                acc += (tau - vals[g]) / (vals[g + k] - vals[g]) * row[s]
+            if row[s + 1]:
+                acc += (vals[g + k + 1] - tau) / (vals[g + k + 1] - vals[g + 1]) * row[s + 1]
             row[s] = acc
     return row[:last - first + 1]
 
@@ -87,26 +79,18 @@ def basis_table(kv: KnotVector, first: int, last: int, degree: int, taus) -> np.
     """``basis_values`` at every tau of a sequence: row r is its list at ``taus[r]``.
 
     Each level of the recursion runs over the whole batch at once: the
-    knot differences and the zero-denominator tests do not depend on tau.
-    Every entry takes ``basis_values``' operations in the same order, a
-    term dropped where its denominator vanishes, so the table is float64
-    and equal bit for bit when every tau is a float and the knots are
-    float-stored, and otherwise an object array of the very values (exact
-    for Fraction inputs).  Float overflow gives inf and NaN as in Python
-    floats.  The table has (len(taus), last - first + 1 + degree) entries
-    at its widest; callers bound it by the batch size.
+    knot differences do not depend on tau.  Every entry takes
+    ``basis_values``' operations in the same order, a term dropped where
+    its lower-degree value is zero, so the table is float64 and equal bit
+    for bit when every tau is a float and the knots are float-stored, and
+    otherwise an object array of the very values (exact for Fraction
+    inputs).  Float overflow gives inf and NaN as in Python floats.  The
+    table has (len(taus), last - first + 1 + degree) entries at its
+    widest; callers bound it by the batch size.
     """
     vals = kv.values
-    if degree < 0:
-        raise ValueError("degree must be non-negative")
-    if not 0 <= first <= last <= len(vals) - degree - 2:
-        raise IndexError(
-            "basis index %d out of range for degree %d with %d knots" % (first, degree, len(vals))
-        )
     taus = list(taus)
-    for tau in taus:
-        if isinstance(tau, float) and not math.isfinite(tau):
-            raise DomainError("tau must be finite, got %r" % tau)
+    _check_arguments(kv, first, last, degree, taus)
     floats = kv.storage == "float" and all(isinstance(tau, float) for tau in taus)
     dtype = float if floats else object
     knots = np.array(vals[first:last + degree + 2], dtype=dtype)
@@ -131,19 +115,29 @@ def basis_table(kv: KnotVector, first: int, last: int, degree: int, taus) -> np.
 
 
 def _term(a, b, den, row) -> np.ndarray:
-    """(a - b) / den * row, computed only where den != 0; 0 of row's dtype elsewhere.
+    """(a - b) / den * row, computed only where row != 0; 0 of row's dtype elsewhere.
 
     The sum of a left and a right term is then ``basis_values``' sum from 0
-    in value and type.  It differs from 0 + left only where left is -0.0
-    and right -0.0 too, and that needs tau below the first knot of the
-    basis function's support and above its last at once.
+    in value and type: a computed term is not negative, so never -0.0.
     """
     out = np.zeros(row.shape, row.dtype)
-    where = den != 0
+    where = row != 0
     np.subtract(a, b, out=out, where=where)
     np.divide(out, den, out=out, where=where)
     np.multiply(out, row, out=out, where=where)
     return out
+
+
+def _check_arguments(kv: KnotVector, first: int, last: int, degree: int, taus: list) -> None:
+    """Raise the error of a negative degree, an index window out of range or a non-finite tau."""
+    if degree < 0:
+        raise ValueError("degree must be non-negative")
+    if not 0 <= first <= last <= len(kv.values) - degree - 2:
+        raise IndexError("basis index %d out of range for degree %d with %d knots"
+                         % (first, degree, len(kv.values)))
+    for tau in taus:
+        if isinstance(tau, float) and not math.isfinite(tau):
+            raise DomainError("tau must be finite, got %r" % tau)
 
 
 def basis(kv: KnotVector, i: int, degree: int, tau):

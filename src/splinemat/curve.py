@@ -55,17 +55,16 @@ _TABLE_ENTRIES = 1 << 16
 class _FloatKnots:
     """Float tables for span lookup and the oracle's knots, built with the curve."""
 
-    values: np.ndarray  # float copy of the knots
+    values: np.ndarray  # the nearest double of each knot
+    # the smallest double >= each knot up to span ``last``'s start: a float
+    # search over them locates every float tau in the domain exactly
+    bounds: np.ndarray
     # float(exact width) per span, so that u matches ``normalize`` bit for
     # bit; NaN for a width beyond the float range
     widths: np.ndarray
-    lo: float
-    hi: float
-    last: int  # last span of positive width, where tau == hi lands; -1 if none
-    # Floats of the knots a double cannot hold.  A tau equal to one of them
-    # may compare differently with the float than with the exact knot, so it
-    # takes the exact lookup.
-    inexact: np.ndarray
+    lo: float  # the smallest double in the evaluable domain
+    hi: float  # the largest double in it
+    last: int  # last span of positive width; -1 if none
     oracle: KnotVector  # the knots the recursion runs on at a float tau
 
 
@@ -256,15 +255,11 @@ class SplineCurve:
         fk = self._view
         if np.issubdtype(arr.dtype, np.floating):
             tau = arr.astype(float, copy=False)
-            inside, exact = self._inside(tau)
+            inside = self._inside(tau)
             if not inside.all():
                 self._check_tau(float(tau[inside.argmin()]))
             # Piegl & Tiller A2.1 (FindSpan) over the whole batch
-            spans = np.searchsorted(fk.values, tau, side="right") - 1
-            spans[tau == fk.hi] = fk.last
-            if exact.any():
-                at = np.flatnonzero(exact)
-                spans[at] = [find_span(self.knots, self.degree, t) for t in tau[at].tolist()]
+            spans = np.searchsorted(fk.bounds, tau, side="right") - 1
             u = (tau - fk.values[spans]) / fk.widths[spans]
         else:
             values = arr.tolist()
@@ -277,22 +272,14 @@ class SplineCurve:
                               % arr[wide][0])
         return spans, u
 
-    def _inside(self, tau: np.ndarray) -> tuple:
-        """``(inside, exact)`` masks of a float batch: in the domain, equal to an inexact knot.
+    def _inside(self, tau: np.ndarray) -> np.ndarray:
+        """The mask of a float batch's taus inside the evaluable domain.
 
-        The float bounds decide for every tau but one equal to the float of
-        a knot a double cannot hold; the exact bounds decide for those.  No
-        tau is inside a degenerate domain, so ``_check_tau`` of the first
-        tau not inside raises the domain's error.
+        No tau is inside a degenerate domain, so ``_check_tau`` of the
+        first tau not inside raises the domain's error.
         """
         fk = self._view
-        inside = (tau >= fk.lo) & (tau <= fk.hi) & (fk.last >= 0)
-        if not fk.inexact.size:
-            return inside, np.zeros(tau.shape, bool)
-        exact = np.isin(tau, fk.inexact)
-        lo, hi = self.domain
-        inside[exact] = [lo <= t <= hi and fk.last >= 0 for t in tau[exact].tolist()]
-        return inside, exact
+        return (tau >= fk.lo) & (tau <= fk.hi) & (fk.last >= 0)
 
     def _span_blocks(self, kind: str, spans: np.ndarray) -> np.ndarray:
         """The blocks of ``spans``, looked up once per distinct span.
@@ -334,14 +321,13 @@ class SplineCurve:
         Locates the span, then runs the one scalar ``horner`` per coordinate
         over the block with the same roundings in the same order, so the
         result equals the batch's bit for bit.  A float tau inside the
-        domain that is no inexact knot takes one ``searchsorted``; any other
-        tau goes through ``_locate``, with its errors.
+        domain takes the batch's one ``searchsorted``; any other tau goes
+        through ``_locate``, with its errors.
         """
         fk = self._view
         u = math.nan
-        if (isinstance(tau, float) and fk.lo <= tau <= fk.hi and fk.last >= 0
-                and not (fk.inexact.size and tau in fk.inexact)):
-            span = fk.last if tau == fk.hi else int(fk.values.searchsorted(tau, "right")) - 1
+        if isinstance(tau, float) and fk.lo <= tau <= fk.hi and fk.last >= 0:
+            span = int(fk.bounds.searchsorted(tau, "right")) - 1
             u = (tau - float(fk.values[span])) / float(fk.widths[span])
         if math.isnan(u):  # not located above, or a span too wide for floats
             spans, us = self._locate([tau])
@@ -405,7 +391,7 @@ class SplineCurve:
             raise ValueError("taus must be a 1-D sequence")
         values = arr.tolist()
         if np.issubdtype(arr.dtype, np.floating):
-            inside = self._inside(arr.astype(float, copy=False))[0]
+            inside = self._inside(arr.astype(float, copy=False))
             kv = self._view.oracle
         else:
             lo, hi = self.domain
@@ -465,16 +451,17 @@ class SplineCurve:
         fk = self._view
         if fk.last < 0:
             self._check_tau(fk.lo)  # raises: the domain is degenerate
-        if not math.isfinite(fk.hi - fk.lo):
+        start, stop = float(fk.values[self.degree]), float(fk.values[-self.degree - 1])
+        if not math.isfinite(stop - start):
             raise DomainError("evaluable domain width is beyond the float range")
-        grid = np.clip(np.linspace(fk.lo, fk.hi, n), fk.lo, fk.hi)
+        grid = np.clip(np.linspace(start, stop, n), start, stop)
         # Rounding an exact bound to float may step just outside the domain;
         # parameters that landed there are evaluated at the exact bound.
-        lo, hi = self.domain
-        edge = ((grid == fk.lo) & (fk.lo < lo)) | ((grid == fk.hi) & (fk.hi > hi))
+        edge = (grid < fk.lo) | (grid > fk.hi)
         points = np.empty((n, self.dim))
         points[~edge] = self.evaluate(grid[~edge])
         if edge.any():
+            lo, hi = self.domain
             points[edge] = self.evaluate([lo if t < lo else hi for t in grid[edge].tolist()])
         return grid, points
 
@@ -482,33 +469,37 @@ class SplineCurve:
 def _float_view(knots: KnotVector, degree: int) -> _FloatKnots:
     """The float tables of a degree-``degree`` curve over ``knots``.
 
-    The oracle's knots are the float copy if every knot is a double and
-    their range is finite in floats, else the stored knots.  The copy gives
-    the same result at a float tau bit for bit: Fraction-float arithmetic
-    already rounds the knot (or the exact knot difference, which then
-    equals the rounded float difference) and runs in floats, and the
+    A knot's bound is its nearest double, stepped up once if that lies
+    below the knot.  The oracle's knots are the float copy if every knot is
+    a double and their range is finite in floats, else the stored knots.
+    The copy gives the same result at a float tau bit for bit: Fraction-float
+    arithmetic already rounds the knot (or the exact knot difference, which
+    then equals the rounded float difference) and runs in floats, and the
     comparisons and zero tests are exact either way.
     """
     vals = knots.values
-    lo, hi = knots.domain(degree)
     if knots.storage == "float":
-        values = np.array(vals)
+        values = bounds = np.array(vals)
         widths = np.diff(values)
-        inexact = values[:0]
+        signs = [0] * len(vals)
     else:
         # in ints: int / int rounds correctly, as float(Fraction) does
         ratios = [(v.numerator, v.denominator) for v in vals]
         values = np.array([_quotient(n, d) for n, d in ratios])
         widths = np.array([_quotient(nb * da - na * db, da * db)
                            for (na, da), (nb, db) in zip(ratios, ratios[1:])])
-        inexact = values[[not math.isfinite(f) or f.as_integer_ratio() != r
-                          for f, r in zip(values.tolist(), ratios)]]
+        signs = [_sign(f, n, d) for f, (n, d) in zip(values.tolist(), ratios)]
+        bounds = np.array([math.nextafter(f, math.inf) if s < 0 else f
+                           for f, s in zip(values.tolist(), signs)])
     widths[np.isinf(widths)] = np.nan
-    exact = not inexact.size and math.isfinite(float(values[-1]) - float(values[0]))
-    return _FloatKnots(values=values, widths=widths,
-                       lo=float(values[degree]), hi=float(values[-degree - 1]),
-                       last=find_span(knots, degree, hi) if lo < hi else -1,
-                       inexact=inexact, oracle=knots.as_float() if exact else knots)
+    end = float(values[-degree - 1])
+    lo, hi = knots.domain(degree)
+    last = find_span(knots, degree, hi) if lo < hi else -1
+    exact = not any(signs) and math.isfinite(float(values[-1]) - float(values[0]))
+    return _FloatKnots(values=values, bounds=bounds[:last + 1], widths=widths,
+                       lo=float(bounds[degree]),
+                       hi=math.nextafter(end, -math.inf) if signs[-degree - 1] > 0 else end,
+                       last=last, oracle=knots.as_float() if exact else knots)
 
 
 def _quotient(n: int, d: int) -> float:
@@ -517,6 +508,14 @@ def _quotient(n: int, d: int) -> float:
         return n / d
     except OverflowError:
         return math.inf if n > 0 else -math.inf
+
+
+def _sign(f: float, n: int, d: int) -> int:
+    """The sign of f - n / d, exactly, for d > 0."""
+    if math.isinf(f):
+        return 1 if f > 0 else -1
+    fn, fd = f.as_integer_ratio()
+    return (fn * d > n * fd) - (fn * d < n * fd)
 
 
 def _derivative_rows(rows: np.ndarray, order: int) -> np.ndarray:

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -430,9 +431,11 @@ class TestSplineFiles:
 
 
 def test_console_entry_point_runs():
+    # run from the directory the package was imported from, so that
+    # ``-m`` finds it whether it is installed or only on the test path
     proc = subprocess.run(
         [sys.executable, "-m", "splinemat.cli", "basis-matrix", "--degree", "1"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, cwd=Path(cli.__file__).parents[1],
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["entries"] == [["1", "0"], ["-1", "1"]]

@@ -215,8 +215,9 @@ class TestSharedTriangle:
         assert basis_table(KV8, 0, 3, 3, []).shape == (0, 4)
 
     def test_table_overflows_as_python_floats(self):
-        # the subnormal first span makes (tau - 0) / 5e-324 overflow where
-        # B_0 vanishes; Python floats give inf * 0 = nan, without a warning
+        # the subnormal first span would make (tau - 0) / 5e-324 overflow
+        # where B_0 vanishes; both drop that term for its zero value, so
+        # neither computes inf * 0 = nan, and the table warns of nothing
         kv = KnotVector([0.0, 5e-324, 1.0, 2.0, 3.0])
         assert_rows_equal_basis_values(kv, 1, [0.5, 1.5])
 

@@ -216,6 +216,45 @@ class TestOracleKnots:
         as_float = SplineCurve(1, curve.knots.as_float(), curve.points)
         assert (as_float.eval_coxdeboor(tau) != got).all()
 
+    def test_knot_whose_double_rounds_up_keeps_the_fractions(self):
+        tenth = Fraction(1, 10)
+        curve = SplineCurve(1, KnotVector([0, tenth, Fraction(1, 2), Fraction(11, 10), 2]),
+                            [[-1.0], [-4.0], [4.0]])
+        tau = float(tenth)
+        assert tau > tenth
+        assert curve._view.oracle is curve.knots
+        got = curve.eval_coxdeboor(tau)
+        assert (got == fraction_reference(curve, tau)).all()
+        assert (curve._coxdeboor([tau])[0] == got).all()
+        assert got == pytest.approx(curve.eval_matrix(tau), abs=1e-15)
+
+    def test_subnormal_width_span_gives_no_nan(self):
+        # (tau - 0) / 5e-324 overflows where B_0 vanishes: the term is
+        # dropped for its zero value, not computed as inf * 0
+        curve = SplineCurve(1, KnotVector([0.0, 5e-324, 1.0, 2.0, 3.0]),
+                            [[0.0], [1.0], [2.0]])
+        for tau in (0.5, 1.5):
+            want = curve.evaluate([tau])[0]
+            assert want.tolist() == [tau]
+            assert (curve.eval_coxdeboor(tau) == want).all()
+            assert (curve._coxdeboor([tau])[0] == want).all()
+
+    @pytest.mark.parametrize("knots, taus", [
+        # at a domain end, 2^1023 - tau or tau + 2^1023 overflows in a term
+        # whose lower-degree value is 0
+        ([-2 ** 1023, -2 ** 1023, 0, 1, 2 ** 1023, 2 ** 1023], [-2.0 ** 1023, 2.0 ** 1023]),
+        # tau + 10^400 is beyond the float range, in a term whose
+        # lower-degree value is 0
+        ([-10 ** 400, 0, 1, 10 ** 400], [0.0, 0.5, 1.0]),
+    ])
+    def test_vanishing_terms_next_to_huge_knots_are_dropped(self, knots, taus):
+        curve = SplineCurve(1, KnotVector(knots),
+                            [[float(i)] for i in range(len(knots) - 2)])
+        for tau in taus:
+            want = curve.evaluate([tau])[0]
+            assert curve.eval_coxdeboor(tau) == pytest.approx(want, rel=1e-15)
+            assert curve._coxdeboor([tau])[0] == pytest.approx(want, rel=1e-15)
+
     def test_knot_range_beyond_float_range_keeps_the_fractions(self):
         # every knot is a double, but their range overflows one: a float
         # copy of these knots is no valid KnotVector, so the oracle keeps them

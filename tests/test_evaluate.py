@@ -10,6 +10,7 @@ inside spans and one step outside the domain, both as floats and exactly.
 """
 
 import math
+import re
 from fractions import Fraction
 from itertools import accumulate
 
@@ -223,6 +224,27 @@ def test_inexact_bounds_fall_back_to_exact_lookup():
             batch_path([float(third), 0.0])
     assert curve.evaluate([float(2 * third)])[0, 0] == pytest.approx(1.0, abs=1e-15)
     assert curve.evaluate([third, 2 * third]).tolist() == [[0.0], [1.0]]
+
+
+def test_inexact_knots_that_round_up_bound_the_float_lookup():
+    # float(1/10) lies above the exact bound 1/10, float(11/10) above 11/10
+    tenth, top = Fraction(1, 10), Fraction(11, 10)
+    curve = SplineCurve(1, KnotVector([0, tenth, Fraction(1, 2), top, 2]),
+                        [[0.0], [1.0], [3.0]])
+    assert float(tenth) > tenth and float(top) > top
+    # float(1/10) is inside, in the span right of the knot 1/10
+    spans, u = curve._locate([float(tenth)])
+    assert spans.tolist() == [1] and u.tolist() == [0.0]
+    want = curve.evaluate([float(tenth)])
+    assert (curve.eval_matrix(float(tenth)) == want[0]).all()
+    assert curve._coxdeboor([float(tenth)]) == pytest.approx(want, abs=1e-15)
+    # the double below float(1/10), and float(11/10), lie outside
+    for tau in (math.nextafter(float(tenth), 0.0), float(top)):
+        for path in (curve.evaluate, curve._coxdeboor):
+            with pytest.raises(DomainError, match="%s not in" % re.escape(str(tau))):
+                path([tau])
+        with pytest.raises(DomainError, match="%s not in" % re.escape(str(tau))):
+            curve.eval_matrix(tau)
 
 
 def test_derivative_orders_and_shapes():
