@@ -45,11 +45,6 @@ from .polytoeplitz import horner
 # O(_CHUNK * (k+1)^2) more in a pass that builds the matrices of new spans.
 _CHUNK = 1024
 
-# Table entries per pass of ``_coxdeboor``: a pass runs the recursion for
-# max(1, _TABLE_ENTRIES // (N + k)) parameters, so its scratch memory is
-# O(_TABLE_ENTRIES) values whatever the number of parameters and of points.
-_TABLE_ENTRIES = 1 << 16
-
 
 @dataclass(frozen=True)
 class _FloatKnots:
@@ -300,7 +295,7 @@ class SplineCurve:
         """The batched core: Horner's rule in u - 1/2 over the spans' blocks.
 
         ``kind`` "m" or "c" picks the block (see ``_block``); ``order`` > 0
-        differentiates it, with the chain rule's division by width**order.
+        differentiates it, dividing by the span width once per order (chain rule).
         """
         out = np.empty((len(u), self.dim))
         x = (u - 0.5)[:, None]
@@ -309,10 +304,9 @@ class SplineCurve:
             rows = _derivative_rows(self._span_blocks(kind, spans[part]), order)
             # the power axis first: horner sums (len(part), d) terms
             out[part] = horner(rows.swapaxes(0, -2), x[part])
-        if order:
-            # repeated products, as in _point, not a pow() that numpy and
-            # Python may round differently
-            out /= math.prod([self._view.widths[spans]] * order)[:, None]
+        for _ in range(order):
+            # once per order, as in _point: a power of a narrow width underflows
+            out /= self._view.widths[spans][:, None]
         return out
 
     def _point(self, tau, kind: str, order: int = 0) -> np.ndarray:
@@ -336,8 +330,8 @@ class SplineCurve:
             return np.zeros(self.dim)
         cols = _derivative_rows(self._block(kind, span), order).T.tolist()
         out = np.array([horner(col, u - 0.5) for col in cols])
-        if order:
-            out /= math.prod([float(fk.widths[span])] * order)
+        for _ in range(order):
+            out /= float(fk.widths[span])
         return out
 
     def evaluate(self, taus, derivative: int = 0) -> np.ndarray:
@@ -357,63 +351,39 @@ class SplineCurve:
         return self._combine(spans, u, "m", derivative)
 
     def eval_coxdeboor(self, tau) -> np.ndarray:
-        """Reference evaluation: sum every basis function times its point.
-
-        One recursion table over every basis index gives all the weights.
-        Raises DomainError where a knot difference the recursion needs at a
-        float tau is beyond the float range.
-        """
-        self._check_tau(tau)
-        kv = self._view.oracle if isinstance(tau, float) else self.knots
-        try:
-            weights = coxdeboor.basis_values(kv, 0, self.count - 1, self.degree, tau)
-        except OverflowError:
-            raise DomainError("tau %s needs knot differences beyond the float range"
-                              % tau) from None
-        out = np.zeros(self.dim)
-        for w, p in zip(weights, self.points):
-            if w:
-                out += float(w) * p
-        return out
+        """Reference evaluation: sum every basis function times its point."""
+        return self._coxdeboor([tau])[0]
 
     def _coxdeboor(self, taus) -> np.ndarray:
         """``eval_coxdeboor`` at a 1-D sequence of parameters, as an (n, d) array.
 
-        The domain is checked once for the batch; ``coxdeboor.basis_table``
-        then runs in passes of about ``_TABLE_ENTRIES`` entries, and each
-        weight column that holds a nonzero weight is added times its point
-        in basis-index order.  Equal bit for bit to the stacked
-        ``eval_coxdeboor(tau)``, and raises its error at the first tau that
-        fails.
+        The domain is checked once for the batch.  Then, ``_CHUNK``
+        parameters at a time, ``coxdeboor.basis_window`` gives each tau's
+        span j and the weights of points j-k..j, added in index order.
+        Raises DomainError at the first tau outside the domain, or whose
+        recursion needs a knot difference beyond the float range.
         """
         arr = np.asarray(taus)
         if arr.ndim != 1:
             raise ValueError("taus must be a 1-D sequence")
-        values = arr.tolist()
         if np.issubdtype(arr.dtype, np.floating):
             inside = self._inside(arr.astype(float, copy=False))
             kv = self._view.oracle
         else:
             lo, hi = self.domain
-            inside = np.array([lo < hi and lo <= t <= hi for t in values], bool)
+            inside = np.array([lo < hi and lo <= t <= hi for t in arr.tolist()], bool)
             kv = self.knots
-        stop = len(values) if inside.all() else int(inside.argmin())
-        out = np.zeros((len(values), self.dim))
-        step = max(1, _TABLE_ENTRIES // (self.count + self.degree))
-        for start in range(0, stop, step):
-            part = values[start:min(start + step, stop)]
-            try:
-                table = coxdeboor.basis_table(kv, 0, self.count - 1, self.degree, part)
-            except OverflowError:
-                for tau in part:  # the error of the first tau that fails
-                    self.eval_coxdeboor(tau)
-                raise
-            weights = table.astype(float, copy=False)
+        stop = len(arr) if inside.all() else int(inside.argmin())
+        k = self.degree
+        out = np.zeros((len(arr), self.dim))
+        for start in range(0, stop, _CHUNK):
+            part = arr[start:min(start + _CHUNK, stop)].tolist()
+            spans, weights = _windows(kv, self.count - 1, k, part)
             rows = out[start:start + len(part)]
-            for i in np.flatnonzero(weights.any(axis=0)).tolist():
-                rows += weights[:, i, None] * self.points[i]
-        if stop < len(values):
-            self._check_tau(values[stop])
+            for c in range(k + 1):
+                rows += weights[:, c, None] * self.points[spans - k + c]
+        if stop < len(arr):
+            self._check_tau(arr.tolist()[stop])
         return out
 
     def eval_matrix(self, tau) -> np.ndarray:
@@ -454,7 +424,8 @@ class SplineCurve:
         start, stop = float(fk.values[self.degree]), float(fk.values[-self.degree - 1])
         if not math.isfinite(stop - start):
             raise DomainError("evaluable domain width is beyond the float range")
-        grid = np.clip(np.linspace(start, stop, n), start, stop)
+        with np.errstate(over="ignore"):  # linspace's step product, near the largest double
+            grid = np.clip(np.linspace(start, stop, n), start, stop)
         # Rounding an exact bound to float may step just outside the domain;
         # parameters that landed there are evaluated at the exact bound.
         edge = (grid < fk.lo) | (grid > fk.hi)
@@ -500,6 +471,23 @@ def _float_view(knots: KnotVector, degree: int) -> _FloatKnots:
                        lo=float(bounds[degree]),
                        hi=math.nextafter(end, -math.inf) if signs[-degree - 1] > 0 else end,
                        last=last, oracle=knots.as_float() if exact else knots)
+
+
+def _windows(kv: KnotVector, last: int, degree: int, taus: list) -> tuple:
+    """``coxdeboor.basis_window`` of each tau: (n,) spans and (n, k+1) float weights.
+
+    Raises DomainError at the first tau whose recursion needs a knot
+    difference beyond the float range.
+    """
+    spans = np.empty(len(taus), dtype=np.intp)
+    weights = np.empty((len(taus), degree + 1))
+    for r, tau in enumerate(taus):
+        try:
+            spans[r], weights[r] = coxdeboor.basis_window(kv, 0, last, degree, tau)
+        except OverflowError:
+            raise DomainError("tau %s needs knot differences beyond the float range"
+                              % tau) from None
+    return spans, weights
 
 
 def _quotient(n: int, d: int) -> float:

@@ -1,11 +1,13 @@
+import math
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
-from splinemat import DomainError, KnotVector, basis, basis0, cumulative_basis
-from splinemat.coxdeboor import basis_table, basis_values
+from splinemat import DomainError, KnotVector, basis, basis0, cumulative_basis, find_span
+from splinemat.coxdeboor import basis_values, basis_window
 
 
 def clamped(degree, interior, last):
@@ -153,24 +155,6 @@ def random_knots(rng, degree):
     return KnotVector(values)
 
 
-def assert_rows_equal_basis_values(kv, degree, taus):
-    """``basis_table`` row i is ``basis_values`` at taus[i].
-
-    Bit for bit when the table is float64, else in value and type.
-    """
-    last = len(kv.values) - degree - 2
-    table = basis_table(kv, 0, last, degree, taus)
-    assert table.shape == (len(taus), last + 1)
-    floats = kv.storage == "float" and all(isinstance(t, float) for t in taus)
-    assert table.dtype == (float if floats else object)
-    for row, tau in zip(table, taus):
-        want = basis_values(kv, 0, last, degree, tau)
-        if floats:
-            assert row.tobytes() == np.array(want, dtype=float).tobytes(), (kv, degree, tau)
-        else:
-            assert [(v, type(v)) for v in row] == [(v, type(v)) for v in want], (kv, degree, tau)
-
-
 class TestSharedTriangle:
     @pytest.mark.parametrize("degree", range(9))
     def test_entries_equal_one_table_per_function(self, degree):
@@ -185,9 +169,6 @@ class TestSharedTriangle:
             # every knot, the domain ends among them, exactly and as a float
             taus = [t for v in sorted(set(kv.values)) for t in (Fraction(v), float(v))]
             taus.append(Fraction(kv.values[degree] + kv.values[m - degree - 1]) / 2 + Fraction(1, 3))
-            for batch in (taus, [t for t in taus if isinstance(t, float)],
-                          [t for t in taus if not isinstance(t, float)]):
-                assert_rows_equal_basis_values(kv, degree, batch)
             for tau in taus:
                 row = basis_values(kv, 0, last, degree, tau)
                 assert len(row) == last + 1
@@ -206,20 +187,14 @@ class TestSharedTriangle:
             basis_values(KV8, 0, 4, 3, 3.0)
         with pytest.raises(IndexError):
             basis_values(KV8, 2, 1, 3, 3.0)
-        with pytest.raises(IndexError):
-            basis_table(KV8, 0, 4, 3, [3.0])
-
-    def test_table_rejects_the_first_non_finite_parameter(self):
-        with pytest.raises(DomainError, match="got inf"):
-            basis_table(KV8, 0, 3, 3, [3.5, float("inf"), float("nan")])
-        assert basis_table(KV8, 0, 3, 3, []).shape == (0, 4)
 
     def test_table_overflows_as_python_floats(self):
         # the subnormal first span would make (tau - 0) / 5e-324 overflow
-        # where B_0 vanishes; both drop that term for its zero value, so
-        # neither computes inf * 0 = nan, and the table warns of nothing
+        # where B_0 vanishes; its term is dropped for its zero value, so
+        # no inf * 0 = nan is computed
         kv = KnotVector([0.0, 5e-324, 1.0, 2.0, 3.0])
-        assert_rows_equal_basis_values(kv, 1, [0.5, 1.5])
+        assert basis_values(kv, 0, 2, 1, 0.5) == [0.5, 0.5, 0]
+        assert basis_values(kv, 0, 2, 1, 1.5) == [0, 0.5, 0.5]
 
 
 class TestDomainEnd:
@@ -232,3 +207,62 @@ class TestDomainEnd:
         assert basis_values(CLOSED_END, 0, 5, 2, Fraction(5, 2)) == [
             0, 0, Fraction(1, 8), Fraction(5, 8), Fraction(1, 4), 0]
         assert basis(CLOSED_END, 0, 2, 0.0) == 1.0
+
+
+@st.composite
+def knots_and_taus(draw):
+    """A degree, knots with repeats and parameters all around them.
+
+    Knots are integers, thirds or tenths (the last two not doubles), stored
+    exactly or as floats.  Parameters are every knot, exactly and as a
+    float, the doubles next to it, and random floats and fractions in
+    [floor(tau_0) - 1, ceil(tau_{M-1}) + 1], inside and outside the degree's domain.
+    """
+    degree = draw(st.integers(0, 8))
+    q = draw(st.sampled_from([1, 3, 10]))
+    breaks = sorted(set(draw(st.lists(st.integers(-30, 30), min_size=1, max_size=6))))
+    values = [Fraction(b, q) for b in breaks for _ in range(draw(st.integers(1, degree + 2)))]
+    assume(len(values) >= degree + 2)
+    if draw(st.booleans()):
+        values = [float(v) for v in values]
+    kv = KnotVector(values)
+    taus = []
+    for v in sorted(set(kv.values)):
+        f = float(v)
+        taus += [Fraction(v), f, math.nextafter(f, -math.inf), math.nextafter(f, math.inf)]
+    lo, hi = math.floor(kv.values[0]) - 1, math.ceil(kv.values[-1]) + 1
+    taus += draw(st.lists(st.floats(lo, hi), max_size=10))
+    taus += draw(st.lists(st.fractions(lo, hi, max_denominator=30), max_size=3))
+    return kv, degree, taus
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(knots_and_taus())
+def test_window_span_is_the_indicator_span(case):
+    # the window's span is where the whole-range degree-0 row is 1, or the
+    # span find_span takes at the right end of the domain
+    kv, degree, taus = case
+    vals = kv.values
+    m, end = len(vals), len(vals) - degree - 1
+    for tau in taus:
+        j, window = basis_window(kv, 0, m - degree - 2, degree, tau)
+        assert len(window) == degree + 1
+        if tau == vals[end] < vals[-1] and vals[degree] < vals[end]:
+            assert j == find_span(kv, degree, tau)
+        else:
+            row = [basis0(kv, s, tau) for s in range(m - 1)]
+            if 1 in row:
+                assert row.count(1) == 1 and j == row.index(1), (kv, degree, tau)
+            else:
+                assert window == [0] * (degree + 1)
+        # an index that is no degree-k basis function reads 0
+        assert all(value == 0 for c, value in enumerate(window)
+                   if not 0 <= j - degree + c <= m - degree - 2)
+        assert all(value >= 0 for value in window)
+        if vals[degree] <= tau <= vals[end] and vals[degree] < vals[end]:
+            total = sum(window)
+            if kv.storage == "rational" and not isinstance(tau, float):
+                assert total == 1
+            else:
+                assert abs(total - 1) <= 1e-12

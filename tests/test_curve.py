@@ -385,6 +385,15 @@ class TestDerivative:
             fd = (curve.eval_matrix(tau + h) - curve.eval_matrix(tau - h)) / (2 * h)
             assert curve.eval_derivative(tau, 1) == pytest.approx(fd, abs=1e-6)
 
+    def test_narrow_span_second_derivative_does_not_underflow(self):
+        # h^2 = 1e-340 is below the float range; dividing by h twice is not
+        curve = SplineCurve(2, KnotVector([i * 1e-170 for i in range(6)]),
+                            [[0.0], [1e-300], [4e-300]])
+        want = (0.0 - 2 * 1e-300 + 4e-300) / 1e-170 / 1e-170
+        assert want == pytest.approx(2e40, rel=1e-12)
+        assert curve.evaluate([2.5e-170], 2)[0] == pytest.approx([want], rel=1e-12)
+        assert curve.eval_derivative(2.5e-170, 2) == pytest.approx([want], rel=1e-12)
+
 
 class TestSample:
     def test_endpoint_pair(self):
@@ -424,6 +433,13 @@ class TestSample:
         want = curve.evaluate([Fraction(1, 3), Fraction(11, 10)])
         assert rows[0][1].tolist() == want[0].tolist() == [0.0]
         assert rows[-1][1].tolist() == want[1].tolist() == [3.0]
+
+    def test_grid_up_to_the_largest_double_warns_of_nothing(self):
+        top = sys.float_info.max
+        curve = SplineCurve(1, KnotVector([0.0, 1.0, top, top]), [[0.0], [1.0]])
+        grid, points = curve._sample_grid(7)
+        assert grid[0] == 1.0 and grid[-1] == top and np.all(np.diff(grid) > 0)
+        assert points[:, 0] == pytest.approx((grid - 1.0) / (top - 1.0), abs=1e-15)
 
 
 def centred(m):

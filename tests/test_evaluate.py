@@ -301,8 +301,8 @@ def test_span_cache_grows_with_touched_spans_only():
 def test_recursion_batch_memory_is_bounded_by_its_passes():
     import tracemalloc
 
-    # the curve above: one table for every tau would hold 4096 * 20003
-    # entries (655 MB)
+    # the curve above: a whole-range table for every tau would hold
+    # 4096 * 20003 entries (655 MB); a span's window holds k + 2
     kv = KnotVector([float(v) for v in accumulate([0] + [1, 2] * 10_000)])
     n = len(kv.values) - 4
     curve = SplineCurve(3, kv, np.arange(n, dtype=float)[:, None])
