@@ -11,10 +11,9 @@ storage and the parameter type.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 
 from .errors import DomainError
-from .knots import KnotVector
+from .knots import KnotVector, span_of
 
 
 def basis0(kv: KnotVector, i: int, tau) -> int:
@@ -42,7 +41,7 @@ def basis_window(kv: KnotVector, first: int, last: int, degree: int, tau) -> tup
     k+1 functions can be nonzero (Piegl & Tiller A2.2).  j is the span with
     tau_j <= tau < tau_{j+1}; at the last knot, and at the right end of the
     evaluable domain, tau_{M-k-1}, it is the last span of positive width
-    ending there, the span ``find_span`` takes.  Only indices first..last,
+    ending there (``knots.span_of``).  Only indices first..last,
     within 0..M-k-2, are computed; the others read 0, as does every index
     for tau outside [tau_0, tau_{M-1}].
 
@@ -55,10 +54,7 @@ def basis_window(kv: KnotVector, first: int, last: int, degree: int, tau) -> tup
     ratio at most 1.
     """
     vals = kv.values
-    if tau == vals[-1] or tau == vals[-degree - 1] and vals[degree] < tau:
-        j = bisect_left(vals, tau) - 1
-    else:
-        j = bisect_right(vals, tau) - 1
+    j = span_of(vals, degree, tau)
     base = j - degree  # the index of column 0
     lo, hi = max(first - base, 0), min(last - base, degree)  # the asked columns
     if lo > hi:

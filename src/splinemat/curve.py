@@ -37,7 +37,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import coxdeboor
 from .basismatrix import BasisMatrix, float_span_columns, knot_window, span_columns
 from .errors import DomainError
-from .knots import KnotVector, find_span, normalize
+from .knots import KnotVector, find_span, normalize, span_of
 from .polytoeplitz import horner
 
 # Parameters per pass of the batched core.  Scratch memory per pass is
@@ -55,7 +55,8 @@ class _FloatKnots:
     # search over them locates every float tau in the domain exactly
     bounds: np.ndarray
     # float(exact width) per span, so that u matches ``normalize`` bit for
-    # bit; NaN for a width beyond the float range
+    # bit; NaN where that is not a positive finite double: no float tau
+    # is evaluated in such a span
     widths: np.ndarray
     lo: float  # the smallest double in the evaluable domain
     hi: float  # the largest double in it
@@ -122,13 +123,6 @@ class SplineCurve:
     @property
     def domain(self) -> tuple:
         return self.knots.domain(self.degree)
-
-    def _check_tau(self, tau) -> None:
-        lo, hi = self.domain
-        if not lo < hi:
-            raise DomainError("evaluable domain [%s, %s] is degenerate" % (lo, hi))
-        if not lo <= tau <= hi:
-            raise DomainError("tau outside evaluable domain: %s not in [%s, %s]" % (tau, lo, hi))
 
     def _cached(self, kind: str, spans: list, build) -> list:
         """The cache entries ``(kind, j)`` of distinct ``spans``: "x" columns, "m"/"c" blocks.
@@ -237,44 +231,50 @@ class SplineCurve:
                 "build_s": math.fsum(s for _, s in builds),
                 "spans_touched": sum(len(b) if b.ndim == 3 else 1 for b in blocks)}
 
-    def _locate(self, taus) -> tuple:
-        """Span index and span-normalised parameter for each tau.
+    def _batch(self, taus) -> tuple:
+        """A 1-D batch of parameters and the mask of those in the evaluable domain.
 
-        Float parameters go through the float tables; any other kind
-        (Fraction, int) takes the exact ``find_span``/``normalize``.
-        Raises DomainError for a tau outside the evaluable domain.
+        A float batch is cast to float64 and compared with the float view's
+        bounds; any other kind (Fraction, int) is compared exactly.  No tau
+        is inside a degenerate domain, so ``find_span`` of the first tau not
+        inside raises the domain's error.
         """
         arr = np.asarray(taus)
         if arr.ndim != 1:
             raise ValueError("taus must be a 1-D sequence")
         fk = self._view
         if np.issubdtype(arr.dtype, np.floating):
-            tau = arr.astype(float, copy=False)
-            inside = self._inside(tau)
-            if not inside.all():
-                self._check_tau(float(tau[inside.argmin()]))
+            arr = arr.astype(float, copy=False)
+            return arr, (arr >= fk.lo) & (arr <= fk.hi) & (fk.last >= 0)
+        lo, hi = self.domain
+        return arr, np.array([lo < hi and lo <= t <= hi for t in arr.tolist()], bool)
+
+    def _locate(self, taus) -> tuple:
+        """Span index and span-normalised parameter for each tau.
+
+        Float parameters go through the float tables; any other kind
+        (Fraction, int) takes the exact ``span_of``/``normalize``.
+        Raises DomainError for a tau outside the evaluable domain, or in a
+        span whose width is not a positive finite double.
+        """
+        arr, inside = self._batch(taus)
+        if not inside.all():
+            find_span(self.knots, self.degree, arr.tolist()[inside.argmin()])
+        fk = self._view
+        if arr.dtype == float:
             # Piegl & Tiller A2.1 (FindSpan) over the whole batch
-            spans = np.searchsorted(fk.bounds, tau, side="right") - 1
-            u = (tau - fk.values[spans]) / fk.widths[spans]
+            spans = np.searchsorted(fk.bounds, arr, side="right") - 1
+            u = (arr - fk.values[spans]) / fk.widths[spans]
         else:
             values = arr.tolist()
-            spans = np.array([find_span(self.knots, self.degree, t) for t in values],
+            spans = np.array([span_of(self.knots.values, self.degree, t) for t in values],
                              dtype=np.intp)
             u = np.array([float(normalize(self.knots, j, t)) for j, t in zip(spans, values)])
-        wide = np.isnan(fk.widths[spans])
-        if wide.any():
-            raise DomainError("tau %s lies in a span too wide for float evaluation"
-                              % arr[wide][0])
+        narrow = np.isnan(fk.widths[spans])
+        if narrow.any():
+            raise DomainError("tau %s lies in a span whose width is outside the float range"
+                              % arr[narrow][0])
         return spans, u
-
-    def _inside(self, tau: np.ndarray) -> np.ndarray:
-        """The mask of a float batch's taus inside the evaluable domain.
-
-        No tau is inside a degenerate domain, so ``_check_tau`` of the
-        first tau not inside raises the domain's error.
-        """
-        fk = self._view
-        return (tau >= fk.lo) & (tau <= fk.hi) & (fk.last >= 0)
 
     def _span_blocks(self, kind: str, spans: np.ndarray) -> np.ndarray:
         """The blocks of ``spans``, looked up once per distinct span.
@@ -304,9 +304,12 @@ class SplineCurve:
             rows = _derivative_rows(self._span_blocks(kind, spans[part]), order)
             # the power axis first: horner sums (len(part), d) terms
             out[part] = horner(rows.swapaxes(0, -2), x[part])
-        for _ in range(order):
-            # once per order, as in _point: a power of a narrow width underflows
-            out /= self._view.widths[spans][:, None]
+        if order:
+            # once per order, as in _point: a power of a narrow width
+            # underflows; a derivative beyond the float range is +-inf
+            with np.errstate(over="ignore"):
+                for _ in range(order):
+                    out /= self._view.widths[spans][:, None]
         return out
 
     def _point(self, tau, kind: str, order: int = 0) -> np.ndarray:
@@ -323,16 +326,17 @@ class SplineCurve:
         if isinstance(tau, float) and fk.lo <= tau <= fk.hi and fk.last >= 0:
             span = int(fk.bounds.searchsorted(tau, "right")) - 1
             u = (tau - float(fk.values[span])) / float(fk.widths[span])
-        if math.isnan(u):  # not located above, or a span too wide for floats
+        if math.isnan(u):  # not located above, or a span not float-evaluable
             spans, us = self._locate([tau])
             span, u = int(spans[0]), float(us[0])
         if order > self.degree:
             return np.zeros(self.dim)
         cols = _derivative_rows(self._block(kind, span), order).T.tolist()
-        out = np.array([horner(col, u - 0.5) for col in cols])
-        for _ in range(order):
-            out /= float(fk.widths[span])
-        return out
+        out = [horner(col, u - 0.5) for col in cols]
+        width = float(fk.widths[span])
+        for _ in range(order):  # Python floats overflow to +-inf silently
+            out = [x / width for x in out]
+        return np.array(out)
 
     def evaluate(self, taus, derivative: int = 0) -> np.ndarray:
         """Matrix-path values at a 1-D sequence of parameters, as an (n, d) array.
@@ -363,16 +367,8 @@ class SplineCurve:
         Raises DomainError at the first tau outside the domain, or whose
         recursion needs a knot difference beyond the float range.
         """
-        arr = np.asarray(taus)
-        if arr.ndim != 1:
-            raise ValueError("taus must be a 1-D sequence")
-        if np.issubdtype(arr.dtype, np.floating):
-            inside = self._inside(arr.astype(float, copy=False))
-            kv = self._view.oracle
-        else:
-            lo, hi = self.domain
-            inside = np.array([lo < hi and lo <= t <= hi for t in arr.tolist()], bool)
-            kv = self.knots
+        arr, inside = self._batch(taus)
+        kv = self._view.oracle if arr.dtype == float else self.knots
         stop = len(arr) if inside.all() else int(inside.argmin())
         k = self.degree
         out = np.zeros((len(arr), self.dim))
@@ -383,7 +379,7 @@ class SplineCurve:
             for c in range(k + 1):
                 rows += weights[:, c, None] * self.points[spans - k + c]
         if stop < len(arr):
-            self._check_tau(arr.tolist()[stop])
+            find_span(self.knots, self.degree, arr.tolist()[stop])
         return out
 
     def eval_matrix(self, tau) -> np.ndarray:
@@ -420,7 +416,7 @@ class SplineCurve:
             raise ValueError("need at least 2 samples")
         fk = self._view
         if fk.last < 0:
-            self._check_tau(fk.lo)  # raises: the domain is degenerate
+            find_span(self.knots, self.degree, fk.lo)  # raises: the domain is degenerate
         start, stop = float(fk.values[self.degree]), float(fk.values[-self.degree - 1])
         if not math.isfinite(stop - start):
             raise DomainError("evaluable domain width is beyond the float range")
@@ -462,10 +458,10 @@ def _float_view(knots: KnotVector, degree: int) -> _FloatKnots:
         signs = [_sign(f, n, d) for f, (n, d) in zip(values.tolist(), ratios)]
         bounds = np.array([math.nextafter(f, math.inf) if s < 0 else f
                            for f, s in zip(values.tolist(), signs)])
-    widths[np.isinf(widths)] = np.nan
+    widths[~(np.isfinite(widths) & (widths > 0))] = np.nan
     end = float(values[-degree - 1])
     lo, hi = knots.domain(degree)
-    last = find_span(knots, degree, hi) if lo < hi else -1
+    last = span_of(vals, degree, hi) if lo < hi else -1
     exact = not any(signs) and math.isfinite(float(values[-1]) - float(values[0]))
     return _FloatKnots(values=values, bounds=bounds[:last + 1], widths=widths,
                        lo=float(bounds[degree]),
@@ -477,14 +473,15 @@ def _windows(kv: KnotVector, last: int, degree: int, taus: list) -> tuple:
     """``coxdeboor.basis_window`` of each tau: (n,) spans and (n, k+1) float weights.
 
     Raises DomainError at the first tau whose recursion needs a knot
-    difference beyond the float range.
+    difference beyond the float range: one that overflows, or one that
+    rounds to zero.
     """
     spans = np.empty(len(taus), dtype=np.intp)
     weights = np.empty((len(taus), degree + 1))
     for r, tau in enumerate(taus):
         try:
             spans[r], weights[r] = coxdeboor.basis_window(kv, 0, last, degree, tau)
-        except OverflowError:
+        except ArithmeticError:
             raise DomainError("tau %s needs knot differences beyond the float range"
                               % tau) from None
     return spans, weights

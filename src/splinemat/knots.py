@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -121,27 +121,30 @@ def _uniform_spacing(vals, storage):
 
 
 def find_span(kv: KnotVector, degree: int, tau: Scalar) -> int:
-    """Index j of the span containing tau, with tau in [tau_j, tau_{j+1}).
+    """``span_of`` for a tau in the evaluable domain [tau_degree, tau_{M-degree-1}].
 
-    The right end of the evaluable domain clamps to the last span of
-    positive width; repeated knots (zero-width spans) are skipped.
-
-    Raises DomainError when tau lies outside [tau_degree, tau_{M-degree-1}]
-    or no span of positive width exists there.
+    Raises DomainError when tau lies outside it, or it holds no span of
+    positive width.
     """
-    vals = kv.values
     left, right = kv.domain(degree)
     if left >= right:
         raise DomainError("evaluable domain [%s, %s] is degenerate" % (left, right))
     if not left <= tau <= right:
         raise DomainError("tau outside evaluable domain: %s not in [%s, %s]" % (tau, left, right))
-    hi = len(vals) - degree - 2
-    if tau == right:
-        j = hi
-        while vals[j] == vals[j + 1]:
-            j -= 1
-        return j
-    return bisect_right(vals, tau) - 1
+    return span_of(kv.values, degree, tau)
+
+
+def span_of(values: tuple, degree: int, tau: Scalar) -> int:
+    """Index j of the span with values[j] <= tau < values[j+1], for any tau.
+
+    At the last knot, and at the right end of the evaluable domain,
+    tau_{M-degree-1}, when it lies above tau_degree, j is the last span of
+    positive width ending there: the last index whose knot is below tau.
+    Below the first knot j is -1; above the last it is M-1.
+    """
+    if tau == values[-1] or tau == values[-degree - 1] and values[degree] < tau:
+        return bisect_left(values, tau) - 1
+    return bisect_right(values, tau) - 1
 
 
 def normalize(kv: KnotVector, span: int, tau: Scalar) -> Scalar:

@@ -24,6 +24,14 @@ def write_cubic_spline(path):
     return str(path)
 
 
+def write_narrow_spline(path):
+    """Degree 1 over one span 10^-400 wide, narrower than the smallest double."""
+    tiny = "1/1" + "0" * 400
+    path.write_text(json.dumps({"degree": 1, "knots": ["0", "0", tiny, tiny],
+                                "control_points": [[0], [1]]}))
+    return str(path)
+
+
 def relative_gap(a, b):
     scale = max(1.0, float(np.max(np.abs(a))), float(np.max(np.abs(b))))
     return float(np.max(np.abs(a - b))) / scale
@@ -128,6 +136,13 @@ class TestEvalCommand:
         out, err = capsys.readouterr()
         assert out == "" and err == "error: evaluable domain [0, 0] is degenerate\n"
 
+    @pytest.mark.parametrize("method", ["coxdeboor", "matrix", "cumulative"])
+    def test_span_narrower_than_a_double_exits_two(self, tmp_path, capsys, method):
+        spline = write_narrow_spline(tmp_path / "narrow.json")
+        assert main(["eval", spline, "--tau", "0", "--method", method]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
     def test_missing_file_is_io_error(self, tmp_path):
         assert main(["eval", str(tmp_path / "nope.json"), "--tau", "1.0"]) == 3
 
@@ -175,6 +190,12 @@ class TestSampleCommand:
         assert main(["sample", str(path), "-n", "5", "-o", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert lines[1] == "%.17g,0" % (1 / 3) and lines[-1] == "%.17g,3" % 1.1
+
+    def test_span_narrower_than_a_double_exits_two(self, tmp_path, capsys):
+        spline = write_narrow_spline(tmp_path / "narrow.json")
+        assert main(["sample", spline, "-n", "5", "-o", str(tmp_path / "s.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_unwritable_output_exits_three(self, tmp_path):
         spline = write_cubic_spline(tmp_path / "c.json")

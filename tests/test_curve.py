@@ -115,6 +115,21 @@ class TestEvaluationPaths:
                 with pytest.raises(DomainError, match="is degenerate"):
                     path(tau)
 
+    def test_span_narrower_than_a_double_is_rejected_by_every_path(self):
+        # the one span is 10^-400 wide, which rounds to 0.0: a float tau in
+        # it is located but cannot be normalised
+        tiny = Fraction(1, 10 ** 400)
+        curve = SplineCurve(1, KnotVector([0, 0, tiny, tiny]), [[0.0], [1.0]])
+        paths = (curve.eval_coxdeboor, curve.eval_matrix, curve.eval_cumulative,
+                 lambda t: curve.evaluate([t]), lambda t: curve.eval_derivative(t, 1))
+        for path in paths:
+            with pytest.raises(DomainError, match="float range"):
+                path(0.0)
+        with pytest.raises(DomainError, match="outside the float range"):
+            curve.evaluate([Fraction(0)])
+        with pytest.raises(DomainError, match="outside the float range"):
+            curve.sample(5)
+
     def test_clamped_curve_interpolates_endpoints(self):
         curve = SplineCurve(3, clamped(3, [1, 2], 3), [[0, 0], [1, 2], [3, 1], [4, 4], [5, 0], [6, 3]])
         assert curve.eval_matrix(0.0) == pytest.approx([0.0, 0.0], abs=1e-12)
@@ -393,6 +408,25 @@ class TestDerivative:
         assert want == pytest.approx(2e40, rel=1e-12)
         assert curve.evaluate([2.5e-170], 2)[0] == pytest.approx([want], rel=1e-12)
         assert curve.eval_derivative(2.5e-170, 2) == pytest.approx([want], rel=1e-12)
+
+    def test_slope_in_a_span_narrower_than_a_double_raises(self):
+        # the widths 10^-330 round to 0.0; the true slope, about 2e30, is
+        # not to be had by dividing by them
+        curve = SplineCurve(2, KnotVector([Fraction(i, 10 ** 330) for i in range(6)]),
+                            [[0.0], [1e-300], [4e-300]])
+        with pytest.raises(DomainError, match="outside the float range"):
+            curve.evaluate([Fraction(5, 2 * 10 ** 330)], 1)
+
+    def test_slope_beyond_the_float_range_is_inf_without_a_warning(self):
+        # the width 2e-310 is a subnormal double; 1 / 2e-310 is beyond the float range
+        kv = KnotVector([Fraction(i, 5 * 10 ** 309) for i in range(4)])
+        steep = SplineCurve(1, kv, [[0.0], [1.0]])
+        assert steep.eval_derivative(3e-310, 1).tolist() == [math.inf]
+        assert steep.evaluate([3e-310], 1).tolist() == [[math.inf]]
+        curve = SplineCurve(1, kv, [[0.0], [1e-300]])
+        slope = curve.eval_derivative(3e-310, 1)
+        assert slope == pytest.approx([5e9], rel=1e-12)
+        assert curve.evaluate([3e-310], 1).tobytes() == slope.tobytes()
 
 
 class TestSample:

@@ -1,0 +1,91 @@
+"""Property test of knot scales at and beyond the ends of the float range.
+
+Knot vectors are drawn with repeated knots, rational scales 10^-400 to
+10^320 (with an offset of -1 or 1/3 or none) and float scales 1e-320 to
+1e300, so that spans can be narrower than the smallest double, knots can
+lie beyond the largest, and distinct knots can share one double.  Every
+path either raises DomainError or gives finite values; derivatives may be
++-inf beyond the float range but are never NaN.
+"""
+
+import math
+from fractions import Fraction
+from itertools import accumulate
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from splinemat import DomainError, KnotVector, SplineCurve
+
+
+@st.composite
+def extreme_splines(draw):
+    """``(degree, knots, points)`` of a curve at an extreme knot scale."""
+    k = draw(st.integers(0, 4))
+    gaps = draw(st.lists(st.integers(0, 3), min_size=2 * k + 1, max_size=2 * k + 5))
+    steps = list(accumulate(gaps, initial=0))
+    if draw(st.booleans()):
+        scale = Fraction(10) ** draw(st.integers(-400, 320))
+        offset = draw(st.sampled_from([0, -1, Fraction(1, 3)]))
+        knots = [offset + scale * s for s in steps]
+    else:
+        scale = 10.0 ** draw(st.integers(-320, 300))
+        knots = [scale * s for s in steps]
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    points = np.random.default_rng(seed).normal(0.0, 10.0, (len(knots) - k - 1, 2))
+    return k, knots, points.tolist()
+
+
+def nearest_double(v) -> float:
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
+
+
+def outcome(fn, *args):
+    """``fn(*args)`` as an array, or None where it raises DomainError."""
+    try:
+        return np.asarray(fn(*args))
+    except DomainError:
+        return None
+
+
+def assert_finite(got):
+    assert got is None or np.isfinite(got).all()
+
+
+def assert_not_nan(got):
+    assert got is None or not np.isnan(got).any()
+
+
+TINY = Fraction(1, 10 ** 400)
+
+
+@settings(max_examples=60, deadline=None)
+@given(extreme_splines())
+# one span narrower than the smallest double
+@example((1, [0, 0, TINY, TINY], [[0.0], [1.0]]))
+# widths that round to 0.0, under a slope that is a double
+@example((2, [Fraction(i, 10 ** 330) for i in range(6)], [[0.0], [1e-300], [4e-300]]))
+# a subnormal width, under a slope beyond the float range
+@example((1, [Fraction(i, 5 * 10 ** 309) for i in range(4)], [[0.0], [1.0]]))
+def test_every_path_raises_domain_error_or_gives_finite_values(spline):
+    k, knots, points = spline
+    curve = SplineCurve(k, KnotVector(knots), points)
+    doubles = [nearest_double(v) for v in knots]
+    taus = sorted(set(doubles + [math.nextafter(f, -math.inf) for f in doubles]
+                      + [math.nextafter(f, math.inf) for f in doubles]))
+    lo, hi = curve.domain
+    for tau in taus + [lo, hi, (lo + hi) / 2]:
+        assert_finite(outcome(curve.evaluate, [tau]))
+        assert_not_nan(outcome(curve.evaluate, [tau], 1))
+        assert_finite(outcome(curve.eval_matrix, tau))
+        assert_finite(outcome(curve.eval_cumulative, tau))
+        assert_not_nan(outcome(curve.eval_derivative, tau, 1))
+        assert_finite(outcome(curve.eval_coxdeboor, tau))
+        assert_finite(outcome(curve._coxdeboor, [tau]))
+    assert_finite(outcome(curve.evaluate, taus))
+    assert_finite(outcome(curve._coxdeboor, taus))
+    assert_finite(outcome(lambda: np.array([p for _, p in curve.sample(5)])))
