@@ -13,8 +13,9 @@ span's basis matrix, Taylor-centred at u = 1/2, times its k+1 local
 control points (the cumulative block applies the centred cumulative matrix
 to the first point and the differences).  A parameter is evaluated by
 ``polytoeplitz.horner`` in v = u - 1/2 over its span's (k+1, d) block, on
-numpy stacks for arrays and in Python floats for a single parameter, with
-the same result bit for bit.  Centring keeps the power form well
+numpy stacks for arrays and, with the same result bit for bit, in Python
+floats for a single parameter: one ``bisect`` over the float tables, then
+its span's cached column lists.  Centring keeps the power form well
 conditioned next to wide spans (Farouki & Rajan 1987).  The degree
 recursion builds the centred matrices directly, one way per knot storage:
 on exact knots they are exact until the one rounding of each entry and
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -36,7 +38,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import coxdeboor
 from .basismatrix import BasisMatrix, float_span_columns, knot_window, span_columns
-from .errors import DomainError
+from .errors import DegenerateSpan, DomainError
 from .knots import KnotVector, find_span, normalize, span_of
 from .polytoeplitz import horner
 
@@ -62,6 +64,7 @@ class _FloatKnots:
     hi: float  # the largest double in it
     last: int  # last span of positive width; -1 if none
     oracle: KnotVector  # the knots the recursion runs on at a float tau
+    views: tuple  # zero-copy memoryviews of bounds, values, widths for ``_point``
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,8 +147,12 @@ class SplineCurve:
         Rational knots: int columns over an int ``den`` (``span_columns``),
         built once per distinct ``knot_window``; evenly spaced knots have
         one.  Float-stored knots: one ``float_span_columns`` call, as a
-        window would not give the same columns bit for bit there.
+        window would not give the same columns bit for bit there.  Raises
+        DegenerateSpan at a span of zero width, on either storage.
         """
+        zero = [j for j in spans if self.knots.values[j] == self.knots.values[j + 1]]
+        if zero:
+            raise DegenerateSpan("span %d has zero width" % zero[0])
         if self.knots.storage == "float":
             start = time.perf_counter()
             cols, den = float_span_columns(self._view.values, self.degree, spans)
@@ -222,7 +229,7 @@ class SplineCurve:
         may build (and count) a span twice.  ``spans_touched`` counts the
         stored coefficient blocks, one per span and kind ("m" or "c"); a
         table of evenly spaced knots counts each of its spans.  A block is
-        stored once, so it is counted once.
+        stored once, so it is counted once; ``_point``'s column lists are not counted.
         """
         cache = self._cache.copy()  # fills may store entries meanwhile
         builds = cache["builds"]
@@ -315,27 +322,31 @@ class SplineCurve:
     def _point(self, tau, kind: str, order: int = 0) -> np.ndarray:
         """One parameter through ``_combine``'s arithmetic, in Python floats.
 
-        Locates the span, then runs the one scalar ``horner`` per coordinate
-        over the block with the same roundings in the same order, so the
-        result equals the batch's bit for bit.  A float tau inside the
-        domain takes the batch's one ``searchsorted``; any other tau goes
-        through ``_locate``, with its errors.
+        A float tau inside the domain takes one ``bisect_right`` over the
+        bounds, the batch's ``searchsorted`` index for a non-NaN double; any
+        other tau goes through ``_locate``, with its errors.  The one scalar
+        ``horner`` per coordinate then runs over the span's column lists,
+        cached per kind and order, with the batch's roundings in its order,
+        so the result equals the batch's bit for bit.
         """
         fk = self._view
+        bounds, values, widths = fk.views
         u = math.nan
         if isinstance(tau, float) and fk.lo <= tau <= fk.hi and fk.last >= 0:
-            span = int(fk.bounds.searchsorted(tau, "right")) - 1
-            u = (tau - float(fk.values[span])) / float(fk.widths[span])
+            span = bisect_right(bounds, tau) - 1
+            u = (tau - values[span]) / widths[span]
         if math.isnan(u):  # not located above, or a span not float-evaluable
             spans, us = self._locate([tau])
             span, u = int(spans[0]), float(us[0])
         if order > self.degree:
             return np.zeros(self.dim)
-        cols = _derivative_rows(self._block(kind, span), order).T.tolist()
+        cols = self._cache.get(("h", kind, order, span))
+        if cols is None:  # lists are mutable: stored, never handed out
+            rows = _derivative_rows(self._block(kind, span), order)
+            cols = self._cache.setdefault(("h", kind, order, span), rows.T.tolist())
         out = [horner(col, u - 0.5) for col in cols]
-        width = float(fk.widths[span])
         for _ in range(order):  # Python floats overflow to +-inf silently
-            out = [x / width for x in out]
+            out = [x / widths[span] for x in out]
         return np.array(out)
 
     def evaluate(self, taus, derivative: int = 0) -> np.ndarray:
@@ -463,10 +474,11 @@ def _float_view(knots: KnotVector, degree: int) -> _FloatKnots:
     lo, hi = knots.domain(degree)
     last = span_of(vals, degree, hi) if lo < hi else -1
     exact = not any(signs) and math.isfinite(float(values[-1]) - float(values[0]))
-    return _FloatKnots(values=values, bounds=bounds[:last + 1], widths=widths,
-                       lo=float(bounds[degree]),
+    cut = bounds[:last + 1]
+    return _FloatKnots(values=values, bounds=cut, widths=widths, lo=float(bounds[degree]),
                        hi=math.nextafter(end, -math.inf) if signs[-degree - 1] > 0 else end,
-                       last=last, oracle=knots.as_float() if exact else knots)
+                       last=last, oracle=knots.as_float() if exact else knots,
+                       views=tuple(map(memoryview, (cut, values, widths))))
 
 
 def _windows(kv: KnotVector, last: int, degree: int, taus: list) -> tuple:

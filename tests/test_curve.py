@@ -12,6 +12,7 @@ import pytest
 from splinemat import (
     MAX_DEGREE,
     BasisMatrix,
+    DegenerateSpan,
     DomainError,
     KnotVector,
     SplineCurve,
@@ -672,6 +673,15 @@ class TestExactRows:
             assert same_bits(curve._rows("c", [j])[0],
                              centred(cumulative_matrix(m)).as_float_rows())
             assert curve._exact_matrix(j).entries == centred(m).entries
+
+    @pytest.mark.parametrize("storage", ["rational", "float"])
+    def test_zero_width_span_raises_degenerate_span(self, storage):
+        kv = KnotVector([0, 1, 2, 2, 3, 4, 5])
+        curve = SplineCurve(2, kv if storage == "rational" else kv.as_float(), np.zeros((4, 1)))
+        with pytest.raises(DegenerateSpan, match="span 2 has zero width"):
+            curve._exact_matrix(2)
+        with pytest.raises(DegenerateSpan, match="span 2 has zero width"):
+            curve._matrix_point(2, 0.5)
 
     def test_uniform_matrices_equal_fraction_recursion(self):
         for k, want in enumerate(fraction_uniform_matrices(30)):

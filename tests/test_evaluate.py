@@ -287,6 +287,9 @@ def test_span_cache_grows_with_touched_spans_only():
     try:
         curve.evaluate([1000.5])
         curve.eval_cumulative(2000.5)
+        # scalar calls cache column lists, not blocks
+        curve.eval_matrix(1000.5)
+        curve.eval_derivative(1000.5, 2)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -384,9 +387,13 @@ def test_scalar_views_equal_the_batch_bit_for_bit(case, data):
             assert outcome(curve.eval_cumulative, tau) == batch
             assert outcome(curve.eval_derivative, tau, 1) == batch
             continue
-        assert np.array_equal(curve.eval_matrix(tau), batch[0])
-        for order in range(1, k + 2):
-            assert np.array_equal(curve.eval_derivative(tau, order),
-                                  curve.evaluate([tau], order)[0])
+        slopes = {order: curve.evaluate([tau], order)[0] for order in range(1, k + 2)}
         spans, u = curve._locate([tau])
-        assert np.array_equal(curve.eval_cumulative(tau), curve._combine(spans, u, "c")[0])
+        cumulative = curve._combine(spans, u, "c")[0]
+        # every view twice: cold with the orders rising, then with every
+        # cached column list warm and the orders falling
+        for orders in (range(1, k + 2), range(k + 1, 0, -1)):
+            assert np.array_equal(curve.eval_matrix(tau), batch[0])
+            for order in orders:
+                assert np.array_equal(curve.eval_derivative(tau, order), slopes[order])
+            assert np.array_equal(curve.eval_cumulative(tau), cumulative)

@@ -5,7 +5,8 @@ Knot vectors are drawn with repeated knots, rational scales 10^-400 to
 1e300, so that spans can be narrower than the smallest double, knots can
 lie beyond the largest, and distinct knots can share one double.  Every
 path either raises DomainError or gives finite values; derivatives may be
-+-inf beyond the float range but are never NaN.
++-inf beyond the float range but are never NaN.  The scalar views give
+the batch's bytes, or its DomainError.
 """
 
 import math
@@ -52,6 +53,14 @@ def outcome(fn, *args):
         return None
 
 
+def result(fn, *args):
+    """The bytes of ``fn(*args)``, or the message of the DomainError it raised."""
+    try:
+        return np.asarray(fn(*args)).tobytes()
+    except DomainError as err:
+        return "DomainError: %s" % err
+
+
 def assert_finite(got):
     assert got is None or np.isfinite(got).all()
 
@@ -86,6 +95,10 @@ def test_every_path_raises_domain_error_or_gives_finite_values(spline):
         assert_not_nan(outcome(curve.eval_derivative, tau, 1))
         assert_finite(outcome(curve.eval_coxdeboor, tau))
         assert_finite(outcome(curve._coxdeboor, [tau]))
+        # the scalar bisect and the batch searchsorted take the same span
+        assert result(curve.eval_matrix, tau) == result(lambda: curve.evaluate([tau])[0])
+        assert (result(curve.eval_derivative, tau, 1)
+                == result(lambda: curve.evaluate([tau], 1)[0]))
     assert_finite(outcome(curve.evaluate, taus))
     assert_finite(outcome(curve._coxdeboor, taus))
     assert_finite(outcome(lambda: np.array([p for _, p in curve.sample(5)])))
