@@ -11,18 +11,17 @@ The matrix, cumulative and derivative paths share one float core over
 per-span coefficient blocks, de Boor's piecewise-polynomial form: the
 span's basis matrix, Taylor-centred at u = 1/2, times its k+1 local
 control points (the cumulative block applies the centred cumulative matrix
-to the first point and the differences).  A parameter is evaluated by
-``polytoeplitz.horner`` in v = u - 1/2 over its span's (k+1, d) block, on
-numpy stacks for arrays and, with the same result bit for bit, in Python
-floats for a single parameter: one ``bisect`` over the float tables, then
-its span's cached column lists.  Centring keeps the power form well
-conditioned next to wide spans (Farouki & Rajan 1987).  The degree
-recursion builds the centred matrices directly, one way per knot storage:
-on exact knots they are exact until the one rounding of each entry and
-built once per distinct knot window (evenly spaced knots have one); on
-float-stored knots one batched numpy recursion in double precision builds
-every span a chunk needs that is not yet cached.  One ``_cached`` fill
-stores the columns and the blocks, which one ``einsum`` forms per fill.
+to the first point and the differences).  The blocks live in power-major
+pages of consecutive spans; ``polytoeplitz.horner`` evaluates them in
+v = u - 1/2, over one gather per power for arrays and, with the same
+result bit for bit, in Python floats for a single parameter: one
+``bisect`` over the float tables, then its span's cached column lists.
+Centring keeps the power form well conditioned next to wide spans (Farouki
+& Rajan 1987).  The degree recursion builds the centred matrices directly,
+one way per knot storage: on exact knots they are exact until the one
+rounding of each entry and built once per distinct knot window (evenly
+spaced knots have one); on float-stored knots one batched numpy recursion
+in double precision builds every span a chunk needs that is not yet built.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ import math
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -42,9 +40,10 @@ from .errors import DegenerateSpan, DomainError
 from .knots import KnotVector, find_span, normalize, span_of
 from .polytoeplitz import horner
 
-# Parameters per pass of the batched core.  Scratch memory per pass is
-# O(_CHUNK * (k+1) * d) floats whatever the number of parameters, and
-# O(_CHUNK * (k+1)^2) more in a pass that builds the matrices of new spans.
+# Parameters per pass of the batched core, and spans per page of blocks.
+# Scratch memory per pass is O(_CHUNK * (k+1) * d) floats whatever the
+# number of parameters, and O(_CHUNK * (k+1)^2) more in a pass that builds
+# the matrices of new spans.
 _CHUNK = 1024
 
 
@@ -74,10 +73,11 @@ class SplineCurve:
     Counts are tied: a degree-k curve over M knots carries N = M - k - 1
     control points.  Instances are immutable and compare and hash by
     identity; evaluation is pure and safe to run concurrently.  Coefficient
-    blocks are cached per touched span (evenly spaced knots: one table of
-    every span's block), each built whole and made read-only before it is
-    stored, so a reader never sees a half-built block; two racing fills
-    only build a block twice.
+    blocks are stored per kind in pages of ``_CHUNK`` consecutive spans,
+    each allocated when one of its spans is first touched: (k+1) * P * d
+    floats per touched page and kind, P = ``_CHUNK``.  A block is written
+    whole before the page's mask marks it filled, so a reader never sees a
+    half-built block; two racing fills only write the same bytes twice.
     """
 
     degree: int
@@ -127,17 +127,13 @@ class SplineCurve:
     def domain(self) -> tuple:
         return self.knots.domain(self.degree)
 
-    def _cached(self, kind: str, spans: list, build) -> list:
-        """The cache entries ``(kind, j)`` of distinct ``spans``: "x" columns, "m"/"c" blocks.
-
-        ``build(missing)`` makes the missing entries in one call; each is
-        stored with ``setdefault``, so a racing fill only builds it twice.
-        """
-        got = [self._cache.get((kind, j)) for j in spans]
+    def _cached_columns(self, spans: list) -> list:
+        """``_columns`` of distinct ``spans``, kept as ``("x", j)``; a race builds one twice."""
+        got = [self._cache.get(("x", j)) for j in spans]
         missing = [j for j, entry in zip(spans, got) if entry is None]
         if missing:
-            fresh = iter([self._cache.setdefault((kind, j), entry)
-                          for j, entry in zip(missing, build(missing))])
+            fresh = iter([self._cache.setdefault(("x", j), entry)
+                          for j, entry in zip(missing, self._columns(missing))])
             got = [entry if entry is not None else next(fresh) for entry in got]
         return got
 
@@ -170,53 +166,52 @@ class SplineCurve:
 
     def _rows(self, kind: str, spans: list) -> np.ndarray:
         """Float rows of the spans' centred matrices ("m") or cumulative forms ("c")."""
-        cols, dens = zip(*self._cached("x", spans, self._columns))
+        cols, dens = zip(*self._cached_columns(spans))
         dtype = float if self.knots.storage == "float" else object
         return _float_rows(np.array(cols, dtype), np.array(dens, dtype)[:, None, None], kind)
 
     def _exact_matrix(self, span: int) -> BasisMatrix:
         """The span's exact matrix centred at u = 1/2 (rational knots), rows powers of v."""
-        return BasisMatrix.from_columns(*self._cached("x", [span], self._columns)[0], span=span)
+        return BasisMatrix.from_columns(*self._cached_columns([span])[0], span=span)
 
     def _block(self, kind: str, span: int) -> np.ndarray:
-        """The span's read-only (k+1, d) coefficient block, built on first use.
+        """The span's (k+1, d) coefficient block (see ``_page``), a view into its page."""
+        page, offset = divmod(span - self.degree, _CHUNK)
+        blocks, filled = self._page(kind, page)
+        if not filled[offset]:
+            self._page(kind, page, np.array([offset]))
+        return blocks[:, offset]
 
-        Row r is the coefficient of v^r, v = u - 1/2, of the span's value:
-        the centred matrix ("m") times the local points, or the centred
-        cumulative matrix ("c") times the first local point and the
-        differences, formed independently of the "m" block.  Evenly spaced
-        knots read it from ``_table``.
+    def _page(self, kind: str, page: int, missing=()) -> tuple:
+        """The kind's page ``page`` and its filled mask, with the ``missing`` spans built.
+
+        Entry [r, i] of the (k+1, P, d) page, P = ``_CHUNK`` but in the last
+        page, is the v^r coefficient, v = u - 1/2, on span k + page * P + i:
+        of the centred matrix ("m") times the local points, or of the
+        centred cumulative matrix ("c") times the first point and the
+        differences, formed independently.  Evenly spaced knots fill a page
+        whole from their one matrix before storing it; other knots build
+        the distinct, unfilled offsets ``missing`` with one ``einsum``.
         """
-        if self.knots.is_uniform:
-            return self._table(kind)[span - self.degree]
-        block = self._cache.get((kind, span))
-        if block is None:
-            block = self._cached(kind, [span], partial(self._blocks, kind))[0]
-        return block
-
-    def _blocks(self, kind: str, spans: list) -> np.ndarray:
-        """The read-only blocks of non-uniform ``spans``: one ``_rows`` call, one ``einsum``."""
-        runs = np.array(spans)[:, None] + np.arange(-self.degree, 1)
-        windows = self.points[runs].transpose(0, 2, 1)
-        blocks = _coefficient_blocks(kind, self._rows(kind, spans), windows)
-        blocks.setflags(write=False)
-        return blocks
-
-    def _table(self, kind: str) -> np.ndarray:
-        """Evenly spaced knots: every span's block, (N-k, k+1, d), built on first use.
-
-        One table is at most k+1 times the size of the control points;
-        span j's block is row j - k.
-        """
-        key = (kind, "table")
-        table = self._cache.get(key)
-        if table is None:
-            rows = self._rows(kind, [self.degree])[0]
-            windows = sliding_window_view(self.points, self.degree + 1, axis=0)
-            table = _coefficient_blocks(kind, rows, windows)
-            table.setflags(write=False)
-            table = self._cache.setdefault(key, table)
-        return table
+        k, first = self.degree, self.degree + page * _CHUNK
+        entry = self._cache.get((kind, page))
+        if entry is None:
+            size = min(_CHUNK, self.count - first)
+            if self.knots.is_uniform:
+                windows = sliding_window_view(self.points[first - k:first + size], k + 1, axis=0)
+                blocks = _coefficient_blocks(kind, self._rows(kind, [k])[0], windows)
+                entry = (blocks, np.ones(size, bool))
+            else:
+                entry = (np.empty((k + 1, size, self.dim)), np.zeros(size, bool))
+            entry = self._cache.setdefault((kind, page), entry)
+        if len(missing):
+            blocks, filled = entry
+            spans = missing + first
+            windows = self.points[spans[:, None] + np.arange(-k, 1)]
+            rows = self._rows(kind, spans.tolist())
+            blocks[:, missing] = _coefficient_blocks(kind, rows, windows.transpose(0, 2, 1))
+            filled[missing] = True  # only once the blocks are written
+        return entry
 
     def stats(self) -> dict:
         """Construction so far: ``spans_built``, ``window_hits``, ``build_s``, ``spans_touched``.
@@ -226,17 +221,16 @@ class SplineCurve:
         ``span_columns`` or ``float_span_columns`` building centred
         matrices, and ``spans_built`` the spans they built.  Those three are
         counted when a span is first needed, never per point; racing threads
-        may build (and count) a span twice.  ``spans_touched`` counts the
-        stored coefficient blocks, one per span and kind ("m" or "c"); a
-        table of evenly spaced knots counts each of its spans.  A block is
-        stored once, so it is counted once; ``_point``'s column lists are not counted.
+        may build (and count) a span twice.  ``spans_touched`` sums the
+        pages' masks: each filled block, one per span and kind ("m" or "c"),
+        once; ``_point``'s column lists count nothing.
         """
         cache = self._cache.copy()  # fills may store entries meanwhile
         builds = cache["builds"]
-        blocks = [b for key, b in cache.items() if isinstance(key, tuple) and key[0] in "mc"]
         return {"spans_built": sum(n for n, _ in builds), "window_hits": sum(cache["hits"]),
                 "build_s": math.fsum(s for _, s in builds),
-                "spans_touched": sum(len(b) if b.ndim == 3 else 1 for b in blocks)}
+                "spans_touched": sum(int(entry[1].sum()) for key, entry in cache.items()
+                                     if isinstance(key, tuple) and key[0] in "mc")}
 
     def _batch(self, taus) -> tuple:
         """A 1-D batch of parameters and the mask of those in the evaluable domain.
@@ -257,60 +251,65 @@ class SplineCurve:
         return arr, np.array([lo < hi and lo <= t <= hi for t in arr.tolist()], bool)
 
     def _locate(self, taus) -> tuple:
-        """Span index and span-normalised parameter for each tau.
-
-        Float parameters go through the float tables; any other kind
-        (Fraction, int) takes the exact ``span_of``/``normalize``.
-        Raises DomainError for a tau outside the evaluable domain, or in a
-        span whose width is not a positive finite double.
-        """
+        """``_spans`` of each tau; DomainError for a tau outside the evaluable domain."""
         arr, inside = self._batch(taus)
         if not inside.all():
             find_span(self.knots, self.degree, arr.tolist()[inside.argmin()])
+        return self._spans(arr)
+
+    def _spans(self, arr: np.ndarray) -> tuple:
+        """Span index and span-normalised parameter of each tau, all in the domain.
+
+        Float taus go through the float tables, others (Fraction, int) take
+        ``span_of``/``normalize``.  Raises DomainError in a span whose width
+        is not a positive finite double.
+        """
         fk = self._view
         if arr.dtype == float:
             # Piegl & Tiller A2.1 (FindSpan) over the whole batch
             spans = np.searchsorted(fk.bounds, arr, side="right") - 1
-            u = (arr - fk.values[spans]) / fk.widths[spans]
+            widths = fk.widths[spans]
+            u = (arr - fk.values[spans]) / widths
         else:
             values = arr.tolist()
             spans = np.array([span_of(self.knots.values, self.degree, t) for t in values],
                              dtype=np.intp)
             u = np.array([float(normalize(self.knots, j, t)) for j, t in zip(spans, values)])
-        narrow = np.isnan(fk.widths[spans])
+            widths = fk.widths[spans]
+        narrow = np.isnan(widths)
         if narrow.any():
             raise DomainError("tau %s lies in a span whose width is outside the float range"
                               % arr[narrow][0])
         return spans, u
 
-    def _span_blocks(self, kind: str, spans: np.ndarray) -> np.ndarray:
-        """The blocks of ``spans``, looked up once per distinct span.
-
-        One (k+1, d) block when they are all one span, else the
-        (len(spans), k+1, d) stack.
-        """
-        if self.knots.is_uniform:
-            return self._table(kind)[spans - self.degree]
-        distinct = np.unique(spans)
-        blocks = self._cached(kind, distinct.tolist(), partial(self._blocks, kind))
-        if len(blocks) == 1:
-            return blocks[0]
-        return np.stack(blocks)[np.searchsorted(distinct, spans)]
+    def _pages(self, spans: np.ndarray) -> list:
+        """``(page, where, offsets)`` per page hit: ``spans[where]`` are at ``offsets`` in it."""
+        if self.count - self.degree <= _CHUNK:  # one page
+            return [(0, slice(None), spans - self.degree)]
+        pages, offsets = np.divmod(spans - self.degree, _CHUNK)
+        distinct = np.flatnonzero(np.bincount(pages)).tolist()
+        return [(page, where, offsets[where]) for page in distinct for where in [pages == page]]
 
     def _combine(self, spans: np.ndarray, u: np.ndarray, kind: str = "m",
                  order: int = 0) -> np.ndarray:
         """The batched core: Horner's rule in u - 1/2 over the spans' blocks.
 
-        ``kind`` "m" or "c" picks the block (see ``_block``); ``order`` > 0
-        differentiates it, dividing by the span width once per order (chain rule).
+        ``kind`` "m" or "c" picks the block (see ``_page``), gathered per
+        chunk and page; ``order`` > 0 differentiates it, dividing by the
+        span width once per order (chain rule).
         """
         out = np.empty((len(u), self.dim))
-        x = (u - 0.5)[:, None]
+        x = np.repeat((u - 0.5)[:, None], self.dim, axis=1)  # Horner steps without broadcasts
         for start in range(0, len(u), _CHUNK):
             part = slice(start, start + _CHUNK)
-            rows = _derivative_rows(self._span_blocks(kind, spans[part]), order)
-            # the power axis first: horner sums (len(part), d) terms
-            out[part] = horner(rows.swapaxes(0, -2), x[part])
+            for page, where, offsets in self._pages(spans[part]):
+                blocks, filled = self._page(kind, page)
+                if not filled.all():
+                    need = np.zeros(len(filled), bool)
+                    need[offsets] = True
+                    self._page(kind, page, np.flatnonzero(need > filled))
+                rows = blocks[order:].take(offsets, axis=1)
+                out[part][where] = horner(_derivative_rows(rows, order), x[part][where])
         if order:
             # once per order, as in _point: a power of a narrow width
             # underflows; a derivative beyond the float range is +-inf
@@ -333,6 +332,7 @@ class SplineCurve:
         bounds, values, widths = fk.views
         u = math.nan
         if isinstance(tau, float) and fk.lo <= tau <= fk.hi and fk.last >= 0:
+            tau = float(tau)  # a numpy double, too, computes in Python floats
             span = bisect_right(bounds, tau) - 1
             u = (tau - values[span]) / widths[span]
         if math.isnan(u):  # not located above, or a span not float-evaluable
@@ -342,7 +342,7 @@ class SplineCurve:
             return np.zeros(self.dim)
         cols = self._cache.get(("h", kind, order, span))
         if cols is None:  # lists are mutable: stored, never handed out
-            rows = _derivative_rows(self._block(kind, span), order)
+            rows = _derivative_rows(self._block(kind, span)[order:], order)
             cols = self._cache.setdefault(("h", kind, order, span), rows.T.tolist())
         out = [horner(col, u - 0.5) for col in cols]
         for _ in range(order):  # Python floats overflow to +-inf silently
@@ -436,8 +436,9 @@ class SplineCurve:
         # Rounding an exact bound to float may step just outside the domain;
         # parameters that landed there are evaluated at the exact bound.
         edge = (grid < fk.lo) | (grid > fk.hi)
+        inner = ~edge if edge.any() else slice(None)  # no masked copies without edge points
         points = np.empty((n, self.dim))
-        points[~edge] = self.evaluate(grid[~edge])
+        points[inner] = self._combine(*self._spans(grid[inner]))
         if edge.any():
             lo, hi = self.domain
             points[edge] = self.evaluate([lo if t < lo else hi for t in grid[edge].tolist()])
@@ -516,14 +517,11 @@ def _sign(f: float, n: int, d: int) -> int:
 
 
 def _derivative_rows(rows: np.ndarray, order: int) -> np.ndarray:
-    """Rows r >= order of (a stack of) (k+1, m) power-basis rows, times r!/(r-order)!.
-
-    These are the coefficients of the ``order``-th derivative.
-    """
+    """Power rows r = order, order+1, ... (first axis) times r!/(r-order)!: the derivative."""
     if not order:
         return rows
-    scale = [math.perm(r, order) for r in range(order, rows.shape[-2])]
-    return rows[..., order:, :] * np.array(scale, dtype=float)[:, None]
+    scale = np.array([math.perm(r, order) for r in range(order, order + len(rows))], dtype=float)
+    return rows * scale.reshape((-1,) + (1,) * (rows.ndim - 1))
 
 
 def _float_rows(cols: np.ndarray, den: np.ndarray, kind: str) -> np.ndarray:
@@ -542,7 +540,7 @@ def _float_rows(cols: np.ndarray, den: np.ndarray, kind: str) -> np.ndarray:
 
 
 def _coefficient_blocks(kind: str, rows: np.ndarray, windows: np.ndarray) -> np.ndarray:
-    """Blocks of runs of k+1 consecutive points: (runs, k+1, d).
+    """Power-major blocks of runs of k+1 consecutive points: (k+1, runs, d).
 
     ``windows`` is (runs, d, k+1), each run along the last axis (as from
     ``sliding_window_view``); ``rows`` is one (k+1, k+1) matrix for every
@@ -551,9 +549,9 @@ def _coefficient_blocks(kind: str, rows: np.ndarray, windows: np.ndarray) -> np.
     row 0 (column 0 of a cumulative matrix, centred or not, is
     (1, 0, ..., 0)).
     """
-    subscripts = ("rc" if rows.ndim == 2 else "nrc") + ",ndc->nrd"
+    subscripts = ("rc" if rows.ndim == 2 else "nrc") + ",ndc->rnd"
     if kind == "c":
         out = np.einsum(subscripts, rows[..., 1:], np.diff(windows, axis=-1))
-        out[:, 0] += windows[..., 0]
+        out[0] += windows[..., 0]
         return out
     return np.einsum(subscripts, rows, windows)

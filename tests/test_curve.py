@@ -423,6 +423,8 @@ class TestDerivative:
         kv = KnotVector([Fraction(i, 5 * 10 ** 309) for i in range(4)])
         steep = SplineCurve(1, kv, [[0.0], [1.0]])
         assert steep.eval_derivative(3e-310, 1).tolist() == [math.inf]
+        # a numpy double, such as an element of an array, computes as a Python float
+        assert steep.eval_derivative(np.float64(3e-310), 1).tolist() == [math.inf]
         assert steep.evaluate([3e-310], 1).tolist() == [[math.inf]]
         curve = SplineCurve(1, kv, [[0.0], [1e-300]])
         slope = curve.eval_derivative(3e-310, 1)

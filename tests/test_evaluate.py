@@ -34,6 +34,7 @@ from splinemat import (
     lambda_weights,
     normalize,
 )
+from splinemat.curve import _CHUNK
 
 SETTINGS = settings(max_examples=100, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
@@ -263,11 +264,9 @@ def test_derivative_orders_and_shapes():
 
 
 def test_batches_longer_than_a_chunk():
-    from splinemat import curve as curve_module
-
     kv = KnotVector([0, 0, 0, 1, 3, 4, 8, 9, 9, 9])
     curve = SplineCurve(2, kv, np.arange(14.0).reshape(7, 2))
-    taus = np.linspace(0.0, 9.0, 3 * curve_module._CHUNK + 7)
+    taus = np.linspace(0.0, 9.0, 3 * _CHUNK + 7)
     got = curve.evaluate(taus)
     for i in range(0, len(taus), 97):
         assert row_gaps(got[i], curve.eval_coxdeboor(float(taus[i]))).max() <= 1e-12
@@ -294,13 +293,71 @@ def test_span_cache_grows_with_touched_spans_only():
     finally:
         tracemalloc.stop()
     assert peak < full / 20
-    # one (k+1, d) coefficient block per touched span and kind
-    blocks = {key: curve._cache[key] for key in curve._cache
-              if isinstance(key, tuple) and key[0] in ("m", "c")}
-    assert sorted(blocks) == [("c", find_span(kv, 3, 2000.5)), ("m", find_span(kv, 3, 10.5)),
-                              ("m", find_span(kv, 3, 1000.5))]
-    assert all(block.shape == (4, 1) for block in blocks.values())
+    # one (k+1, P, d) page per touched page and kind, one filled block per
+    # touched span and kind
+    pages = {key: curve._cache[key] for key in curve._cache
+             if isinstance(key, tuple) and key[0] in ("m", "c")}
+    filled = sorted((kind, 3 + page * _CHUNK + int(i))
+                    for (kind, page), (_, mask) in pages.items() for i in np.flatnonzero(mask))
+    assert filled == [("c", find_span(kv, 3, 2000.5)), ("m", find_span(kv, 3, 10.5)),
+                      ("m", find_span(kv, 3, 1000.5))]
+    assert all(blocks.shape == (4, _CHUNK, 1) for blocks, _ in pages.values())
     assert curve.stats()["spans_touched"] == 3
+
+
+@st.composite
+def paged_curves_and_taus(draw):
+    """A curve of more than one page of spans, and float taus that cross pages."""
+    kind = draw(st.sampled_from(["uniform", "clamped", "float", "repeated"]))
+    k = draw(st.integers(1 if kind == "repeated" else 0, 4))
+    spans = _CHUNK + draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "uniform":
+        values = np.arange(spans + 2 * k + 1).tolist()
+        values = [float(v) for v in values] if draw(st.booleans()) else values
+    elif kind == "clamped":
+        values = [0] * k + list(range(spans + 1)) + [spans] * k
+    else:
+        gaps = rng.uniform(0.5, 2.0, spans + 2 * k)
+        if kind == "repeated":  # interior knots of multiplicity 2
+            gaps[rng.choice(np.arange(k + 1, spans + k - 1, 2), spans // 8)] = 0.0
+        values = list(accumulate(gaps.tolist(), initial=0.0))
+    curve = SplineCurve(k, KnotVector(values), rng.normal(size=(len(values) - k - 1, 2)))
+    lo, hi = (float(v) for v in curve.domain)
+    seam = float(curve.knots.values[k + _CHUNK])  # the first knot of the second page
+    near = (max(lo, seam - 3.0), min(hi, seam + 3.0))
+    n = draw(st.integers(1, 3 * _CHUNK // 2))
+    taus = np.concatenate([rng.uniform(lo, hi, n), rng.uniform(*near, n // 4), [lo, seam, hi],
+                           draw(st.lists(st.floats(*near), max_size=4))])
+    return curve, np.sort(taus) if draw(st.booleans()) else rng.permutation(taus)
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(paged_curves_and_taus())
+def test_page_store_batch_equals_scalar_views(case):
+    curve, taus = case
+    k = curve.degree
+    spans, u = curve._locate(taus)
+    # the cumulative blocks of the first half only
+    half = len(taus) // 2
+    cumulative = curve._combine(spans[:half], u[:half], "c")
+    batches = [curve.evaluate(taus, order) for order in range(k + 2)]
+    ref = curve._coxdeboor(taus)
+    assert row_gaps(batches[0], ref).max() <= 1e-10
+    assert row_gaps(cumulative, ref[:half]).max() <= 1e-10
+    for i in range(0, len(taus), max(1, len(taus) // 40)):
+        tau = float(taus[i])
+        assert curve.eval_matrix(tau).tobytes() == batches[0][i].tobytes()
+        for order in range(1, k + 2):
+            assert curve.eval_derivative(tau, order).tobytes() == batches[order][i].tobytes()
+        if i < half:
+            assert curve.eval_cumulative(tau).tobytes() == cumulative[i].tobytes()
+    # evenly spaced knots fill whole pages, other knots the touched spans
+    touched = [set(spans.tolist()), set(spans[:half].tolist())]
+    if curve.knots.is_uniform:
+        touched = [{j for j in range(k, curve.count) if (j - k) // _CHUNK in pages}
+                   for pages in [{(j - k) // _CHUNK for j in kind} for kind in touched]]
+    assert curve.stats()["spans_touched"] == sum(map(len, touched))
 
 
 def test_recursion_batch_memory_is_bounded_by_its_passes():
