@@ -12,10 +12,11 @@ per-span coefficient blocks, de Boor's piecewise-polynomial form: the
 span's basis matrix, Taylor-centred at u = 1/2, times its k+1 local
 control points (the cumulative block applies the centred cumulative matrix
 to the first point and the differences).  The blocks live in power-major
-pages of consecutive spans; ``polytoeplitz.horner`` evaluates them in
-v = u - 1/2, over one gather per power for arrays and, with the same
-result bit for bit, in Python floats for a single parameter: one
-``bisect`` over the float tables, then its span's cached column lists.
+pages of consecutive spans; for every knot kind ``_blocks`` gathers them
+and ``_page``'s one fill builds the missing ones.  ``polytoeplitz.horner``
+evaluates them in v = u - 1/2, over one gather per chunk for arrays and,
+with the same result bit for bit, in Python floats for a single parameter:
+one ``bisect`` over the float tables, then its span's cached column lists.
 Centring keeps the power form well conditioned next to wide spans (Farouki
 & Rajan 1987).  The degree recursion builds the centred matrices directly,
 one way per knot storage: on exact knots they are exact until the one
@@ -27,12 +28,12 @@ in double precision builds every span a chunk needs that is not yet built.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import coxdeboor
 from .basismatrix import BasisMatrix, float_span_columns, knot_window, span_columns
@@ -71,13 +72,15 @@ class SplineCurve:
     """Degree, knots, and an (N, d) float array of control points.
 
     Counts are tied: a degree-k curve over M knots carries N = M - k - 1
-    control points.  Instances are immutable and compare and hash by
-    identity; evaluation is pure and safe to run concurrently.  Coefficient
-    blocks are stored per kind in pages of ``_CHUNK`` consecutive spans,
-    each allocated when one of its spans is first touched: (k+1) * P * d
-    floats per touched page and kind, P = ``_CHUNK``.  A block is written
-    whole before the page's mask marks it filled, so a reader never sees a
-    half-built block; two racing fills only write the same bytes twice.
+    control points, copied into a private read-only C-contiguous array: a
+    block's bits depend on their values alone.  Instances are immutable and
+    compare and hash by identity; evaluation is pure and safe to run
+    concurrently.  Coefficient blocks are stored per kind in pages of
+    ``_CHUNK`` consecutive spans, each allocated when one of its spans is
+    first touched: (k+1) * P * d floats per touched page and kind, P =
+    ``_CHUNK``.  A block is written whole before the page's mask marks it
+    filled, so a reader never sees a half-built block; two racing fills
+    only write the same bytes twice.
     """
 
     degree: int
@@ -90,7 +93,7 @@ class SplineCurve:
         if degree < 0:
             raise ValueError("degree must be non-negative")
         try:
-            pts = np.asarray(points, dtype=float)
+            pts = np.array(points, dtype=float, order="C")  # a private copy
         except OverflowError:  # an int coordinate beyond the float range
             raise ValueError("control points must be finite") from None
         if pts.ndim == 1:
@@ -127,91 +130,116 @@ class SplineCurve:
     def domain(self) -> tuple:
         return self.knots.domain(self.degree)
 
-    def _cached_columns(self, spans: list) -> list:
-        """``_columns`` of distinct ``spans``, kept as ``("x", j)``; a race builds one twice."""
-        got = [self._cache.get(("x", j)) for j in spans]
-        missing = [j for j, entry in zip(spans, got) if entry is None]
-        if missing:
-            fresh = iter([self._cache.setdefault(("x", j), entry)
-                          for j, entry in zip(missing, self._columns(missing))])
-            got = [entry if entry is not None else next(fresh) for entry in got]
-        return got
-
     def _columns(self, spans: list) -> list:
-        """``(cols, den)`` per span, its centred matrix ``cols / den`` in powers of v = u - 1/2.
+        """``(cols, den)`` of each distinct span's centred matrix, kept as ``("x", j)``.
 
-        Rational knots: int columns over an int ``den`` (``span_columns``),
-        built once per distinct ``knot_window``; evenly spaced knots have
-        one.  Float-stored knots: one ``float_span_columns`` call, as a
-        window would not give the same columns bit for bit there.  Raises
+        Rows are powers of v = u - 1/2; a race builds one twice.  Rational
+        knots: int columns over an int ``den`` (``span_columns``), built once
+        per distinct ``knot_window``; evenly spaced knots have one.
+        Float-stored knots: one ``float_span_columns`` call, as a window
+        would not give the same columns bit for bit there.  Raises
         DegenerateSpan at a span of zero width, on either storage.
         """
-        zero = [j for j in spans if self.knots.values[j] == self.knots.values[j + 1]]
+        missing = [j for j in spans if ("x", j) not in self._cache]
+        zero = [j for j in missing if self.knots.values[j] == self.knots.values[j + 1]]
         if zero:
             raise DegenerateSpan("span %d has zero width" % zero[0])
-        if self.knots.storage == "float":
+        if missing and self.knots.storage == "float":
             start = time.perf_counter()
-            cols, den = float_span_columns(self._view.values, self.degree, spans)
-            self._cache["builds"].append((len(spans), time.perf_counter() - start))
-            return [(c, den) for c in cols]
-        windows = [knot_window(self.knots.values, self.degree, j) for j in spans]
-        new = [w for w in dict.fromkeys(windows) if ("w", w) not in self._cache]
-        if new:
-            start = time.perf_counter()
-            for w in new:
-                self._cache.setdefault(("w", w), span_columns(w, centred=True))
-            self._cache["builds"].append((len(new), time.perf_counter() - start))
-        self._cache["hits"].append(len(spans) - len(new))
-        return [self._cache[("w", w)] for w in windows]
+            cols, den = float_span_columns(self._view.values, self.degree, missing)
+            self._cache["builds"].append((len(missing), time.perf_counter() - start))
+            for j, c in zip(missing, cols):
+                self._cache.setdefault(("x", j), (c, den))
+        elif missing:
+            windows = [knot_window(self.knots.values, self.degree, j) for j in missing]
+            new = [w for w in dict.fromkeys(windows) if ("w", w) not in self._cache]
+            if new:
+                start = time.perf_counter()
+                for w in new:
+                    self._cache.setdefault(("w", w), span_columns(w, centred=True))
+                self._cache["builds"].append((len(new), time.perf_counter() - start))
+            self._cache["hits"].append(len(missing) - len(new))
+            for j, w in zip(missing, windows):
+                self._cache.setdefault(("x", j), self._cache[("w", w)])
+        return [self._cache[("x", j)] for j in spans]
 
     def _rows(self, kind: str, spans: list) -> np.ndarray:
-        """Float rows of the spans' centred matrices ("m") or cumulative forms ("c")."""
-        cols, dens = zip(*self._cached_columns(spans))
+        """C-contiguous float rows (s, k+1, k+1): centred matrices ("m") or cumulative forms ("c").
+
+        Floats over float ``den``s, or an object array of ints over int
+        ones: their suffix sums are exact and ``int / int`` rounds correctly.
+        """
+        cols, dens = zip(*self._columns(spans))
         dtype = float if self.knots.storage == "float" else object
-        return _float_rows(np.array(cols, dtype), np.array(dens, dtype)[:, None, None], kind)
+        cols, dens = np.array(cols, dtype), np.array(dens, dtype)[:, None, None]
+        if kind == "c":
+            # add.accumulate sums in order: right to left
+            cols = np.cumsum(cols[:, ::-1], axis=1)[:, ::-1]
+        return (cols.transpose(0, 2, 1) / dens).astype(float, order="C")
 
     def _exact_matrix(self, span: int) -> BasisMatrix:
         """The span's exact matrix centred at u = 1/2 (rational knots), rows powers of v."""
-        return BasisMatrix.from_columns(*self._cached_columns([span])[0], span=span)
+        return BasisMatrix.from_columns(*self._columns([span])[0], span=span)
 
-    def _block(self, kind: str, span: int) -> np.ndarray:
-        """The span's (k+1, d) coefficient block (see ``_page``), a view into its page."""
-        page, offset = divmod(span - self.degree, _CHUNK)
-        blocks, filled = self._page(kind, page)
-        if not filled[offset]:
-            self._page(kind, page, np.array([offset]))
-        return blocks[:, offset]
+    def _blocks(self, kind: str, spans: np.ndarray) -> np.ndarray:
+        """The (k+1, n, d) coefficient blocks of ``spans``: the one route from spans to blocks.
 
-    def _page(self, kind: str, page: int, missing=()) -> tuple:
-        """The kind's page ``page`` and its filled mask, with the ``missing`` spans built.
+        Entry [r, i] is the v^r coefficient on span ``spans[i]`` (see
+        ``_page``).  Each page hit fills what is missing, then gives all
+        powers of its spans with one ``take``.  A curve of at most one page
+        takes no page arithmetic, so one span costs a few numpy calls.
+        """
+        k = self.degree
+        if self.count - k <= _CHUNK:  # one page
+            offsets = spans - k
+            return self._page(kind, 0, offsets).take(offsets, axis=1)
+        pages, offsets = np.divmod(spans - k, _CHUNK)
+        out = np.empty((k + 1, len(spans), self.dim))
+        for page in np.flatnonzero(np.bincount(pages)).tolist():
+            where = pages == page
+            out[:, where] = self._page(kind, page, offsets[where]).take(offsets[where], axis=1)
+        return out
 
-        Entry [r, i] of the (k+1, P, d) page, P = ``_CHUNK`` but in the last
-        page, is the v^r coefficient, v = u - 1/2, on span k + page * P + i:
-        of the centred matrix ("m") times the local points, or of the
-        centred cumulative matrix ("c") times the first point and the
-        differences, formed independently.  Evenly spaced knots fill a page
-        whole from their one matrix before storing it; other knots build
-        the distinct, unfilled offsets ``missing`` with one ``einsum``.
+    def _page(self, kind: str, page: int, offsets: np.ndarray) -> np.ndarray:
+        """The kind's (k+1, P, d) page ``page``, with the blocks at ``offsets`` filled.
+
+        Entry [r, i], P = ``_CHUNK`` but in the last page, is the v^r
+        coefficient, v = u - 1/2, on span k + page * P + i: of the centred
+        matrix ("m") times the local points, or of the centred cumulative
+        matrix ("c") times the first point and the differences, formed
+        independently.  The one fill gathers the k+1 points of each missing
+        span and applies the rows by one ``einsum``: evenly spaced knots
+        fill every unfilled span of the page under their one shared matrix,
+        other knots the unfilled ``offsets``.  It raises DomainError, and
+        writes nothing, at the first span of the fill whose max(k, 1) *
+        sum_r |c_r| is not below half the largest double in a coordinate:
+        below that, no Horner partial sum at orders 0 and 1 overflows.
         """
         k, first = self.degree, self.degree + page * _CHUNK
         entry = self._cache.get((kind, page))
         if entry is None:
             size = min(_CHUNK, self.count - first)
-            if self.knots.is_uniform:
-                windows = sliding_window_view(self.points[first - k:first + size], k + 1, axis=0)
-                blocks = _coefficient_blocks(kind, self._rows(kind, [k])[0], windows)
-                entry = (blocks, np.ones(size, bool))
-            else:
-                entry = (np.empty((k + 1, size, self.dim)), np.zeros(size, bool))
-            entry = self._cache.setdefault((kind, page), entry)
+            entry = self._cache.setdefault((kind, page), (np.empty((k + 1, size, self.dim)),
+                                                          np.zeros(size, bool)))
+        blocks, filled = entry
+        uniform = self.knots.is_uniform
+        missing = (~filled if uniform
+                   else np.bincount(offsets, minlength=len(filled)) > filled).nonzero()[0]
         if len(missing):
-            blocks, filled = entry
             spans = missing + first
-            windows = self.points[spans[:, None] + np.arange(-k, 1)]
-            rows = self._rows(kind, spans.tolist())
-            blocks[:, missing] = _coefficient_blocks(kind, rows, windows.transpose(0, 2, 1))
+            rows = self._rows(kind, [k])[0] if uniform else self._rows(kind, spans.tolist())
+            windows = self.points.take(spans[:, None] + np.arange(-k, 1), axis=0)
+            with np.errstate(over="ignore", invalid="ignore"):
+                fresh = _coefficient_blocks(kind, rows, windows)
+                # the sum over the whole fill bounds each span's (NaN fails both)
+                if not max(k, 1) * float(np.abs(fresh).sum()) < sys.float_info.max / 2:
+                    fits = max(k, 1) * np.abs(fresh).sum(axis=0) < sys.float_info.max / 2
+                    if not fits.all():
+                        raise DomainError("control points of span %d are too large to evaluate"
+                                          " in floats" % spans[np.argmin(fits.all(axis=1))])
+            blocks[:, missing] = fresh
             filled[missing] = True  # only once the blocks are written
-        return entry
+        return blocks
 
     def stats(self) -> dict:
         """Construction so far: ``spans_built``, ``window_hits``, ``build_s``, ``spans_touched``.
@@ -282,34 +310,20 @@ class SplineCurve:
                               % arr[narrow][0])
         return spans, u
 
-    def _pages(self, spans: np.ndarray) -> list:
-        """``(page, where, offsets)`` per page hit: ``spans[where]`` are at ``offsets`` in it."""
-        if self.count - self.degree <= _CHUNK:  # one page
-            return [(0, slice(None), spans - self.degree)]
-        pages, offsets = np.divmod(spans - self.degree, _CHUNK)
-        distinct = np.flatnonzero(np.bincount(pages)).tolist()
-        return [(page, where, offsets[where]) for page in distinct for where in [pages == page]]
-
     def _combine(self, spans: np.ndarray, u: np.ndarray, kind: str = "m",
                  order: int = 0) -> np.ndarray:
         """The batched core: Horner's rule in u - 1/2 over the spans' blocks.
 
-        ``kind`` "m" or "c" picks the block (see ``_page``), gathered per
-        chunk and page; ``order`` > 0 differentiates it, dividing by the
-        span width once per order (chain rule).
+        ``kind`` "m" or "c" picks the blocks (see ``_page``), gathered once
+        per chunk; ``order`` > 0 differentiates them, dividing by the span
+        width once per order (chain rule).
         """
         out = np.empty((len(u), self.dim))
         x = np.repeat((u - 0.5)[:, None], self.dim, axis=1)  # Horner steps without broadcasts
         for start in range(0, len(u), _CHUNK):
             part = slice(start, start + _CHUNK)
-            for page, where, offsets in self._pages(spans[part]):
-                blocks, filled = self._page(kind, page)
-                if not filled.all():
-                    need = np.zeros(len(filled), bool)
-                    need[offsets] = True
-                    self._page(kind, page, np.flatnonzero(need > filled))
-                rows = blocks[order:].take(offsets, axis=1)
-                out[part][where] = horner(_derivative_rows(rows, order), x[part][where])
+            rows = self._blocks(kind, spans[part])[order:]
+            out[part] = horner(_derivative_rows(rows, order), x[part])
         if order:
             # once per order, as in _point: a power of a narrow width
             # underflows; a derivative beyond the float range is +-inf
@@ -342,7 +356,7 @@ class SplineCurve:
             return np.zeros(self.dim)
         cols = self._cache.get(("h", kind, order, span))
         if cols is None:  # lists are mutable: stored, never handed out
-            rows = _derivative_rows(self._block(kind, span)[order:], order)
+            rows = _derivative_rows(self._blocks(kind, np.array([span]))[order:, 0], order)
             cols = self._cache.setdefault(("h", kind, order, span), rows.T.tolist())
         out = [horner(col, u - 0.5) for col in cols]
         for _ in range(order):  # Python floats overflow to +-inf silently
@@ -524,34 +538,19 @@ def _derivative_rows(rows: np.ndarray, order: int) -> np.ndarray:
     return rows * scale.reshape((-1,) + (1,) * (rows.ndim - 1))
 
 
-def _float_rows(cols: np.ndarray, den: np.ndarray, kind: str) -> np.ndarray:
-    """Float rows of (s, k+1, k+1) columns ``cols / den`` ("m") or of their suffix sums ("c").
-
-    Floats over (s, 1, 1) float ``den``s, or an object array of ints over
-    int ones: their suffix sums are exact and ``int / int`` rounds correctly.
-    """
-    if kind == "c":
-        # add.accumulate sums in order: right to left
-        cols = np.cumsum(cols[:, ::-1], axis=1)[:, ::-1]
-    rows = cols.transpose(0, 2, 1) / den
-    # einsum sums in memory order, so the layout is part of the blocks' bits:
-    # exact rows are C-contiguous, float rows keep the division's layout
-    return rows if rows.dtype == float else rows.astype(float, order="C")
-
-
 def _coefficient_blocks(kind: str, rows: np.ndarray, windows: np.ndarray) -> np.ndarray:
     """Power-major blocks of runs of k+1 consecutive points: (k+1, runs, d).
 
-    ``windows`` is (runs, d, k+1), each run along the last axis (as from
-    ``sliding_window_view``); ``rows`` is one (k+1, k+1) matrix for every
-    run or a stack of one per run.  "m" applies the rows to the run; "c"
-    applies rows[..., 1:] to its differences and adds its first point to
-    row 0 (column 0 of a cumulative matrix, centred or not, is
-    (1, 0, ..., 0)).
+    ``windows`` (runs, k+1, d) and ``rows``, one (k+1, k+1) matrix for
+    every run or a stack of one per run, are C-contiguous: einsum sums in
+    memory order, so one layout makes a block's bits depend on values
+    alone.  "m" applies the rows to the run; "c" applies rows[..., 1:] to
+    its differences and adds its first point to row 0 (column 0 of a
+    cumulative matrix, centred or not, is (1, 0, ..., 0)).
     """
-    subscripts = ("rc" if rows.ndim == 2 else "nrc") + ",ndc->rnd"
+    subscripts = ("rc" if rows.ndim == 2 else "nrc") + ",ncd->rnd"
     if kind == "c":
-        out = np.einsum(subscripts, rows[..., 1:], np.diff(windows, axis=-1))
-        out[0] += windows[..., 0]
+        out = np.einsum(subscripts, rows[..., 1:], np.diff(windows, axis=1))
+        out[0] += windows[:, 0]
         return out
     return np.einsum(subscripts, rows, windows)

@@ -24,6 +24,13 @@ def write_cubic_spline(path):
     return str(path)
 
 
+def write_huge_points_spline(path):
+    """Degree 3 on evenly spaced knots, points alternating +-1.7e308: differences overflow."""
+    path.write_text(json.dumps({"degree": 3, "knots": list(range(10)),
+                                "control_points": [[1.7e308 * (-1) ** i] for i in range(6)]}))
+    return str(path)
+
+
 def write_narrow_spline(path):
     """Degree 1 over one span 10^-400 wide, narrower than the smallest double."""
     tiny = "1/1" + "0" * 400
@@ -155,6 +162,13 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("method", ["matrix", "cumulative"])
+    def test_points_near_the_float_maximum_exit_two(self, tmp_path, capsys, method):
+        spline = write_huge_points_spline(tmp_path / "huge.json")
+        assert main(["eval", spline, "--tau", "4.5", "--method", method]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: control points of span 3 are too large to evaluate in floats\n"
+
 
 class TestSampleCommand:
     def test_csv_contents(self, tmp_path):
@@ -210,6 +224,12 @@ class TestSampleCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
+
+    def test_points_near_the_float_maximum_exit_two(self, tmp_path, capsys):
+        spline = write_huge_points_spline(tmp_path / "huge.json")
+        assert main(["sample", spline, "-n", "5", "-o", str(tmp_path / "s.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: control points of span 3 are too large to evaluate in floats\n"
 
     @pytest.mark.parametrize("knots", [[0, 10 ** 400], [-1e308, 1e308]])
     def test_domain_beyond_float_range_exits_two(self, tmp_path, capsys, knots):
@@ -301,16 +321,36 @@ class TestCheckCommand:
         assert capsys.readouterr().out == first
 
 
+ROUND_TRIP_KNOTS = {
+    "uniform": KnotVector.uniform(44),
+    "clamped": KnotVector([0] * 4 + list(range(1, 37)) + [37] * 4),
+    "float": KnotVector(np.cumsum(np.random.default_rng(44).uniform(0.5, 2.0, 44)).tolist()),
+}
+# the same values in four memory layouts; a loaded file's points are C-ordered
+POINT_LAYOUTS = {
+    "C": lambda p: p,
+    "fortran": np.asfortranarray,
+    "transposed": lambda p: np.ascontiguousarray(p.T).T,
+    "negative-stride": lambda p: p[::-1].copy()[::-1],
+}
+
+
 class TestSplineFiles:
-    def test_round_trip_evaluation_is_bit_identical(self, tmp_path):
-        kv = KnotVector([0, 0, 0, 0, 1, 2, 3, 3, 3, 3])
-        curve = SplineCurve(3, kv, [[0.1, -2.0], [1.7, 0.3], [2.2, 1.1], [3.3, -0.7], [4.1, 0.0], [5.5, 2.9]])
+    @pytest.mark.parametrize("layout", POINT_LAYOUTS)
+    @pytest.mark.parametrize("knots", ROUND_TRIP_KNOTS)
+    def test_round_trip_evaluation_is_bit_identical(self, tmp_path, knots, layout):
+        kv = ROUND_TRIP_KNOTS[knots]
+        points = POINT_LAYOUTS[layout](np.random.default_rng(3).normal(0.0, 10.0, (40, 3)))
+        curve = SplineCurve(3, kv, points)
         path = tmp_path / "curve.json"
         save_spline(str(path), curve)
         loaded = load_spline(str(path))
-        for tau in np.linspace(0.0, 3.0, 23):
-            assert np.array_equal(curve.eval_matrix(float(tau)), loaded.eval_matrix(float(tau)))
-            assert np.array_equal(curve.eval_cumulative(float(tau)), loaded.eval_cumulative(float(tau)))
+        lo, hi = (float(v) for v in curve.domain)
+        taus = np.linspace(lo, hi, 101)
+        assert np.array_equal(curve.evaluate(taus), loaded.evaluate(taus))
+        for tau in taus.tolist():
+            assert np.array_equal(curve.eval_matrix(tau), loaded.eval_matrix(tau))
+            assert np.array_equal(curve.eval_cumulative(tau), loaded.eval_cumulative(tau))
 
     def test_float_knots_round_trip(self, tmp_path):
         kv = KnotVector([0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7])

@@ -76,6 +76,17 @@ class TestConstruction:
         with pytest.raises(ValueError):
             CUBIC.points[0] = 9.0
 
+    def test_points_are_a_private_copy(self):
+        base = np.arange(12.0)
+        points = base.reshape(6, 2)
+        curve = SplineCurve(2, KnotVector.uniform(9), points)
+        assert points.flags.writeable  # the caller's array stays theirs
+        assert curve.eval_matrix(3.5).tolist() == [4.0, 5.0]  # fills the matrix blocks
+        base[:] = 0.0  # and changes no path
+        got = [curve.eval_matrix(3.5), curve.eval_cumulative(4.5), curve.eval_coxdeboor(4.5),
+               curve.evaluate([5.5])[0]]
+        assert [row.tolist() for row in got] == [[4.0, 5.0], [6.0, 7.0], [6.0, 7.0], [8.0, 9.0]]
+
     def test_curves_compare_and_hash_by_identity(self):
         twin = SplineCurve(3, KnotVector.uniform(8), [0, 1, 2, 3])
         assert CUBIC == CUBIC and CUBIC != twin and not CUBIC == twin

@@ -3,10 +3,11 @@
 Knot vectors are drawn with repeated knots, rational scales 10^-400 to
 10^320 (with an offset of -1 or 1/3 or none) and float scales 1e-320 to
 1e300, so that spans can be narrower than the smallest double, knots can
-lie beyond the largest, and distinct knots can share one double.  Every
-path either raises DomainError or gives finite values; derivatives may be
-+-inf beyond the float range but are never NaN.  The scalar views give
-the batch's bytes, or its DomainError.
+lie beyond the largest, and distinct knots can share one double.  Control
+points reach magnitudes up to 1e308, where a span's coefficients can come
+near the largest double.  Every path either raises DomainError or gives
+finite values; derivatives may be +-inf beyond the float range but are
+never NaN.  The scalar views give the batch's bytes, or its DomainError.
 """
 
 import math
@@ -34,7 +35,8 @@ def extreme_splines(draw):
         scale = 10.0 ** draw(st.integers(-320, 300))
         knots = [scale * s for s in steps]
     seed = draw(st.integers(0, 2 ** 32 - 1))
-    points = np.random.default_rng(seed).normal(0.0, 10.0, (len(knots) - k - 1, 2))
+    size = 10.0 ** draw(st.integers(1, 308))
+    points = size * np.random.default_rng(seed).uniform(-1.0, 1.0, (len(knots) - k - 1, 2))
     return k, knots, points.tolist()
 
 
@@ -80,6 +82,8 @@ TINY = Fraction(1, 10 ** 400)
 @example((2, [Fraction(i, 10 ** 330) for i in range(6)], [[0.0], [1e-300], [4e-300]]))
 # a subnormal width, under a slope beyond the float range
 @example((1, [Fraction(i, 5 * 10 ** 309) for i in range(4)], [[0.0], [1.0]]))
+# points whose differences overflow, on evenly spaced knots
+@example((3, list(range(10)), [[1.7e308 * (-1) ** i] for i in range(6)]))
 def test_every_path_raises_domain_error_or_gives_finite_values(spline):
     k, knots, points = spline
     curve = SplineCurve(k, KnotVector(knots), points)

@@ -1,0 +1,126 @@
+"""One SHA-256 per evaluation path over fixed seeded curves.
+
+Run it on two trees to show that a change leaves every output bit for bit
+as it was::
+
+    python tools/output_hashes.py
+
+It imports ``splinemat`` from the ``src`` directory next to this file.
+The curves take five knot kinds (evenly spaced integers, clamped
+integers, non-uniform floats, integers with repeated interior knots, and
+the rationals i^2/3) at degrees 0..10, 20 and 30, with 3-D control points
+in C order, plus two curves longer than one page of blocks.  The paths
+hashed are ``evaluate`` at every derivative order 0..k+1, the scalar views
+``eval_matrix``, ``eval_cumulative`` and ``eval_derivative``,
+``_sample_grid``, ``eval_coxdeboor``, ``splinemat check`` for seeds 0..39
+and the bytes of ``splinemat sample``'s CSV.  A path that raises hashes
+its error's type and message in place of the values.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from splinemat import KnotVector, SplineCurve, SplineError, cli  # noqa: E402
+
+DEGREES = list(range(11)) + [20, 30]
+SPANS = 9  # spans in each curve's evaluable domain
+
+
+def knot_vector(kind: str, k: int, rng) -> KnotVector:
+    count = SPANS + 2 * k + 1
+    if kind == "uniform":
+        return KnotVector.uniform(count)
+    if kind == "clamped":
+        return KnotVector([0] * k + list(range(SPANS + 1)) + [SPANS] * k)
+    if kind == "float":
+        return KnotVector(np.cumsum(rng.uniform(0.25, 4.0, count)).tolist())
+    if kind == "repeated":
+        gaps = rng.integers(0, 3, count - 1)
+        gaps[k:count - k - 1] = np.maximum(gaps[k:count - k - 1], 1)  # a non-degenerate domain
+        gaps[k + 2] = 0  # at least one repeated interior knot
+        return KnotVector([0] + np.cumsum(gaps).tolist())
+    return KnotVector([Fraction(i * i, 3) for i in range(count)])
+
+
+def curves():
+    """``(name, curve)`` for every knot kind and degree, then the long curves."""
+    rng = np.random.default_rng(20)
+    for kind in ("uniform", "clamped", "float", "repeated", "squares"):
+        for k in DEGREES:
+            kv = knot_vector(kind, k, rng)
+            points = rng.normal(0.0, 10.0, (len(kv.values) - k - 1, 3))
+            yield "%s-k%d" % (kind, k), SplineCurve(k, kv, points)
+    for kv in (KnotVector.uniform(2600), KnotVector(np.cumsum(rng.uniform(0.5, 2.0, 2600)).tolist())):
+        yield "long-%s" % kv.storage, SplineCurve(3, kv, rng.normal(0.0, 10.0, (2596, 3)))
+
+
+def outcome(fn, *args) -> bytes:
+    """The bytes of ``fn(*args)``, or its error's type and message."""
+    try:
+        return np.asarray(fn(*args)).tobytes()
+    except (SplineError, ValueError) as err:
+        return ("%s: %s" % (type(err).__name__, err)).encode()
+
+
+def taus_of(curve, rng) -> list:
+    """Seeded floats in the domain, its ends and its knots' nearest doubles, if inside."""
+    lo, hi = curve.domain
+    ends = [float(lo), float(hi)]
+    knots = [float(v) for v in curve.knots.values]
+    taus = rng.uniform(*ends, 40).tolist() + knots + ends
+    return sorted({t for t in taus if lo <= t <= hi})
+
+
+def sample_csv(curve, workdir: str) -> bytes:
+    spline, csv = os.path.join(workdir, "curve.json"), os.path.join(workdir, "out.csv")
+    cli.save_spline(spline, curve)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["sample", spline, "-n", "301", "-o", csv])
+    with open(csv, "rb") as f:
+        return b"%d\n" % code + f.read()
+
+
+def main() -> None:
+    hashes = {}
+
+    def add(path: str, name: str, data: bytes) -> None:
+        hashes.setdefault(path, hashlib.sha256()).update(name.encode() + b"\0" + data)
+
+    rng = np.random.default_rng(21)
+    with tempfile.TemporaryDirectory() as workdir:
+        for name, curve in curves():
+            taus = taus_of(curve, rng)
+            for order in range(curve.degree + 2):
+                add("evaluate", name, outcome(curve.evaluate, taus, order))
+            for tau in taus:
+                add("eval_matrix", name, outcome(curve.eval_matrix, tau))
+                add("eval_cumulative", name, outcome(curve.eval_cumulative, tau))
+                for order in range(1, curve.degree + 2):
+                    add("eval_derivative", name, outcome(curve.eval_derivative, tau, order))
+            for tau in taus[::4]:
+                add("eval_coxdeboor", name, outcome(curve.eval_coxdeboor, tau))
+            add("_sample_grid", name, outcome(lambda: np.concatenate(
+                [a.ravel() for a in curve._sample_grid(301)])))
+            add("sample_csv", name, sample_csv(curve, workdir))
+    for seed in range(40):
+        out = io.StringIO()
+        code = cli.run_check(8, 20, seed, out)
+        add("check", str(seed), b"%d\n" % code + out.getvalue().encode())
+    for path, digest in hashes.items():
+        print(path, digest.hexdigest())
+
+
+if __name__ == "__main__":
+    main()
