@@ -11,15 +11,15 @@ construction runs on the span's knot window (``knot_window``), its only
 input, in integers, and forms the ``Fraction`` entries once, at the end;
 evenly spaced knots are the one window (1-k, ..., k).  ``centred`` builds
 the same matrix in powers of v = u - 1/2 instead, for the curve's
-evaluation (see ``_raise_degree``).  On float-stored knots
-``float_span_columns`` runs the centred recursion in double precision, for
-a whole batch of spans at once with numpy.
+evaluation (see ``_raise_degree``); ``window_part`` caches it per window.
+On float-stored knots ``float_span_columns`` runs the centred recursion in
+double precision, for a whole batch of spans at once with numpy.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -33,6 +33,9 @@ from .polytoeplitz import horner
 
 # Factorials inside the entries grow fast; nothing practical needs more.
 MAX_DEGREE = 30
+
+WINDOW_CACHE_SIZE = 128  # values in ``_windows``, oldest first; see ``window_part``
+_windows: dict = {}
 
 
 @dataclass(frozen=True)
@@ -57,12 +60,6 @@ class BasisMatrix:
 
     def as_float_rows(self) -> list:
         return [[float(v) for v in row] for row in self.entries]
-
-    @classmethod
-    def from_columns(cls, cols: list, den: int, span: Optional[int] = None) -> "BasisMatrix":
-        """The exact matrix whose columns are the int numerators ``cols`` over ``den``."""
-        entries = tuple(tuple(Fraction(col[r], den) for col in cols) for r in range(len(cols)))
-        return cls(degree=len(cols) - 1, entries=entries, span=span)
 
 
 def _check_degree(degree: int) -> None:
@@ -106,28 +103,25 @@ def _raise_degree(cols: list, den, pairs: list, scale, centred: bool) -> tuple:
     return new, den
 
 
-@lru_cache(maxsize=None)
 def uniform_basis_matrix(degree: int) -> BasisMatrix:
     """Constant basis matrix for evenly spaced knots.
 
-    ``span_columns`` of the evenly spaced window (1-k, ..., k), whose
-    weight pairs ((k-1-r)/k, 1/k) do not depend on the span: written as
-    banded matrices the level-k step is
-    M^k = (1/k) ([M^{k-1}; 0] A + [0; M^{k-1}] B) with A[r][r] = r+1,
-    A[r][r+1] = k-1-r, B[r][r] = -1, B[r][r+1] = 1.  Every entry times k!
-    is an integer.  Results are memoized per degree (lookup is
-    thread-safe; matrices are immutable).
+    The "matrix" ``window_part`` of the evenly spaced window (1-k, ..., k),
+    whose weight pairs ((k-1-r)/k, 1/k) do not depend on the span: as banded
+    matrices the level-k step is M^k = (1/k) ([M^{k-1}; 0] A + [0; M^{k-1}] B)
+    with A[r][r] = r+1, A[r][r+1] = k-1-r, B[r][r] = -1, B[r][r+1] = 1.  Every
+    entry times k! is an integer.  Its ``cache_clear()`` empties the window cache.
     """
     _check_degree(degree)
-    return BasisMatrix.from_columns(*span_columns(tuple(range(1 - degree, degree + 1))))
+    return window_part(tuple(range(1 - degree, degree + 1)), "matrix")[0]
 
 
 def general_basis_matrix(kv: KnotVector, degree: int, span: int) -> BasisMatrix:
     """Basis matrix of one span for an arbitrary (rationally stored) knot vector.
 
-    Runs the degree recursion on the span's ``knot_window``, so the result
-    is exact.  Float-stored knot vectors are rejected; convert deliberately
-    with ``kv.as_rational()``.
+    The "matrix" ``window_part`` of the span's ``knot_window``: exact, and
+    sharing its entries with every span of that window.  Float-stored knot
+    vectors are rejected; convert deliberately with ``kv.as_rational()``.
     """
     _check_degree(degree)
     if kv.storage != "rational":
@@ -138,8 +132,50 @@ def general_basis_matrix(kv: KnotVector, degree: int, span: int) -> BasisMatrix:
         )
     if kv.values[span] == kv.values[span + 1]:
         raise DegenerateSpan("span %d has zero width" % span)
-    window = knot_window(kv.values, degree, span)
-    return BasisMatrix.from_columns(*span_columns(window), span=span)
+    return replace(window_part(knot_window(kv.values, degree, span), "matrix")[0], span=span)
+
+
+def window_part(window: tuple, part: str) -> tuple:
+    """``(value, built)``: one part of a ``knot_window``'s exact construction, built if new.
+
+    "columns", "centred columns" (``span_columns``), "matrix", "centred
+    matrix" (``span`` None) or "rows" (centred ``float_rows``): immutable,
+    shared by all threads through one cache of the newest ``WINDOW_CACHE_SIZE``
+    values.  At k = 30 a value takes up to ~160 KB on integer knots and ~2.7
+    MB on rational copies of random floats: ~20 MB or ~350 MB in a full cache.
+    """
+    key = (part, window)
+    value = _windows.get(key)
+    if value is not None:
+        return value, False
+    if part.endswith("columns"):
+        value = span_columns(window, centred=part == "centred columns")
+    elif part == "rows":
+        cols, den = window_part(window, "centred columns")[0]
+        value = float_rows(np.array(cols, dtype=object), den)
+    else:
+        cols, den = window_part(window, part.replace("matrix", "columns"))[0]
+        value = BasisMatrix(degree=len(cols) - 1, entries=tuple(
+            tuple(Fraction(col[r], den) for col in cols) for r in range(len(cols))))
+    value = _windows.setdefault(key, value)
+    for old in list(_windows)[:max(len(_windows) - WINDOW_CACHE_SIZE, 0)]:
+        _windows.pop(old, None)  # a racing thread may have dropped it
+    return value, True
+
+
+uniform_basis_matrix.cache_clear = _windows.clear
+
+
+def float_rows(cols: np.ndarray, den) -> np.ndarray:
+    """Read-only rows (..., 2, k+1, k+1) of the matrices ``cols / den`` and their cumulative forms.
+
+    ``cols`` is (..., column, power); ints (object arrays) over an int
+    ``den`` are summed exactly and rounded once, floats summed right to left.
+    """
+    suffix = np.cumsum(cols[..., ::-1, :], axis=-2)[..., ::-1, :]
+    rows = (np.stack([cols, suffix], axis=-3).swapaxes(-1, -2) / den).astype(float, order="C")
+    rows.setflags(write=False)
+    return rows
 
 
 def knot_window(values, degree: int, span: int) -> tuple:
@@ -159,7 +195,7 @@ def knot_window(values, degree: int, span: int) -> tuple:
 
 
 def span_columns(window: tuple, centred: bool = False) -> tuple:
-    """``(cols, den)``: the basis-matrix columns of a ``knot_window`` are ``cols / den``.
+    """``(cols, den)``: the basis-matrix columns of a ``knot_window`` are ``cols / den``, tuples.
 
     The degree recursion, degree k = len(window) / 2, on int numerators
     over an int ``den``.  Transition c of level L has the weight a0 + a1 u,
@@ -175,7 +211,7 @@ def span_columns(window: tuple, centred: bool = False) -> tuple:
         scale = math.lcm(*dens)
         pairs = [(-lo * (scale // d), window[k] * (scale // d)) for lo, d in zip(low, dens)]
         cols, den = _raise_degree(cols, den, pairs, scale, centred)
-    return cols, den
+    return tuple(map(tuple, cols)), den
 
 
 def float_span_columns(values: np.ndarray, degree: int, spans) -> tuple:

@@ -18,11 +18,10 @@ evaluates them in v = u - 1/2, over one gather per chunk for arrays and,
 with the same result bit for bit, in Python floats for a single parameter:
 one ``bisect`` over the float tables, then its span's cached column lists.
 Centring keeps the power form well conditioned next to wide spans (Farouki
-& Rajan 1987).  The degree recursion builds the centred matrices directly,
-one way per knot storage: on exact knots they are exact until the one
-rounding of each entry and built once per distinct knot window (evenly
-spaced knots have one); on float-stored knots one batched numpy recursion
-in double precision builds every span a chunk needs that is not yet built.
+& Rajan 1987).  The degree recursion builds the centred matrices directly:
+on exact knots, exact until one rounding per entry and once per knot window
+in the process (evenly spaced knots have one); on float-stored knots, by
+one batched numpy recursion in double precision per fill.
 """
 
 from __future__ import annotations
@@ -31,12 +30,12 @@ import math
 import sys
 import time
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import coxdeboor
-from .basismatrix import BasisMatrix, float_span_columns, knot_window, span_columns
+from .basismatrix import BasisMatrix, float_rows, float_span_columns, knot_window, window_part
 from .errors import DegenerateSpan, DomainError
 from .knots import KnotVector, find_span, normalize, span_of
 from .polytoeplitz import horner
@@ -114,9 +113,8 @@ class SplineCurve:
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "_view", _float_view(knots, degree))
-        # spans and seconds built, and window-hit spans, per fill; appends
-        # lose no count between threads
-        object.__setattr__(self, "_cache", {"builds": [], "hits": []})
+        # per fill: spans built and seconds, window hits, blocks written
+        object.__setattr__(self, "_cache", {"builds": [], "hits": [], "fills": []})
 
     @property
     def count(self) -> int:
@@ -130,56 +128,38 @@ class SplineCurve:
     def domain(self) -> tuple:
         return self.knots.domain(self.degree)
 
-    def _columns(self, spans: list) -> list:
-        """``(cols, den)`` of each distinct span's centred matrix, kept as ``("x", j)``.
+    def _rows(self, kind: str, spans: list) -> np.ndarray:
+        """C-contiguous float rows (s, k+1, k+1): centred matrices ("m") or cumulative forms ("c").
 
-        Rows are powers of v = u - 1/2; a race builds one twice.  Rational
-        knots: int columns over an int ``den`` (``span_columns``), built once
-        per distinct ``knot_window``; evenly spaced knots have one.
-        Float-stored knots: one ``float_span_columns`` call, as a window
-        would not give the same columns bit for bit there.  Raises
-        DegenerateSpan at a span of zero width, on either storage.
+        Kept per span as ``("x", j)``, read-only ``float_rows``: a window's
+        "rows" ``window_part`` on rational knots, else one ``float_span_columns``
+        call.  A race builds one twice.  Raises DegenerateSpan at a zero width.
         """
         missing = [j for j in spans if ("x", j) not in self._cache]
         zero = [j for j in missing if self.knots.values[j] == self.knots.values[j + 1]]
         if zero:
             raise DegenerateSpan("span %d has zero width" % zero[0])
-        if missing and self.knots.storage == "float":
+        if missing:
             start = time.perf_counter()
-            cols, den = float_span_columns(self._view.values, self.degree, missing)
-            self._cache["builds"].append((len(missing), time.perf_counter() - start))
-            for j, c in zip(missing, cols):
-                self._cache.setdefault(("x", j), (c, den))
-        elif missing:
-            windows = [knot_window(self.knots.values, self.degree, j) for j in missing]
-            new = [w for w in dict.fromkeys(windows) if ("w", w) not in self._cache]
-            if new:
-                start = time.perf_counter()
-                for w in new:
-                    self._cache.setdefault(("w", w), span_columns(w, centred=True))
-                self._cache["builds"].append((len(new), time.perf_counter() - start))
-            self._cache["hits"].append(len(missing) - len(new))
-            for j, w in zip(missing, windows):
-                self._cache.setdefault(("x", j), self._cache[("w", w)])
-        return [self._cache[("x", j)] for j in spans]
-
-    def _rows(self, kind: str, spans: list) -> np.ndarray:
-        """C-contiguous float rows (s, k+1, k+1): centred matrices ("m") or cumulative forms ("c").
-
-        Floats over float ``den``s, or an object array of ints over int
-        ones: their suffix sums are exact and ``int / int`` rounds correctly.
-        """
-        cols, dens = zip(*self._columns(spans))
-        dtype = float if self.knots.storage == "float" else object
-        cols, dens = np.array(cols, dtype), np.array(dens, dtype)[:, None, None]
-        if kind == "c":
-            # add.accumulate sums in order: right to left
-            cols = np.cumsum(cols[:, ::-1], axis=1)[:, ::-1]
-        return (cols.transpose(0, 2, 1) / dens).astype(float, order="C")
+            if self.knots.storage == "float":
+                rows = float_rows(*float_span_columns(self._view.values, self.degree, missing))
+                built = len(missing)
+            else:
+                windows = [knot_window(self.knots.values, self.degree, j) for j in missing]
+                parts = {w: window_part(w, "rows") for w in dict.fromkeys(windows)}
+                rows = [parts[w][0] for w in windows]
+                built = sum(new for _, new in parts.values())
+            self._cache["builds"].append((built, time.perf_counter() - start if built else 0.0))
+            self._cache["hits"].append(len(missing) - built)
+            for j, r in zip(missing, rows):
+                self._cache.setdefault(("x", j), r)
+        return np.stack([self._cache[("x", j)]["mc".index(kind)] for j in spans])
 
     def _exact_matrix(self, span: int) -> BasisMatrix:
         """The span's exact matrix centred at u = 1/2 (rational knots), rows powers of v."""
-        return BasisMatrix.from_columns(*self._columns([span])[0], span=span)
+        self._rows("m", [span])  # the zero-width check and the counts
+        window = knot_window(self.knots.values, self.degree, span)
+        return replace(window_part(window, "centred matrix")[0], span=span)
 
     def _blocks(self, kind: str, spans: np.ndarray) -> np.ndarray:
         """The (k+1, n, d) coefficient blocks of ``spans``: the one route from spans to blocks.
@@ -223,8 +203,8 @@ class SplineCurve:
                                                           np.zeros(size, bool)))
         blocks, filled = entry
         uniform = self.knots.is_uniform
-        missing = (~filled if uniform
-                   else np.bincount(offsets, minlength=len(filled)) > filled).nonzero()[0]
+        missing = (~filled if uniform else (np.bincount(offsets, minlength=len(filled)) > 0)
+                   & ~filled).nonzero()[0]
         if len(missing):
             spans = missing + first
             rows = self._rows(kind, [k])[0] if uniform else self._rows(kind, spans.tolist())
@@ -239,24 +219,25 @@ class SplineCurve:
                                           " in floats" % spans[np.argmin(fits.all(axis=1))])
             blocks[:, missing] = fresh
             filled[missing] = True  # only once the blocks are written
+            self._cache["fills"].append(len(missing))
         return blocks
 
     def stats(self) -> dict:
-        """Construction so far: ``spans_built``, ``window_hits``, ``build_s``, ``spans_touched``.
+        """Construction so far, per curve.
 
-        ``window_hits`` counts spans that reused the build of an earlier span
-        with the same knot window; ``build_s`` is the seconds spent in
-        ``span_columns`` or ``float_span_columns`` building centred
-        matrices, and ``spans_built`` the spans they built.  Those three are
-        counted when a span is first needed, never per point; racing threads
-        may build (and count) a span twice.  ``spans_touched`` sums the
-        pages' masks: each filled block, one per span and kind ("m" or "c"),
-        once; ``_point``'s column lists count nothing.
+        ``window_hits`` counts spans that reused the build of an earlier
+        span with the same knot window, in the curve or the process;
+        ``spans_built`` counts the spans built and ``build_s`` their
+        seconds.  Those three are counted when a span is first needed,
+        never per point; racing threads may build (and count) a span twice.
+        ``spans_touched`` sums the pages' masks, once per filled block (span
+        and kind, "m" or "c"); ``blocks_filled`` counts every block a fill
+        wrote, so any excess over ``spans_touched`` is rework.
         """
         cache = self._cache.copy()  # fills may store entries meanwhile
         builds = cache["builds"]
         return {"spans_built": sum(n for n, _ in builds), "window_hits": sum(cache["hits"]),
-                "build_s": math.fsum(s for _, s in builds),
+                "build_s": math.fsum(s for _, s in builds), "blocks_filled": sum(cache["fills"]),
                 "spans_touched": sum(int(entry[1].sum()) for key, entry in cache.items()
                                      if isinstance(key, tuple) and key[0] in "mc")}
 

@@ -18,6 +18,7 @@ from splinemat import (
     lambda_weights,
     uniform_basis_matrix,
 )
+from splinemat import basismatrix
 from splinemat.basismatrix import knot_window
 
 F = Fraction
@@ -95,6 +96,37 @@ class TestUniformMatrices:
         with ThreadPoolExecutor(max_workers=8) as pool:
             results = list(pool.map(uniform_basis_matrix, [7] * 32))
         assert all(m.entries == results[0].entries for m in results)
+
+
+class TestWindowCache:
+    def test_spans_of_one_window_share_its_entries(self):
+        kv = clamped(4, range(1, 12), 12)
+        a, b = general_basis_matrix(kv, 4, 8), general_basis_matrix(kv, 4, 9)
+        assert (a.span, b.span) == (8, 9)
+        assert a.entries is b.entries is uniform_basis_matrix(4).entries
+        assert general_basis_matrix(kv, 4, 4).entries is not a.entries
+
+    def test_cache_clear_empties_the_whole_cache(self):
+        a = uniform_basis_matrix(5)
+        basismatrix.window_part(knot_window(clamped(3, [1, 2], 3).values, 3, 3), "rows")
+        uniform_basis_matrix.cache_clear()
+        assert len(basismatrix._windows) == 0
+        b = uniform_basis_matrix(5)
+        assert b is not a and b.entries == a.entries
+
+    def test_size_stays_at_the_bound(self):
+        uniform_basis_matrix.cache_clear()
+        bound = basismatrix.WINDOW_CACHE_SIZE
+        # distinct degree-2 windows (-i, 0, 1, 1 + i), two values each
+        windows = [(-i, 0, 1, 1 + i) for i in range(1, bound)]
+        for w in windows:
+            rows, built = basismatrix.window_part(w, "rows")
+            assert built and not rows.flags.writeable
+        assert len(basismatrix._windows) == bound
+        # the least recently used went first; the newest are still there
+        assert not basismatrix.window_part(windows[-1], "rows")[1]
+        assert basismatrix.window_part(windows[0], "rows")[1]
+        assert len(basismatrix._windows) == bound
 
 
 class TestBasisRow:

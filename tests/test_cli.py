@@ -500,3 +500,18 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["entries"] == [["1", "0"], ["-1", "1"]]
+
+
+def test_parser_is_built_once_and_handlers_are_looked_up_per_call(monkeypatch, capsys):
+    assert main(["check", "--degree-max", "0"]) == 0
+    assert cli.build_parser() is cli.build_parser()
+    calls = []
+
+    def handler(args):
+        calls.append(args.degree_max)
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_check", handler)
+    assert main(["check", "--degree-max", "4"]) == 0
+    assert calls == [4]
+    assert capsys.readouterr().out == "no degrees to check\ncheck passed\n"

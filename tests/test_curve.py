@@ -52,6 +52,12 @@ def random_curve(rng, degree, dim, kind):
 CUBIC = SplineCurve(3, KnotVector.uniform(8), [0, 1, 2, 3])
 
 
+@pytest.fixture
+def cold_windows():
+    """An empty process-wide window cache, as in a fresh process."""
+    uniform_basis_matrix.cache_clear()
+
+
 class TestConstruction:
     def test_count_mismatch(self):
         with pytest.raises(ValueError):
@@ -702,6 +708,7 @@ class TestExactRows:
             assert got == want
             assert all(type(v) is Fraction for row in got for v in row)
 
+    @pytest.mark.usefixtures("cold_windows")
     def test_stats_count_one_build_per_window(self):
         kv = clamped(10, range(1, 60), 60)
         curve = SplineCurve(10, kv, np.zeros((70, 1)))
@@ -743,6 +750,7 @@ class TestExactRows:
         curve.evaluate(mids)
         assert curve.stats()["spans_touched"] == 120
 
+    @pytest.mark.usefixtures("cold_windows")
     def test_stats_count_every_block_of_a_uniform_table(self):
         curve = SplineCurve(3, KnotVector.uniform(20), np.zeros((16, 2)))
         curve.eval_matrix(5.5)
@@ -760,6 +768,39 @@ class TestExactRows:
         curve.evaluate(np.linspace(0.0, 5.0, 50))
         stats = curve.stats()
         assert (stats["spans_built"], stats["window_hits"]) == (5, 0)
+
+    @pytest.mark.parametrize("storage", ["rational", "float"])
+    def test_a_warm_batch_fills_no_block(self, storage):
+        # clamped integer knots, or non-uniform floats; many taus per span
+        rng = np.random.default_rng(5)
+        kv = (clamped(10, range(1, 60), 60) if storage == "rational"
+              else KnotVector(np.cumsum(rng.uniform(0.5, 1.5, 81)).tolist()))
+        curve = SplineCurve(10, kv, rng.normal(size=(len(kv.values) - 11, 3)))
+        lo, hi = (float(v) for v in curve.domain)
+        taus = rng.uniform(lo, hi, 2000)
+        curve.evaluate(taus)
+        filled = curve.stats()["blocks_filled"]
+        assert filled == curve.stats()["spans_touched"] == 60
+        curve.evaluate(taus)
+        assert curve.stats()["blocks_filled"] == filled
+
+    @pytest.mark.usefixtures("cold_windows")
+    def test_windows_are_built_once_per_process(self):
+        kv = clamped(10, range(1, 60), 60)
+        mids = [float(kv.values[j] + kv.values[j + 1]) / 2 for j in positive_spans(kv, 10)]
+        first, second = (SplineCurve(10, kv, np.zeros((70, 1))) for _ in range(2))
+        first.evaluate(mids)
+        second.evaluate(mids)
+        assert (first.stats()["spans_built"], first.stats()["window_hits"]) == (19, 41)
+        assert (second.stats()["spans_built"], second.stats()["window_hits"]) == (0, 60)
+        assert second.stats()["build_s"] == 0.0
+        # the spans share the window's rows, which no caller can write
+        assert first._cache[("x", 10)] is second._cache[("x", 10)]
+        assert not first._cache[("x", 10)].flags.writeable
+        uniform_basis_matrix.cache_clear()
+        third = SplineCurve(10, kv, np.zeros((70, 1)))
+        third.evaluate(mids)
+        assert (third.stats()["spans_built"], third.stats()["window_hits"]) == (19, 41)
 
 
 class TestConcurrency:
@@ -865,9 +906,12 @@ class TestConcurrency:
             return [np.linspace(float(kv.values[j]), float(kv.values[j + 1]), 5)[:-1]
                     for j in spans[thread::8]]
 
+        uniform_basis_matrix.cache_clear()
         serial = SplineCurve(5, kv, pts)
         expected = [[(serial.evaluate(t), serial.evaluate(t, 1)) for t in batches(i)]
                     for i in range(8)]
+        # the threads race to build the windows, not to find them built
+        uniform_basis_matrix.cache_clear()
         fresh = SplineCurve(5, kv, pts)
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
