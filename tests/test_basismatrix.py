@@ -123,7 +123,7 @@ class TestWindowCache:
             rows, built = basismatrix.window_part(w, "rows")
             assert built and not rows.flags.writeable
         assert len(basismatrix._windows) == bound
-        # the least recently used went first; the newest are still there
+        # the oldest went first; the newest are still there
         assert not basismatrix.window_part(windows[-1], "rows")[1]
         assert basismatrix.window_part(windows[0], "rows")[1]
         assert len(basismatrix._windows) == bound
