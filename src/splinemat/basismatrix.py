@@ -132,7 +132,7 @@ def general_basis_matrix(kv: KnotVector, degree: int, span: int) -> BasisMatrix:
         )
     if kv.values[span] == kv.values[span + 1]:
         raise DegenerateSpan("span %d has zero width" % span)
-    return replace(window_part(knot_window(kv.values, degree, span), "matrix")[0], span=span)
+    return replace(window_part(span_window(kv, degree, span), "matrix")[0], span=span)
 
 
 def window_part(window: tuple, part: str) -> tuple:
@@ -192,6 +192,11 @@ def knot_window(values, degree: int, span: int) -> tuple:
     nums = [n - nums[degree - 1] for n in nums]  # tau_span is entry k - 1
     g = math.gcd(*nums)
     return tuple(n // g for n in nums)
+
+
+def span_window(kv: KnotVector, degree: int, span: int) -> tuple:
+    """The ``knot_window`` of a span of rationally stored ``kv``, built once and kept on ``kv``."""
+    return kv._derived(("window", degree, span), knot_window, kv.values, degree, span)
 
 
 def span_columns(window: tuple, centred: bool = False) -> tuple:

@@ -5,12 +5,16 @@ precomputed matrices, and valid for arbitrary knot vectors.
 ``basis_window`` raises one span's degree-0 indicator to the k+1 basis
 functions that can be nonzero there; every other entry point is a view of
 it.  Works in float or exact rational arithmetic depending on the knot
-storage and the parameter type.
+storage and the parameter type.  ``float_windows`` runs the same
+recursion for a whole batch of float parameters over float knots at once,
+with the same result bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from .errors import DomainError
 from .knots import KnotVector, span_of
@@ -84,6 +88,51 @@ def _window_values(knots: tuple, degree: int, lo: int, hi: int, tau) -> list:
     row[:lo] = [0] * lo  # columns not asked for read 0; the closing column goes
     row[hi + 1:] = [0] * (degree - hi)
     return row
+
+
+def float_windows(values: np.ndarray, degree: int, spans: np.ndarray,
+                  taus: np.ndarray) -> np.ndarray:
+    """``basis_window``'s weights at float ``taus`` over float knots, one row per tau: (n, k+1).
+
+    ``values`` holds the knots as doubles, ``spans`` each tau's span by
+    ``span_of``, a span of the evaluable domain, so row i is
+    B_{j-k,k}(tau), ..., B_{j,k}(tau) for j = spans[i].  The window's 2k+2
+    knots have the same shape at every tau, so the indicator is raised one
+    degree at a time over the whole batch, each tau's float operations
+    those of ``_window_values`` in its order; every row equals
+    ``basis_window``'s bit for bit.  A term whose lower-degree value is
+    zero is masked: its ratio is not computed (``where=``) and it adds 0.0,
+    which changes no bit of a sum of non-negative terms, as the scalar loop
+    drops it (the 0/0 = 0 convention).
+
+    This cannot raise.  The knots' range is finite in floats, so every
+    difference is finite; a nonzero lower-degree value puts tau inside that
+    function's support, so its term's denominator is positive and its
+    ratio at most 1.  The masked ratios, which may divide by zero, never
+    run; the scoped ``np.errstate`` lets a ratio underflow silently, as
+    Python floats do, whatever the caller's setting.  Scratch memory is
+    O(n (2k+2)) floats.
+    """
+    # row c holds window column c: column s reads knots[s:]
+    knots = values[spans + np.arange(-degree, degree + 2)[:, None]]
+    left, right = taus - knots, knots - taus
+    row = np.zeros((degree + 2, len(taus)))
+    row[degree] = 1.0
+    with np.errstate(under="ignore"):
+        for k in range(1, degree + 1):
+            s = slice(degree - k, degree + 1)  # the columns raised to degree k
+            # knots[c + k] - knots[c] for the columns c = degree-k..degree+1:
+            # column s's first denominator is column s+1's second
+            width = knots[degree:degree + k + 2] - knots[degree - k:degree + 2]
+            nonzero = row[degree - k:] != 0
+            up = np.divide(left[s], width[:-1], out=np.zeros((k + 1, len(taus))),
+                           where=nonzero[:-1])
+            up *= row[s]
+            down = np.divide(right[degree + 1:degree + k + 2], width[1:],
+                             out=np.zeros((k + 1, len(taus))), where=nonzero[1:])
+            down *= row[degree - k + 1:]
+            np.add(up, down, out=row[s])
+    return row[:-1].T
 
 
 def basis_values(kv: KnotVector, first: int, last: int, degree: int, tau) -> list:

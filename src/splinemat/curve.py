@@ -35,7 +35,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import coxdeboor
-from .basismatrix import BasisMatrix, float_rows, float_span_columns, knot_window, window_part
+from .basismatrix import BasisMatrix, float_rows, float_span_columns, span_window, window_part
 from .errors import DegenerateSpan, DomainError
 from .knots import KnotVector, find_span, normalize, span_of
 from .polytoeplitz import horner
@@ -49,7 +49,7 @@ _CHUNK = 1024
 
 @dataclass(frozen=True)
 class _FloatKnots:
-    """Float tables for span lookup and the oracle's knots, built with the curve."""
+    """Float tables for span lookup and the oracle's knots, read-only, one per knots and degree."""
 
     values: np.ndarray  # the nearest double of each knot
     # the smallest double >= each knot up to span ``last``'s start: a float
@@ -112,7 +112,9 @@ class SplineCurve:
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "_view", _float_view(knots, degree))
+        # every curve of this degree over these knots shares the tables
+        object.__setattr__(self, "_view", knots._derived(("view", degree), _float_view,
+                                                         knots, degree))
         # per fill: spans built and seconds, window hits, blocks written
         object.__setattr__(self, "_cache", {"builds": [], "hits": [], "fills": []})
 
@@ -145,7 +147,7 @@ class SplineCurve:
                 rows = float_rows(*float_span_columns(self._view.values, self.degree, missing))
                 built = len(missing)
             else:
-                windows = [knot_window(self.knots.values, self.degree, j) for j in missing]
+                windows = [span_window(self.knots, self.degree, j) for j in missing]
                 parts = {w: window_part(w, "rows") for w in dict.fromkeys(windows)}
                 rows = [parts[w][0] for w in windows]
                 built = sum(new for _, new in parts.values())
@@ -158,7 +160,7 @@ class SplineCurve:
     def _exact_matrix(self, span: int) -> BasisMatrix:
         """The span's exact matrix centred at u = 1/2 (rational knots), rows powers of v."""
         self._rows("m", [span])  # the zero-width check and the counts
-        window = knot_window(self.knots.values, self.degree, span)
+        window = span_window(self.knots, self.degree, span)
         return replace(window_part(window, "centred matrix")[0], span=span)
 
     def _blocks(self, kind: str, spans: np.ndarray) -> np.ndarray:
@@ -368,19 +370,18 @@ class SplineCurve:
         """``eval_coxdeboor`` at a 1-D sequence of parameters, as an (n, d) array.
 
         The domain is checked once for the batch.  Then, ``_CHUNK``
-        parameters at a time, ``coxdeboor.basis_window`` gives each tau's
-        span j and the weights of points j-k..j, added in index order.
-        Raises DomainError at the first tau outside the domain, or whose
-        recursion needs a knot difference beyond the float range.
+        parameters at a time, ``_windows`` gives each tau's span j and the
+        weights of points j-k..j, added in index order.  Raises DomainError
+        at the first tau outside the domain, or whose recursion needs a
+        knot difference beyond the float range.
         """
         arr, inside = self._batch(taus)
-        kv = self._view.oracle if arr.dtype == float else self.knots
         stop = len(arr) if inside.all() else int(inside.argmin())
         k = self.degree
         out = np.zeros((len(arr), self.dim))
         for start in range(0, stop, _CHUNK):
-            part = arr[start:min(start + _CHUNK, stop)].tolist()
-            spans, weights = _windows(kv, self.count - 1, k, part)
+            part = arr[start:min(start + _CHUNK, stop)]
+            spans, weights = _windows(self._view, self.knots, k, part)
             rows = out[start:start + len(part)]
             for c in range(k + 1):
                 rows += weights[:, c, None] * self.points[spans - k + c]
@@ -466,6 +467,8 @@ def _float_view(knots: KnotVector, degree: int) -> _FloatKnots:
         bounds = np.array([math.nextafter(f, math.inf) if s < 0 else f
                            for f, s in zip(values.tolist(), signs)])
     widths[~(np.isfinite(widths) & (widths > 0))] = np.nan
+    for table in (values, bounds, widths):  # shared by every curve over the knots
+        table.setflags(write=False)
     end = float(values[-degree - 1])
     lo, hi = knots.domain(degree)
     last = span_of(vals, degree, hi) if lo < hi else -1
@@ -477,16 +480,26 @@ def _float_view(knots: KnotVector, degree: int) -> _FloatKnots:
                        views=tuple(map(memoryview, (cut, values, widths))))
 
 
-def _windows(kv: KnotVector, last: int, degree: int, taus: list) -> tuple:
-    """``coxdeboor.basis_window`` of each tau: (n,) spans and (n, k+1) float weights.
+def _windows(fk: _FloatKnots, knots: KnotVector, degree: int, taus: np.ndarray) -> tuple:
+    """``coxdeboor.basis_window`` of each tau in the domain: (n,) spans and (n, k+1) float weights.
 
-    Raises DomainError at the first tau whose recursion needs a knot
-    difference beyond the float range: one that overflows, or one that
-    rounds to zero.
+    Float taus run on ``fk.oracle``, other taus (Fraction, int) on
+    ``knots``.  On float-stored oracle knots a float batch takes
+    ``coxdeboor.float_windows`` in one pass, with the same bits; every
+    other batch takes the scalar routine tau by tau, in mixed or exact
+    arithmetic, and raises DomainError at the first tau whose recursion
+    needs a knot difference beyond the float range: one that overflows,
+    or one that rounds to zero.
     """
+    if taus.dtype == float and fk.oracle.storage == "float":
+        values = fk.oracle.values
+        spans = np.array([span_of(values, degree, t) for t in taus.tolist()], dtype=np.intp)
+        return spans, coxdeboor.float_windows(fk.values, degree, spans, taus)
+    kv = fk.oracle if taus.dtype == float else knots
     spans = np.empty(len(taus), dtype=np.intp)
     weights = np.empty((len(taus), degree + 1))
-    for r, tau in enumerate(taus):
+    last = len(knots.values) - degree - 2
+    for r, tau in enumerate(taus.tolist()):
         try:
             spans[r], weights[r] = coxdeboor.basis_window(kv, 0, last, degree, tau)
         except ArithmeticError:

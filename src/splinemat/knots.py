@@ -22,9 +22,10 @@ class KnotVector:
     ``"rational"``) or as floats (tagged ``"float"``).  Exact storage is
     required for exact basis-matrix construction; float storage is fine
     for plain evaluation.  Instances are immutable and safe to share.
+    What is derived from the knots alone is kept with them (``_derived``).
     """
 
-    __slots__ = ("values", "storage", "is_uniform", "delta")
+    __slots__ = ("values", "storage", "is_uniform", "delta", "_memo")
 
     def __init__(self, values: Sequence[Scalar]):
         vals = tuple(values)
@@ -54,6 +55,7 @@ class KnotVector:
         uniform, delta = _uniform_spacing(vals, storage)
         object.__setattr__(self, "is_uniform", uniform)
         object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("KnotVector is immutable")
@@ -72,6 +74,18 @@ class KnotVector:
 
     def __repr__(self) -> str:
         return "KnotVector(%r, storage=%r)" % (list(self.values), self.storage)
+
+    def _derived(self, key: tuple, build, *args):
+        """``build(*args)``, a value derived from these knots alone, built once and kept.
+
+        Stored under ``key`` for the life of the vector, so every curve over
+        it shares the value; an equal but distinct vector builds its own.
+        Two racing threads may both build it, and both get the one stored.
+        """
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo.setdefault(key, build(*args))
+        return value
 
     @classmethod
     def uniform(cls, count: int, start: Scalar = 0, step: Scalar = 1) -> "KnotVector":

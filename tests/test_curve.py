@@ -312,6 +312,139 @@ class TestOracleKnots:
         assert curve._coxdeboor([Fraction(1)]).tolist() == [[0.0]]
 
 
+def knot_kinds(k, rng):
+    """The five knot kinds of ``tools/output_hashes.py``, nine spans in the domain."""
+    count = 9 + 2 * k + 1
+    gaps = rng.integers(0, 3, count - 1)
+    gaps[k:count - k - 1] = np.maximum(gaps[k:count - k - 1], 1)
+    gaps[k + 2] = 0
+    return {"uniform": KnotVector.uniform(count),
+            "clamped": KnotVector([0] * k + list(range(10)) + [9] * k),
+            "float": KnotVector(np.cumsum(rng.uniform(0.25, 4.0, count)).tolist()),
+            "repeated": KnotVector([0] + np.cumsum(gaps).tolist()),
+            "squares": KnotVector([Fraction(i * i, 3) for i in range(count)])}
+
+
+def scalar_oracle(curve, taus):
+    """``_coxdeboor`` tau by tau through ``basis_window``: (spans, weights, values), or the error."""
+    kv = curve._view.oracle if isinstance(taus[0], float) else curve.knots
+    k, last = curve.degree, curve.count - 1
+    spans, weights, values = [], [], []
+    for tau in taus:
+        try:
+            j, window = coxdeboor.basis_window(kv, 0, last, k, tau)
+        except ArithmeticError:
+            return DomainError
+        out = np.zeros(curve.dim)
+        for c, w in enumerate(window):
+            out += float(w) * curve.points[j - k + c]
+        spans.append(j)
+        weights.append(np.array(window, dtype=float))
+        values.append(out)
+    return np.array(spans), np.array(weights), np.array(values)
+
+
+def domain_doubles(curve):
+    """The doubles at both ends of the evaluable domain and on every knot inside it."""
+    lo, hi = curve.domain
+    taus = [curve._view.lo, curve._view.hi] + [float(v) for v in curve.knots.values]
+    return [t for t in taus if lo <= t <= hi]
+
+
+class TestBatchOracle:
+    """The float batch of the recursion against the scalar routine, bit for bit."""
+
+    def assert_same_as_scalar(self, curve, taus):
+        want = scalar_oracle(curve, taus)
+        if want is DomainError:
+            with pytest.raises(DomainError, match="beyond the float range"):
+                curve._coxdeboor(taus)
+            return
+        spans, weights = curve_module._windows(curve._view, curve.knots, curve.degree,
+                                               np.array(taus))
+        assert spans.tolist() == want[0].tolist()
+        assert same_bits(np.ascontiguousarray(weights), want[1])
+        assert same_bits(curve._coxdeboor(taus), want[2])
+
+    @pytest.mark.parametrize("k", list(range(11)) + [20, 30])
+    def test_every_knot_kind_at_the_ends_and_every_knot(self, k):
+        rng = np.random.default_rng(60 + k)
+        for name, kv in knot_kinds(k, rng).items():
+            curve = SplineCurve(k, kv, rng.normal(0.0, 10.0, (len(kv.values) - k - 1, 3)))
+            taus = domain_doubles(curve)
+            taus += rng.uniform(curve._view.lo, curve._view.hi, 20).tolist()
+            assert (curve._view.oracle.storage == "float") == (name != "squares")
+            with np.errstate(all="raise"):  # the batch is silent whatever the caller's setting
+                self.assert_same_as_scalar(curve, taus)
+
+    @pytest.mark.parametrize("k", range(1, 5))
+    @pytest.mark.parametrize("scale", [Fraction(1, 10 ** 330), 1e-320, 1e300])
+    def test_extreme_knot_scales(self, k, scale):
+        # the scales of tests/test_float_range.py: no double but 0 lies in
+        # the domain at 10^-330, where the scalar routine raises
+        rng = np.random.default_rng(70 + k)
+        gaps = [0] * k + rng.integers(1, 4, k + 5).tolist()
+        kv = KnotVector([scale * s for s in accumulate(gaps, initial=0)])
+        curve = SplineCurve(k, kv, rng.uniform(-1.0, 1.0, (len(kv.values) - k - 1, 2)))
+        assert (curve._view.oracle.storage == "float") == isinstance(scale, float)
+        self.assert_same_as_scalar(curve, domain_doubles(curve))
+
+    def test_knots_a_double_cannot_hold_and_exact_taus_take_the_scalar_routine(self,
+                                                                                monkeypatch):
+        calls = []
+        batch = coxdeboor.float_windows
+        monkeypatch.setattr(coxdeboor, "float_windows",
+                            lambda *args: calls.append(args[1]) or batch(*args))
+        squares = SplineCurve(2, KnotVector([Fraction(i * i, 3) for i in range(9)]),
+                              np.arange(6.0)[:, None])
+        squares._coxdeboor([3.5, 7.25])
+        uniform = SplineCurve(2, KnotVector.uniform(9), np.arange(6.0)[:, None])
+        uniform._coxdeboor([Fraction(7, 2), 4])
+        assert calls == []
+        uniform._coxdeboor([3.5, 4.0])
+        assert calls == [2]
+
+    @pytest.mark.parametrize("kv", [KnotVector.uniform(9),
+                                    KnotVector([Fraction(i * i, 3) for i in range(9)])])
+    def test_tau_outside_the_domain_raises_at_the_same_tau(self, kv):
+        curve = SplineCurve(2, kv, np.arange(6.0)[:, None])
+        lo, hi = curve._view.lo, curve._view.hi
+        taus = [lo, (lo + hi) / 2, hi + 1.0, lo - 1.0]
+        with pytest.raises(DomainError) as want:
+            find_span(kv, 2, hi + 1.0)
+        with pytest.raises(DomainError) as got:
+            curve._coxdeboor(taus)
+        assert str(got.value) == str(want.value)
+
+
+class TestSharedKnotTables:
+    def test_curves_over_one_vector_share_its_float_view(self):
+        kv = clamped(3, [1, 2, 3], 4)
+        first, second = (SplineCurve(3, kv, np.zeros((7, 2))) for _ in range(2))
+        assert first._view is second._view
+        assert SplineCurve(4, kv, np.zeros((6, 2)))._view is not first._view
+        twin = clamped(3, [1, 2, 3], 4)
+        assert twin == kv and SplineCurve(3, twin, np.zeros((7, 2)))._view is not first._view
+        # the tables no curve may write
+        assert not any(table.flags.writeable for table in
+                       (first._view.values, first._view.bounds, first._view.widths))
+
+    def test_each_knot_window_is_found_once_per_vector(self, monkeypatch):
+        from splinemat import basismatrix
+
+        calls = []
+        find = basismatrix.knot_window
+        monkeypatch.setattr(basismatrix, "knot_window",
+                            lambda *args: calls.append(args[1:]) or find(*args))
+        kv = clamped(3, [1, 2, 3], 4)
+        for curve in (SplineCurve(3, kv, np.zeros((7, 2))) for _ in range(2)):
+            curve.evaluate([0.5, 1.5, 2.5, 3.5])
+            for j in range(3, 7):
+                curve._exact_matrix(j)
+                general_basis_matrix(kv, 3, j)
+        assert sorted(calls) == [(3, j) for j in range(3, 7)]
+
+
 class TestGeometricProperties:
     def test_convex_hull_1d(self):
         rng = random.Random(11)
