@@ -326,9 +326,11 @@ def knot_kinds(k, rng):
 
 
 def scalar_oracle(curve, taus):
-    """``_coxdeboor`` tau by tau through ``basis_window``: (spans, weights, values), or the error."""
-    kv = curve._view.oracle if isinstance(taus[0], float) else curve.knots
-    k, last = curve.degree, curve.count - 1
+    """``_coxdeboor`` at float taus, one by one through ``basis_window``: (spans, weights, values).
+
+    DomainError stands for the error the scalar routine raises.
+    """
+    kv, k, last = curve._view.oracle, curve.degree, curve.count - 1
     spans, weights, values = [], [], []
     for tau in taus:
         try:
