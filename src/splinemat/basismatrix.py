@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import Optional
 
@@ -60,6 +60,23 @@ class BasisMatrix:
 
     def as_float_rows(self) -> list:
         return [[float(v) for v in row] for row in self.entries]
+
+    @cached_property
+    def column_sums_ok(self) -> bool:
+        """Row 0 of the entries sums to 1 and every other row to 0, exactly.
+
+        True of every basis matrix, in powers of u or of v = u - 1/2: the
+        active basis functions sum to one.  Each row is summed in ints, its
+        numerators scaled to their common denominator, which row 0 must then
+        equal.  Computed once per object: ``window_part``'s shared matrices
+        keep their verdict while the window cache holds them.
+        """
+        for r, row in enumerate(self.entries):
+            den = math.lcm(*(v.denominator for v in row))
+            total = sum(v.numerator * (den // v.denominator) for v in row)
+            if total != (den if r == 0 else 0):
+                return False
+        return True
 
 
 def _check_degree(degree: int) -> None:

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import math
 import random
 import re
 import sys
@@ -20,10 +19,11 @@ import numpy as np
 
 from .basismatrix import (
     MAX_DEGREE,
-    BasisMatrix,
     cumulative_matrix,
     general_basis_matrix,
+    span_window,
     uniform_basis_matrix,
+    window_part,
 )
 from .curve import SplineCurve
 from .errors import SplineError
@@ -248,20 +248,6 @@ def _relative_gaps(a, b) -> np.ndarray:
     return np.abs(a - b).max(axis=1) / scale
 
 
-def _column_sums_ok(m: BasisMatrix) -> bool:
-    """Row 0 of the exact entries sums to 1 and every other row to 0.
-
-    Each row is summed in ints, its numerators scaled to their common
-    denominator, which row 0 must then equal.
-    """
-    for r, row in enumerate(m.entries):
-        den = math.lcm(*(v.denominator for v in row))
-        total = sum(v.numerator * (den // v.denominator) for v in row)
-        if total != (den if r == 0 else 0):
-            return False
-    return True
-
-
 @lru_cache(maxsize=None)  # at most MAX_DEGREE + 1 pairs; knot vectors are immutable
 def _check_knot_vectors(degree: int):
     return (KnotVector.uniform(2 * degree + 6),
@@ -274,10 +260,14 @@ def run_check(degree_max: int, trials: int, seed: int, out=None) -> int:
     Per degree: ``trials`` random parameter draws per curve over a plain
     and a clamped knot vector, comparing all three evaluation paths, then
     exact column-sum invariants (row 0 sums to 1, every other row to 0) for
-    the uniform matrix and every span of both vectors.  The clamped spans
-    are the curve's own exact matrices, centred at u = 1/2 in the powers of
-    v = u - 1/2; the invariant is the same there, since the basis sums to
-    one in v too.  Reports the worst relative disagreement per degree.
+    the uniform matrix, which every span of the plain vector shares, and
+    every span of the clamped one.  The clamped spans are the exact
+    matrices the curve's rows were rounded from, centred at u = 1/2 in the
+    powers of v = u - 1/2; the invariant is the same there, since the basis
+    sums to one in v too.  Each verdict is ``column_sums_ok`` of a matrix
+    the window cache shares, so it is summed once per process until
+    ``uniform_basis_matrix.cache_clear()``.  Reports the worst relative
+    disagreement per degree.
     """
     if out is None:
         out = sys.stdout
@@ -305,16 +295,13 @@ def run_check(degree_max: int, trials: int, seed: int, out=None) -> int:
             gaps += [_relative_gaps(a, b), _relative_gaps(a, c), _relative_gaps(b, c)]
         worst = float(np.max(np.concatenate(gaps)))
 
-        # general construction runs on the uniform knots; the clamped spans
-        # are the centred matrices of the clamped curve, the last one above,
-        # whose column sums are those of the uncentred ones
-        matrices = [uniform_basis_matrix(k)]
-        for kv, exact in ((uniform_kv, lambda j: general_basis_matrix(uniform_kv, k, j)),
-                          (clamped_kv, curve._exact_matrix)):
-            matrices += [exact(j) for j in range(k, len(kv.values) - k - 1)
-                         if kv.values[j] < kv.values[j + 1]]
-        # once per distinct entries: the spans of one knot window share them
-        sums_ok = all(map(_column_sums_ok, {id(m.entries): m for m in matrices}.values()))
+        # the clamped spans' centred matrices, whose column sums are those
+        # of the uncentred ones; their windows were built by the curve above
+        matrices = [uniform_basis_matrix(k)] + [
+            window_part(span_window(clamped_kv, k, j), "centred matrix")[0]
+            for j in range(k, len(clamped_kv.values) - k - 1)
+            if clamped_kv.values[j] < clamped_kv.values[j + 1]]
+        sums_ok = all(m.column_sums_ok for m in matrices)
 
         ok = sums_ok and worst <= CHECK_TOLERANCE
         if not ok:

@@ -135,7 +135,8 @@ class SplineCurve:
 
         Kept per span as ``("x", j)``, read-only ``float_rows``: a window's
         "rows" ``window_part`` on rational knots, else one ``float_span_columns``
-        call.  A race builds one twice.  Raises DegenerateSpan at a zero width.
+        call.  One span's rows are a read-only view of that entry, not a
+        stack.  A race builds one twice.  Raises DegenerateSpan at a zero width.
         """
         missing = [j for j in spans if ("x", j) not in self._cache]
         zero = [j for j in missing if self.knots.values[j] == self.knots.values[j + 1]]
@@ -155,7 +156,10 @@ class SplineCurve:
             self._cache["hits"].append(len(missing) - built)
             for j, r in zip(missing, rows):
                 self._cache.setdefault(("x", j), r)
-        return np.stack([self._cache[("x", j)]["mc".index(kind)] for j in spans])
+        i = "mc".index(kind)
+        if len(spans) == 1:  # a view, not a one-element stack
+            return self._cache[("x", spans[0])][i:i + 1]
+        return np.stack([self._cache[("x", j)][i] for j in spans])
 
     def _exact_matrix(self, span: int) -> BasisMatrix:
         """The span's exact matrix centred at u = 1/2 (rational knots), rows powers of v."""
@@ -205,17 +209,24 @@ class SplineCurve:
                                                           np.zeros(size, bool)))
         blocks, filled = entry
         uniform = self.knots.is_uniform
-        missing = (~filled if uniform else (np.bincount(offsets, minlength=len(filled)) > 0)
-                   & ~filled).nonzero()[0]
+        if uniform:
+            missing = (~filled).nonzero()[0]
+        else:
+            missing = offsets[~filled[offsets]]
+            if len(missing) > 1:  # sorted, each span once
+                missing = np.flatnonzero(np.bincount(missing))
         if len(missing):
             spans = missing + first
             rows = self._rows(kind, [k])[0] if uniform else self._rows(kind, spans.tolist())
-            windows = self.points.take(spans[:, None] + np.arange(-k, 1), axis=0)
+            if len(spans) == 1:  # a C-contiguous view of the one run, as the gather's copy
+                windows = self.points[spans[0] - k:spans[0] + 1][None]
+            else:
+                windows = self.points.take(spans[:, None] + np.arange(-k, 1), axis=0)
             with np.errstate(over="ignore", invalid="ignore"):
                 fresh = _coefficient_blocks(kind, rows, windows)
                 # the sum over the whole fill bounds each span's (NaN fails both)
-                if not max(k, 1) * float(np.abs(fresh).sum()) < sys.float_info.max / 2:
-                    fits = max(k, 1) * np.abs(fresh).sum(axis=0) < sys.float_info.max / 2
+                if not max(k, 1) * float(abs(fresh).sum()) < sys.float_info.max / 2:
+                    fits = max(k, 1) * abs(fresh).sum(axis=0) < sys.float_info.max / 2
                     if not fits.all():
                         raise DomainError("control points of span %d are too large to evaluate"
                                           " in floats" % spans[np.argmin(fits.all(axis=1))])
@@ -323,7 +334,9 @@ class SplineCurve:
         other tau goes through ``_locate``, with its errors.  The one scalar
         ``horner`` per coordinate then runs over the span's column lists,
         cached per kind and order, with the batch's roundings in its order,
-        so the result equals the batch's bit for bit.
+        so the result equals the batch's bit for bit.  The order-0 lists are
+        the span's block, read once through ``_blocks``; every other order's
+        are those lists times r!/(r-order)!, ``_derivative_rows``' products.
         """
         fk = self._view
         bounds, values, widths = fk.views
@@ -339,8 +352,14 @@ class SplineCurve:
             return np.zeros(self.dim)
         cols = self._cache.get(("h", kind, order, span))
         if cols is None:  # lists are mutable: stored, never handed out
-            rows = _derivative_rows(self._blocks(kind, np.array([span]))[order:, 0], order)
-            cols = self._cache.setdefault(("h", kind, order, span), rows.T.tolist())
+            cols = self._cache.get(("h", kind, 0, span))
+            if cols is None:
+                block = self._blocks(kind, np.array([span]))[:, 0]
+                cols = self._cache.setdefault(("h", kind, 0, span), block.T.tolist())
+            if order:  # _derivative_rows' products, in Python floats
+                scale = [float(math.perm(r, order)) for r in range(order, self.degree + 1)]
+                cols = self._cache.setdefault(("h", kind, order, span), [
+                    [c * f for c, f in zip(col[order:], scale)] for col in cols])
         out = [horner(col, u - 0.5) for col in cols]
         for _ in range(order):  # Python floats overflow to +-inf silently
             out = [x / widths[span] for x in out]
@@ -484,14 +503,15 @@ def _windows(fk: _FloatKnots, knots: KnotVector, degree: int, taus: np.ndarray) 
     """``coxdeboor.basis_window`` of each tau in the domain: (n,) spans and (n, k+1) float weights.
 
     Float taus run on ``fk.oracle``, other taus (Fraction, int) on
-    ``knots``.  On float-stored oracle knots a float batch takes
-    ``coxdeboor.float_windows`` in one pass, with the same bits; every
-    other batch takes the scalar routine tau by tau, in mixed or exact
+    ``knots``.  On float-stored oracle knots a float batch of more than
+    one tau takes ``coxdeboor.float_windows`` in one pass, with the same
+    bits; every other batch, a single tau too, as its fixed cost exceeds
+    one recursion's, takes the scalar routine tau by tau, in mixed or exact
     arithmetic, and raises DomainError at the first tau whose recursion
     needs a knot difference beyond the float range: one that overflows,
     or one that rounds to zero.
     """
-    if taus.dtype == float and fk.oracle.storage == "float":
+    if taus.dtype == float and fk.oracle.storage == "float" and len(taus) > 1:
         values = fk.oracle.values
         spans = np.array([span_of(values, degree, t) for t in taus.tolist()], dtype=np.intp)
         return spans, coxdeboor.float_windows(fk.values, degree, spans, taus)
@@ -544,7 +564,7 @@ def _coefficient_blocks(kind: str, rows: np.ndarray, windows: np.ndarray) -> np.
     """
     subscripts = ("rc" if rows.ndim == 2 else "nrc") + ",ncd->rnd"
     if kind == "c":
-        out = np.einsum(subscripts, rows[..., 1:], np.diff(windows, axis=1))
+        out = np.einsum(subscripts, rows[..., 1:], windows[:, 1:] - windows[:, :-1])
         out[0] += windows[:, 0]
         return out
     return np.einsum(subscripts, rows, windows)

@@ -1,3 +1,4 @@
+import functools
 import io
 import json
 import random
@@ -267,8 +268,9 @@ class TestCheckCommand:
         assert "BROKEN" in capsys.readouterr().out
 
     def test_clamped_spans_come_from_the_curve_build(self, monkeypatch):
-        # general construction runs only on the uniform vector's 5 spans per
-        # degree; the clamped vector's spans come from its curve
+        # no general construction runs: every span of the uniform vector
+        # shares the uniform matrix, and the clamped vector's spans are the
+        # windows its curve built
         calls = []
         build = cli.general_basis_matrix
 
@@ -278,7 +280,26 @@ class TestCheckCommand:
 
         monkeypatch.setattr(cli, "general_basis_matrix", counting)
         assert cli.run_check(4, 3, 1, out=io.StringIO()) == 0
-        assert len(calls) == 5 * 4 and all(kv.is_uniform for kv in calls)
+        assert calls == []
+
+    def test_column_sums_are_summed_once_per_matrix_until_cache_clear(self, monkeypatch):
+        summed = []
+        plain = BasisMatrix.column_sums_ok.func
+        counting = functools.cached_property(lambda m: summed.append(m) or plain(m))
+        counting.__set_name__(BasisMatrix, "column_sums_ok")
+        monkeypatch.setattr(BasisMatrix, "column_sums_ok", counting)
+        uniform_basis_matrix.cache_clear()
+        assert cli.run_check(4, 3, 1, out=io.StringIO()) == 0
+        # per degree the uniform matrix and each clamped span's window
+        windows = {(k, cli.span_window(kv, k, j)) for k in range(1, 5)
+                   for kv in cli._check_knot_vectors(k)[1:]
+                   for j in range(k, len(kv.values) - k - 1) if kv.values[j] < kv.values[j + 1]}
+        assert len(summed) == 4 + len(windows)
+        assert cli.run_check(4, 3, 2, out=io.StringIO()) == 0
+        assert len(summed) == 4 + len(windows)
+        uniform_basis_matrix.cache_clear()  # a cold set-up verifies again
+        assert cli.run_check(4, 3, 1, out=io.StringIO()) == 0
+        assert len(summed) == 2 * (4 + len(windows))
 
     @pytest.mark.parametrize("degree_max, trials, seed", [(4, 12, 9), (10, 30, 3)])
     def test_worst_matches_scalar_recomputation(self, degree_max, trials, seed):

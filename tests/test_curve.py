@@ -406,6 +406,17 @@ class TestBatchOracle:
         uniform._coxdeboor([3.5, 4.0])
         assert calls == [2]
 
+    def test_a_single_float_tau_takes_the_scalar_routine(self, monkeypatch):
+        calls = []
+        batch = coxdeboor.float_windows
+        monkeypatch.setattr(coxdeboor, "float_windows",
+                            lambda *args: calls.append(args[1]) or batch(*args))
+        rng = np.random.default_rng(75)
+        curve = SplineCurve(6, KnotVector.uniform(19), rng.normal(size=(12, 2)))
+        for tau in domain_doubles(curve) + rng.uniform(6.0, 12.0, 10).tolist():
+            assert same_bits(curve.eval_coxdeboor(tau), curve._coxdeboor([tau, tau])[0])
+        assert calls == [6] * (len(domain_doubles(curve)) + 10)
+
     @pytest.mark.parametrize("kv", [KnotVector.uniform(9),
                                     KnotVector([Fraction(i * i, 3) for i in range(9)])])
     def test_tau_outside_the_domain_raises_at_the_same_tau(self, kv):
@@ -936,6 +947,62 @@ class TestExactRows:
         third = SplineCurve(10, kv, np.zeros((70, 1)))
         third.evaluate(mids)
         assert (third.stats()["spans_built"], third.stats()["window_hits"]) == (19, 41)
+
+
+class TestScalarFirstTouch:
+    """The scalar views on a fresh curve: one small fill per span, the batch's bits."""
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 6, 10])
+    def test_scalar_paths_called_first_equal_the_batch(self, k):
+        rng = np.random.default_rng(90 + k)
+        for name, kv in knot_kinds(k, rng).items():
+            points = rng.normal(0.0, 10.0, (len(kv.values) - k - 1, 3))
+            batch = SplineCurve(k, kv, points)
+            taus = domain_doubles(batch) + rng.uniform(batch._view.lo, batch._view.hi, 20).tolist()
+            spans, u = batch._locate(taus)
+            want = [batch.evaluate(taus, r) for r in range(k + 1)]
+            want_c = batch._combine(spans, u, "c")
+            scalar = SplineCurve(k, kv, points)  # every span first met by a scalar view
+            for i, tau in enumerate(taus):
+                for r in range(k, 0, -1):
+                    assert same_bits(scalar.eval_derivative(tau, r), want[r][i]), (name, tau, r)
+                assert same_bits(scalar.eval_cumulative(tau), want_c[i]), (name, tau)
+                assert same_bits(scalar.eval_matrix(tau), want[0][i]), (name, tau)
+
+    def test_derivatives_after_the_matrix_view_neither_gather_nor_fill(self, monkeypatch):
+        kv = clamped(10, range(1, 60), 60)
+        curve = SplineCurve(10, kv, np.random.default_rng(7).normal(size=(70, 3)))
+        gathers = []
+        blocks = SplineCurve._blocks
+        monkeypatch.setattr(SplineCurve, "_blocks",
+                            lambda self, *args: gathers.append(args) or blocks(self, *args))
+        for tau in (0.0, 1.5, 17.25, 31.0, 60.0):
+            curve.eval_matrix(tau)
+            filled, count = curve.stats()["blocks_filled"], len(gathers)
+            for order in range(1, 11):
+                curve.eval_derivative(tau, order)
+            assert (curve.stats()["blocks_filled"], len(gathers)) == (filled, count)
+        assert len(gathers) == 5
+
+    @pytest.mark.parametrize("storage", ["rational", "float"])
+    def test_a_first_touch_next_to_filled_spans_writes_one_block(self, storage):
+        kv = clamped(3, range(1, 10), 10)
+        curve = SplineCurve(3, kv if storage == "rational" else kv.as_float(),
+                            np.random.default_rng(8).normal(size=(13, 2)))
+
+        def filled():
+            stats = curve.stats()
+            return stats["blocks_filled"], stats["spans_touched"]
+
+        curve.evaluate([3.5, 5.5])
+        assert filled() == (2, 2)
+        curve.eval_matrix(4.5)
+        assert filled() == (3, 3)
+        # a batch that repeats filled spans and one new span writes it once
+        curve.evaluate([3.5, 4.5, 6.5, 5.5, 6.25, 6.5])
+        assert filled() == (4, 4)
+        curve.eval_cumulative(4.5)
+        assert filled() == (5, 5)
 
 
 class TestConcurrency:

@@ -1,24 +1,31 @@
 """One SHA-256 per evaluation path over fixed seeded curves.
 
-Run it on two trees to show that a change leaves every output bit for bit
-as it was::
+Run one copy of it on two trees to show that a change leaves every output
+bit for bit as it was::
 
-    python tools/output_hashes.py
+    python tools/output_hashes.py --src ../base/src > base.txt
+    python tools/output_hashes.py > head.txt
+    diff base.txt head.txt
 
-It imports ``splinemat`` from the ``src`` directory next to this file.
-The curves take five knot kinds (evenly spaced integers, clamped
-integers, non-uniform floats, integers with repeated interior knots, and
-the rationals i^2/3) at degrees 0..10, 20 and 30, with 3-D control points
-in C order, plus two curves longer than one page of blocks.  The paths
-hashed are ``evaluate`` at every derivative order 0..k+1, the scalar views
-``eval_matrix``, ``eval_cumulative`` and ``eval_derivative``,
-``_sample_grid``, ``eval_coxdeboor``, ``splinemat check`` for seeds 0..39
-and the bytes of ``splinemat sample``'s CSV.  A path that raises hashes
-its error's type and message in place of the values.
+It imports ``splinemat`` from ``--src``, by default the ``src`` directory
+next to this file; one copy of the tool hashes both trees, so a path it
+adds is hashed on the older tree too.  The curves take five knot kinds
+(evenly spaced integers, clamped integers, non-uniform floats, integers
+with repeated interior knots, and the rationals i^2/3) at degrees 0..10,
+20 and 30, with 3-D control points in C order, plus two curves longer
+than one page of blocks.  The paths hashed are ``evaluate`` at every
+derivative order 0..k+1, the scalar views ``eval_matrix``,
+``eval_cumulative`` and ``eval_derivative``, the same scalar views called
+first on a fresh copy of each curve (``cold_scalar``: derivatives k..1,
+then the cumulative and the matrix view, per parameter), ``_sample_grid``,
+``eval_coxdeboor``, ``splinemat check`` for seeds 0..39 and the bytes of
+``splinemat sample``'s CSV.  A path that raises hashes its error's type
+and message in place of the values.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -29,10 +36,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-
-from splinemat import KnotVector, SplineCurve, SplineError, cli  # noqa: E402
 
 DEGREES = list(range(11)) + [20, 30]
 SPANS = 9  # spans in each curve's evaluable domain
@@ -93,6 +96,17 @@ def sample_csv(curve, workdir: str) -> bytes:
 
 
 def main() -> None:
+    parser = argparse.ArgumentParser(description="Print one SHA-256 per evaluation path.")
+    parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parents[1] / "src",
+                        help="the directory to import splinemat from (default: %(default)s)")
+    src = parser.parse_args().src.resolve()
+    sys.path.insert(0, str(src))
+    global KnotVector, SplineCurve, SplineError, cli
+    import splinemat
+    from splinemat import KnotVector, SplineCurve, SplineError, cli
+
+    if Path(splinemat.__file__).resolve().parents[1] != src:
+        sys.exit("splinemat was imported from %s, not from %s" % (splinemat.__file__, src))
     hashes = {}
 
     def add(path: str, name: str, data: bytes) -> None:
@@ -109,6 +123,12 @@ def main() -> None:
                 add("eval_cumulative", name, outcome(curve.eval_cumulative, tau))
                 for order in range(1, curve.degree + 2):
                     add("eval_derivative", name, outcome(curve.eval_derivative, tau, order))
+            fresh = SplineCurve(curve.degree, curve.knots, curve.points)
+            for tau in taus:
+                for order in range(curve.degree, 0, -1):
+                    add("cold_scalar", name, outcome(fresh.eval_derivative, tau, order))
+                add("cold_scalar", name, outcome(fresh.eval_cumulative, tau))
+                add("cold_scalar", name, outcome(fresh.eval_matrix, tau))
             for tau in taus[::4]:
                 add("eval_coxdeboor", name, outcome(curve.eval_coxdeboor, tau))
             add("_sample_grid", name, outcome(lambda: np.concatenate(
