@@ -336,7 +336,7 @@ class SplineCurve:
         cached per kind and order, with the batch's roundings in its order,
         so the result equals the batch's bit for bit.  The order-0 lists are
         the span's block, read once through ``_blocks``; every other order's
-        are those lists times r!/(r-order)!, ``_derivative_rows``' products.
+        are ``_derivative_lists`` of them, so no order gathers a block twice.
         """
         fk = self._view
         bounds, values, widths = fk.views
@@ -356,13 +356,15 @@ class SplineCurve:
             if cols is None:
                 block = self._blocks(kind, np.array([span]))[:, 0]
                 cols = self._cache.setdefault(("h", kind, 0, span), block.T.tolist())
-            if order:  # _derivative_rows' products, in Python floats
-                scale = [float(math.perm(r, order)) for r in range(order, self.degree + 1)]
-                cols = self._cache.setdefault(("h", kind, order, span), [
-                    [c * f for c, f in zip(col[order:], scale)] for col in cols])
-        out = [horner(col, u - 0.5) for col in cols]
-        for _ in range(order):  # Python floats overflow to +-inf silently
-            out = [x / widths[span] for x in out]
+            if order:
+                cols = self._cache.setdefault(("h", kind, order, span),
+                                              _derivative_lists(cols, order))
+        out = []  # loops, not comprehensions: no closure cells to make per call
+        for col in cols:
+            x = horner(col, u - 0.5)
+            for _ in range(order):  # Python floats overflow to +-inf silently
+                x /= widths[span]
+            out.append(x)
         return np.array(out)
 
     def evaluate(self, taus, derivative: int = 0) -> np.ndarray:
@@ -550,6 +552,12 @@ def _derivative_rows(rows: np.ndarray, order: int) -> np.ndarray:
         return rows
     scale = np.array([math.perm(r, order) for r in range(order, order + len(rows))], dtype=float)
     return rows * scale.reshape((-1,) + (1,) * (rows.ndim - 1))
+
+
+def _derivative_lists(cols: list, order: int) -> list:
+    """``_derivative_rows`` of column lists in Python floats: entries r >= order times r!/(r-order)!."""
+    scale = [float(math.perm(r, order)) for r in range(order, len(cols[0]))]
+    return [[c * f for c, f in zip(col[order:], scale)] for col in cols]
 
 
 def _coefficient_blocks(kind: str, rows: np.ndarray, windows: np.ndarray) -> np.ndarray:
