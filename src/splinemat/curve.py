@@ -30,12 +30,12 @@ import math
 import sys
 import time
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import coxdeboor
-from .basismatrix import BasisMatrix, float_rows, float_span_columns, span_window, window_part
+from .basismatrix import float_rows, float_span_columns, span_window, window_part
 from .errors import DegenerateSpan, DomainError
 from .knots import KnotVector, find_span, normalize, span_of
 from .polytoeplitz import horner
@@ -161,12 +161,6 @@ class SplineCurve:
             return self._cache[("x", spans[0])][i:i + 1]
         return np.stack([self._cache[("x", j)][i] for j in spans])
 
-    def _exact_matrix(self, span: int) -> BasisMatrix:
-        """The span's exact matrix centred at u = 1/2 (rational knots), rows powers of v."""
-        self._rows("m", [span])  # the zero-width check and the counts
-        window = span_window(self.knots, self.degree, span)
-        return replace(window_part(window, "centred matrix")[0], span=span)
-
     def _blocks(self, kind: str, spans: np.ndarray) -> np.ndarray:
         """The (k+1, n, d) coefficient blocks of ``spans``: the one route from spans to blocks.
 
@@ -194,9 +188,11 @@ class SplineCurve:
         matrix ("m") times the local points, or of the centred cumulative
         matrix ("c") times the first point and the differences, formed
         independently.  The one fill gathers the k+1 points of each missing
-        span and applies the rows by one ``einsum``: evenly spaced knots
-        fill every unfilled span of the page under their one shared matrix,
-        other knots the unfilled ``offsets``.  It raises DomainError, and
+        span and applies the rows by one ``einsum``: evenly spaced rational
+        knots (``is_uniform``), whose spans all have one knot window, fill
+        every unfilled span of the page under its one matrix; other knots,
+        float-stored ones always, fill the unfilled ``offsets`` with their
+        own rows.  It raises DomainError, and
         writes nothing, at the first span of the fill whose max(k, 1) *
         sum_r |c_r| is not below half the largest double in a coordinate:
         below that, no Horner partial sum at orders 0 and 1 overflows.
@@ -336,7 +332,7 @@ class SplineCurve:
         cached per kind and order, with the batch's roundings in its order,
         so the result equals the batch's bit for bit.  The order-0 lists are
         the span's block, read once through ``_blocks``; every other order's
-        are ``_derivative_lists`` of them, so no order gathers a block twice.
+        are ``_derivative_rows`` of them, so no order gathers a block twice.
         """
         fk = self._view
         bounds, values, widths = fk.views
@@ -357,8 +353,8 @@ class SplineCurve:
                 block = self._blocks(kind, np.array([span]))[:, 0]
                 cols = self._cache.setdefault(("h", kind, 0, span), block.T.tolist())
             if order:
-                cols = self._cache.setdefault(("h", kind, order, span),
-                                              _derivative_lists(cols, order))
+                rows = _derivative_rows(np.array(cols).T[order:], order)
+                cols = self._cache.setdefault(("h", kind, order, span), rows.T.tolist())
         out = []  # loops, not comprehensions: no closure cells to make per call
         for col in cols:
             x = horner(col, u - 0.5)
@@ -552,12 +548,6 @@ def _derivative_rows(rows: np.ndarray, order: int) -> np.ndarray:
         return rows
     scale = np.array([math.perm(r, order) for r in range(order, order + len(rows))], dtype=float)
     return rows * scale.reshape((-1,) + (1,) * (rows.ndim - 1))
-
-
-def _derivative_lists(cols: list, order: int) -> list:
-    """``_derivative_rows`` of column lists in Python floats: entries r >= order times r!/(r-order)!."""
-    scale = [float(math.perm(r, order)) for r in range(order, len(cols[0]))]
-    return [[c * f for c, f in zip(col[order:], scale)] for col in cols]
 
 
 def _coefficient_blocks(kind: str, rows: np.ndarray, windows: np.ndarray) -> np.ndarray:

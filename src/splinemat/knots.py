@@ -11,9 +11,6 @@ from .errors import DegenerateSpan, DomainError, InvalidKnots
 
 Scalar = Union[int, float, Fraction]
 
-# Relative slack when deciding whether float-stored knots are evenly spaced.
-_UNIFORM_RTOL = 1e-12
-
 
 class KnotVector:
     """Non-decreasing sequence of parameter values defining the spans.
@@ -21,11 +18,14 @@ class KnotVector:
     Values are stored either exactly (ints and Fractions, tagged
     ``"rational"``) or as floats (tagged ``"float"``).  Exact storage is
     required for exact basis-matrix construction; float storage is fine
-    for plain evaluation.  Instances are immutable and safe to share.
+    for plain evaluation.  ``is_uniform`` holds for rational storage with
+    equal positive differences, never for float storage: float knots
+    that look evenly spaced need not give equal span matrices.
+    Instances are immutable and safe to share.
     What is derived from the knots alone is kept with them (``_derived``).
     """
 
-    __slots__ = ("values", "storage", "is_uniform", "delta", "_memo")
+    __slots__ = ("values", "storage", "is_uniform", "_memo")
 
     def __init__(self, values: Sequence[Scalar]):
         vals = tuple(values)
@@ -39,8 +39,7 @@ class KnotVector:
                 raise InvalidKnots("knot values are beyond the float range") from None
             if not all(math.isfinite(v) for v in vals):
                 raise InvalidKnots("knots must be finite")
-            # Span widths and the spacing test are taken in floats; a range
-            # beyond a double would pass as evenly spaced with delta inf.
+            # Span widths are taken in floats: the knot range must be a finite double too.
             if vals[-1] - vals[0] == math.inf:
                 raise InvalidKnots("knot range [%r, %r] is beyond the float range"
                                    % (vals[0], vals[-1]))
@@ -50,11 +49,11 @@ class KnotVector:
         for a, b in zip(vals, vals[1:]):
             if not a <= b:
                 raise InvalidKnots("knots must be non-decreasing: %r > %r" % (a, b))
+        step = vals[1] - vals[0]
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "storage", storage)
-        uniform, delta = _uniform_spacing(vals, storage)
-        object.__setattr__(self, "is_uniform", uniform)
-        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "is_uniform", storage == "rational" and step > 0
+                           and all(b - a == step for a, b in zip(vals, vals[1:])))
         object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name, value):
@@ -120,18 +119,6 @@ class KnotVector:
         if degree < 0 or m - degree - 1 <= degree:
             raise DomainError("no evaluable domain for degree %d with %d knots" % (degree, m))
         return self.values[degree], self.values[m - degree - 1]
-
-
-def _uniform_spacing(vals, storage):
-    diffs = [b - a for a, b in zip(vals, vals[1:])]
-    if storage == "rational":
-        if diffs[0] > 0 and all(d == diffs[0] for d in diffs):
-            return True, diffs[0]
-        return False, None
-    mean = (vals[-1] - vals[0]) / (len(vals) - 1)
-    if mean > 0 and all(abs(d - mean) <= _UNIFORM_RTOL * mean for d in diffs):
-        return True, mean
-    return False, None
 
 
 def find_span(kv: KnotVector, degree: int, tau: Scalar) -> int:

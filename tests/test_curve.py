@@ -24,6 +24,7 @@ from splinemat import (
 )
 from splinemat import cli
 from splinemat import curve as curve_module
+from splinemat.basismatrix import span_window, window_part
 from splinemat.curve import _CHUNK
 from splinemat.polytoeplitz import horner
 
@@ -313,7 +314,7 @@ class TestOracleKnots:
 
 
 def knot_kinds(k, rng):
-    """The five knot kinds of ``tools/output_hashes.py``, nine spans in the domain."""
+    """The six knot kinds of ``tools/output_hashes.py``, nine spans in the domain."""
     count = 9 + 2 * k + 1
     gaps = rng.integers(0, 3, count - 1)
     gaps[k:count - k - 1] = np.maximum(gaps[k:count - k - 1], 1)
@@ -322,7 +323,8 @@ def knot_kinds(k, rng):
             "clamped": KnotVector([0] * k + list(range(10)) + [9] * k),
             "float": KnotVector(np.cumsum(rng.uniform(0.25, 4.0, count)).tolist()),
             "repeated": KnotVector([0] + np.cumsum(gaps).tolist()),
-            "squares": KnotVector([Fraction(i * i, 3) for i in range(count)])}
+            "squares": KnotVector([Fraction(i * i, 3) for i in range(count)]),
+            "halves": KnotVector.uniform(count, start=-1.5, step=0.5)}
 
 
 def scalar_oracle(curve, taus):
@@ -453,7 +455,7 @@ class TestSharedKnotTables:
         for curve in (SplineCurve(3, kv, np.zeros((7, 2))) for _ in range(2)):
             curve.evaluate([0.5, 1.5, 2.5, 3.5])
             for j in range(3, 7):
-                curve._exact_matrix(j)
+                span_window(kv, 3, j)
                 general_basis_matrix(kv, 3, j)
         assert sorted(calls) == [(3, j) for j in range(3, 7)]
 
@@ -791,6 +793,32 @@ class TestFloatConstruction:
                 assert np.abs(basis.sum(axis=1) - 1.0).max() <= 1e-12
 
 
+def jittered_float_knots(rng, count):
+    """Float knots 0, 1, 2, ... each moved by up to 4e-13: evenly spaced to 1e-12, not exactly."""
+    return KnotVector((np.arange(count) + rng.uniform(-4e-13, 4e-13, count)).tolist())
+
+
+class TestNearlyEvenlySpacedFloatKnots:
+    """Float knots whose spacing differs by rounding noise: every span takes its own rows."""
+
+    @pytest.mark.parametrize("k", [3, 10, 20, 30])
+    def test_evaluate_matches_the_recursion(self, k):
+        rng = np.random.default_rng(300 + k)
+        for _ in range(10):
+            curve = SplineCurve(k, jittered_float_knots(rng, 2 * k + 10),
+                                rng.normal(0.0, 10.0, (k + 9, 3)))
+            taus = rng.uniform(curve._view.lo, curve._view.hi, 300)
+            got, want = curve.evaluate(taus), curve._coxdeboor(taus)
+            gaps = np.abs(got - want).max(axis=1) / np.maximum(1.0, np.abs(want).max(axis=1))
+            assert gaps.max() <= 1e-13
+
+    def test_evaluate_fills_only_the_touched_spans(self):
+        rng = np.random.default_rng(310)
+        curve = SplineCurve(3, jittered_float_knots(rng, 46), rng.normal(size=(42, 2)))
+        curve.evaluate([3.5, 7.25, 7.5, 20.5])
+        assert curve.stats()["spans_touched"] == 3
+
+
 def positive_spans(kv, degree):
     return [j for j in range(degree, len(kv.values) - degree - 1)
             if kv.values[j] < kv.values[j + 1]]
@@ -837,14 +865,15 @@ class TestExactRows:
             assert same_bits(curve._rows("m", [j])[0], centred(m).as_float_rows())
             assert same_bits(curve._rows("c", [j])[0],
                              centred(cumulative_matrix(m)).as_float_rows())
-            assert curve._exact_matrix(j).entries == centred(m).entries
+            window = span_window(kv, degree, j)
+            assert window_part(window, "centred matrix")[0].entries == centred(m).entries
 
     @pytest.mark.parametrize("storage", ["rational", "float"])
     def test_zero_width_span_raises_degenerate_span(self, storage):
         kv = KnotVector([0, 1, 2, 2, 3, 4, 5])
         curve = SplineCurve(2, kv if storage == "rational" else kv.as_float(), np.zeros((4, 1)))
         with pytest.raises(DegenerateSpan, match="span 2 has zero width"):
-            curve._exact_matrix(2)
+            curve._rows("m", [2])
         with pytest.raises(DegenerateSpan, match="span 2 has zero width"):
             curve._matrix_point(2, 0.5)
 

@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import pytest
@@ -58,16 +57,17 @@ class TestKnotVector:
 
     def test_uniform_flag_exact(self):
         kv = KnotVector.uniform(8)
-        assert kv.is_uniform and kv.delta == 1
+        assert kv.is_uniform
         assert not KnotVector([0, 1, 3]).is_uniform
         # repeated knots are not uniform spacing
         assert not KnotVector([0, 0, 1, 1]).is_uniform
 
-    def test_uniform_flag_float_tolerance(self):
-        vals = [0.1 * i for i in range(8)]  # binary noise well inside 1e-12 relative
-        kv = KnotVector(vals)
-        assert kv.is_uniform
-        assert math.isclose(kv.delta, 0.1)
+    def test_float_knots_are_never_uniform(self):
+        # 0.1 * i carries binary noise; 0.5 * i is exactly evenly spaced
+        for step in (0.1, 0.5):
+            kv = KnotVector([step * i for i in range(8)])
+            assert kv.storage == "float" and not kv.is_uniform
+            assert kv.as_rational().is_uniform == (step == 0.5)
         assert not KnotVector([0.0, 1.0, 2.5]).is_uniform
 
     def test_as_rational_is_exact(self):

@@ -9,10 +9,11 @@ bit for bit as it was::
 
 It imports ``splinemat`` from ``--src``, by default the ``src`` directory
 next to this file; one copy of the tool hashes both trees, so a path it
-adds is hashed on the older tree too.  The curves take five knot kinds
+adds is hashed on the older tree too.  The curves take six knot kinds
 (evenly spaced integers, clamped integers, non-uniform floats, integers
-with repeated interior knots, and the rationals i^2/3) at degrees 0..10,
-20 and 30, with 3-D control points in C order, plus two curves longer
+with repeated interior knots, the rationals i^2/3, and the floats
+-1.5 + 0.5 i, evenly spaced and exactly doubles) at degrees 0..10, 20
+and 30, with 3-D control points in C order, plus two curves longer
 than one page of blocks.  The paths hashed are ``evaluate`` at every
 derivative order 0..k+1, the scalar views ``eval_matrix``,
 ``eval_cumulative`` and ``eval_derivative``, the same scalar views called
@@ -54,13 +55,15 @@ def knot_vector(kind: str, k: int, rng) -> KnotVector:
         gaps[k:count - k - 1] = np.maximum(gaps[k:count - k - 1], 1)  # a non-degenerate domain
         gaps[k + 2] = 0  # at least one repeated interior knot
         return KnotVector([0] + np.cumsum(gaps).tolist())
+    if kind == "halves":
+        return KnotVector.uniform(count, start=-1.5, step=0.5)
     return KnotVector([Fraction(i * i, 3) for i in range(count)])
 
 
 def curves():
     """``(name, curve)`` for every knot kind and degree, then the long curves."""
     rng = np.random.default_rng(20)
-    for kind in ("uniform", "clamped", "float", "repeated", "squares"):
+    for kind in ("uniform", "clamped", "float", "repeated", "squares", "halves"):
         for k in DEGREES:
             kv = knot_vector(kind, k, rng)
             points = rng.normal(0.0, 10.0, (len(kv.values) - k - 1, 3))
