@@ -13,10 +13,11 @@ span's basis matrix, Taylor-centred at u = 1/2, times its k+1 local
 control points (the cumulative block applies the centred cumulative matrix
 to the first point and the differences).  The blocks live in power-major
 pages of consecutive spans; for every knot kind ``_blocks`` gathers them
-and ``_page``'s one fill builds the missing ones.  ``polytoeplitz.horner``
-evaluates them in v = u - 1/2, over one gather per chunk for arrays and,
-with the same result bit for bit, in Python floats for a single parameter:
-one ``bisect`` over the float tables, then its span's cached column lists.
+and ``_page``'s one fill builds the missing ones, with those its page
+already holds in the other kind.  ``polytoeplitz.horner`` evaluates them
+in v = u - 1/2, over one gather per chunk for arrays and, with the same
+result bit for bit, in Python floats for a single parameter: one
+``bisect`` over the float tables, then its span's cached column lists.
 Centring keeps the power form well conditioned next to wide spans (Farouki
 & Rajan 1987).  The degree recursion builds the centred matrices directly:
 on exact knots, exact until one rounding per entry and once per knot window
@@ -192,10 +193,15 @@ class SplineCurve:
         knots (``is_uniform``), whose spans all have one knot window, fill
         every unfilled span of the page under its one matrix; other knots,
         float-stored ones always, fill the unfilled ``offsets`` with their
-        own rows.  It raises DomainError, and
-        writes nothing, at the first span of the fill whose max(k, 1) *
-        sum_r |c_r| is not below half the largest double in a coordinate:
-        below that, no Horner partial sum at orders 0 and 1 overflows.
+        own rows, and with them every span whose block the page holds in
+        the other kind only: its rows are cached, its points at hand.  So a
+        fill can write more spans than asked; with nothing missing at
+        ``offsets``, the other kind is not looked at.  It raises
+        DomainError, and writes nothing, at the first asked span (every
+        span on evenly spaced knots) whose max(k, 1) * sum_r |c_r| is not
+        below half the largest double in a coordinate: below that, no
+        Horner partial sum at orders 0 and 1 overflows.  An added span that
+        fails the rule is skipped: not written, its mask not set.
         """
         k, first = self.degree, self.degree + page * _CHUNK
         entry = self._cache.get((kind, page))
@@ -206,11 +212,16 @@ class SplineCurve:
         blocks, filled = entry
         uniform = self.knots.is_uniform
         if uniform:
-            missing = (~filled).nonzero()[0]
+            missing = asked = (~filled).nonzero()[0]
         else:
-            missing = offsets[~filled[offsets]]
-            if len(missing) > 1:  # sorted, each span once
-                missing = np.flatnonzero(np.bincount(missing))
+            missing = asked = offsets[~filled[offsets]]
+            other = self._cache.get(("c" if kind == "m" else "m", page)) if len(asked) else None
+            if other is not None:  # and the spans the page holds in the other kind
+                want = other[1] & ~filled
+                want[asked] = True
+                missing = want.nonzero()[0]
+            elif len(asked) > 1:  # sorted, each span once
+                missing = np.flatnonzero(np.bincount(asked))
         if len(missing):
             spans = missing + first
             rows = self._rows(kind, [k])[0] if uniform else self._rows(kind, spans.tolist())
@@ -222,10 +233,12 @@ class SplineCurve:
                 fresh = _coefficient_blocks(kind, rows, windows)
                 # the sum over the whole fill bounds each span's (NaN fails both)
                 if not max(k, 1) * float(abs(fresh).sum()) < sys.float_info.max / 2:
-                    fits = max(k, 1) * abs(fresh).sum(axis=0) < sys.float_info.max / 2
-                    if not fits.all():
+                    fits = (max(k, 1) * abs(fresh).sum(axis=0) < sys.float_info.max / 2).all(axis=1)
+                    refused = ~fits & np.isin(missing, asked)
+                    if refused.any():
                         raise DomainError("control points of span %d are too large to evaluate"
-                                          " in floats" % spans[np.argmin(fits.all(axis=1))])
+                                          " in floats" % spans[refused.argmax()])
+                    missing, fresh = missing[fits], fresh[:, fits]  # an added span may not fit
             blocks[:, missing] = fresh
             filled[missing] = True  # only once the blocks are written
             self._cache["fills"].append(len(missing))
@@ -305,9 +318,14 @@ class SplineCurve:
         """The batched core: Horner's rule in u - 1/2 over the spans' blocks.
 
         ``kind`` "m" or "c" picks the blocks (see ``_page``), gathered once
-        per chunk; ``order`` > 0 differentiates them, dividing by the span
-        width once per order (chain rule).
+        per chunk after each page they lie in is filled once for the whole
+        call; ``order`` > 0 differentiates them, dividing by the span width
+        once per order (chain rule).
         """
+        if len(u) > _CHUNK:  # fill each page once, not once per chunk
+            pages, offsets = np.divmod(spans - self.degree, _CHUNK)
+            for page in np.flatnonzero(np.bincount(pages)).tolist():
+                self._page(kind, page, offsets[pages == page])
         out = np.empty((len(u), self.dim))
         x = np.repeat((u - 0.5)[:, None], self.dim, axis=1)  # Horner steps without broadcasts
         for start in range(0, len(u), _CHUNK):
@@ -330,9 +348,10 @@ class SplineCurve:
         other tau goes through ``_locate``, with its errors.  The one scalar
         ``horner`` per coordinate then runs over the span's column lists,
         cached per kind and order, with the batch's roundings in its order,
-        so the result equals the batch's bit for bit.  The order-0 lists are
-        the span's block, read once through ``_blocks``; every other order's
-        are ``_derivative_rows`` of them, so no order gathers a block twice.
+        so the result equals the batch's bit for bit.  An order's lists are
+        ``_derivative_rows`` of the span's block (at order 0 the block
+        itself), read in place from its page once filled, else through
+        ``_blocks``, whose fill can write more spans than the one asked.
         """
         fk = self._view
         bounds, values, widths = fk.views
@@ -348,13 +367,14 @@ class SplineCurve:
             return np.zeros(self.dim)
         cols = self._cache.get(("h", kind, order, span))
         if cols is None:  # lists are mutable: stored, never handed out
-            cols = self._cache.get(("h", kind, 0, span))
-            if cols is None:
+            page, offset = divmod(span - self.degree, _CHUNK)
+            entry = self._cache.get((kind, page))
+            if entry is not None and entry[1][offset]:  # filled: read in place
+                block = entry[0][:, offset]
+            else:
                 block = self._blocks(kind, np.array([span]))[:, 0]
-                cols = self._cache.setdefault(("h", kind, 0, span), block.T.tolist())
-            if order:
-                rows = _derivative_rows(np.array(cols).T[order:], order)
-                cols = self._cache.setdefault(("h", kind, order, span), rows.T.tolist())
+            rows = _derivative_rows(block[order:], order)
+            cols = self._cache.setdefault(("h", kind, order, span), rows.T.tolist())
         out = []  # loops, not comprehensions: no closure cells to make per call
         for col in cols:
             x = horner(col, u - 0.5)
@@ -399,9 +419,10 @@ class SplineCurve:
         for start in range(0, stop, _CHUNK):
             part = arr[start:min(start + _CHUNK, stop)]
             spans, weights = _windows(self._view, self.knots, k, part)
+            local = self.points[spans[:, None] + np.arange(-k, 1)]
             rows = out[start:start + len(part)]
             for c in range(k + 1):
-                rows += weights[:, c, None] * self.points[spans - k + c]
+                rows += weights[:, c, None] * local[:, c]
         if stop < len(arr):
             find_span(self.knots, self.degree, arr.tolist()[stop])
         return out
@@ -503,15 +524,16 @@ def _windows(fk: _FloatKnots, knots: KnotVector, degree: int, taus: np.ndarray) 
     Float taus run on ``fk.oracle``, other taus (Fraction, int) on
     ``knots``.  On float-stored oracle knots a float batch of more than
     one tau takes ``coxdeboor.float_windows`` in one pass, with the same
-    bits; every other batch, a single tau too, as its fixed cost exceeds
-    one recursion's, takes the scalar routine tau by tau, in mixed or exact
-    arithmetic, and raises DomainError at the first tau whose recursion
-    needs a knot difference beyond the float range: one that overflows,
-    or one that rounds to zero.
+    bits, over the spans of one search of the bounds: those knots cut at
+    ``last``, so ``span_of``'s spans in the domain.  Every other batch, a
+    single tau too, as its fixed cost exceeds one recursion's, takes the
+    scalar routine tau by tau, in mixed or exact arithmetic, and raises
+    DomainError at the first tau whose recursion needs a knot difference
+    beyond the float range: one that overflows, or one that rounds to
+    zero.
     """
     if taus.dtype == float and fk.oracle.storage == "float" and len(taus) > 1:
-        values = fk.oracle.values
-        spans = np.array([span_of(values, degree, t) for t in taus.tolist()], dtype=np.intp)
+        spans = np.searchsorted(fk.bounds, taus, side="right") - 1  # the knots, cut at last
         return spans, coxdeboor.float_windows(fk.values, degree, spans, taus)
     kv = fk.oracle if taus.dtype == float else knots
     spans = np.empty(len(taus), dtype=np.intp)

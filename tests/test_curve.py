@@ -746,6 +746,17 @@ class TestFloatConstruction:
         assert stats["spans_touched"] == 2 * len(spans)
         assert stats["build_s"] > 0.0
 
+    def test_a_batch_of_many_chunks_fills_its_page_once(self, monkeypatch):
+        calls = []
+        build = curve_module.float_span_columns
+        monkeypatch.setattr(curve_module, "float_span_columns",
+                            lambda values, degree, spans: calls.append(list(spans))
+                            or build(values, degree, spans))
+        kv = float_knot_family(10, 7)[2]
+        curve = SplineCurve(10, kv, np.random.default_rng(7).normal(size=(len(kv.values) - 11, 3)))
+        grid, _ = curve._sample_grid(2 * _CHUNK)
+        assert calls == [np.unique(curve._locate(grid)[0]).tolist()]
+
     def test_fill_scratch_is_bounded_by_the_chunk_and_silent(self):
         import tracemalloc
 
@@ -1014,7 +1025,7 @@ class TestScalarFirstTouch:
         assert len(gathers) == 5
 
     @pytest.mark.parametrize("storage", ["rational", "float"])
-    def test_a_first_touch_next_to_filled_spans_writes_one_block(self, storage):
+    def test_a_first_touch_fills_the_other_kinds_spans_too(self, storage):
         kv = clamped(3, range(1, 10), 10)
         curve = SplineCurve(3, kv if storage == "rational" else kv.as_float(),
                             np.random.default_rng(8).normal(size=(13, 2)))
@@ -1030,8 +1041,79 @@ class TestScalarFirstTouch:
         # a batch that repeats filled spans and one new span writes it once
         curve.evaluate([3.5, 4.5, 6.5, 5.5, 6.25, 6.5])
         assert filled() == (4, 4)
+        # the first cumulative block also writes the other three matrix spans'
         curve.eval_cumulative(4.5)
-        assert filled() == (5, 5)
+        assert filled() == (8, 8)
+
+    @pytest.mark.parametrize("storage", ["rational", "float"])
+    def test_later_first_touches_read_the_filled_blocks_in_place(self, storage, monkeypatch):
+        kv = clamped(6, [1, 2, 3], 4)
+        curve = SplineCurve(6, kv if storage == "rational" else kv.as_float(),
+                            np.random.default_rng(9).normal(size=(10, 2)))
+        mids = [j - 5.5 for j in positive_spans(kv, 6)]
+        want_c = curve._combine(*curve._locate(mids), "c")
+        curve = SplineCurve(6, curve.knots, curve.points)
+        want = [curve.evaluate(mids, order) for order in range(7)]
+        assert ("c", 0) not in curve._cache  # the matrix path fills no cumulative page
+        fills = len(curve._cache["fills"])
+        assert same_bits(curve.eval_cumulative(mids[2]), want_c[2])
+        # one fill writes every span the page holds in the other kind
+        assert curve._cache["fills"][fills:] == [4]
+        pages = []
+        page = SplineCurve._page
+        monkeypatch.setattr(SplineCurve, "_page",
+                            lambda self, *args: pages.append(args) or page(self, *args))
+        for i, tau in enumerate(mids):
+            assert same_bits(curve.eval_cumulative(tau), want_c[i])
+            assert same_bits(curve.eval_matrix(tau), want[0][i])
+            for order in range(1, 7):
+                assert same_bits(curve.eval_derivative(tau, order), want[order][i])
+        assert pages == []
+        assert curve.stats()["spans_touched"] == curve.stats()["blocks_filled"] == 8
+
+
+# k = 2 over integer knots, the last span 1e5 wide: the cumulative block of
+# span 4 overflows where its matrix block fits, and spans 2 and 5 fit in
+# neither kind
+BIG = 10 ** 8
+OVERFLOW_KNOTS = [0, BIG, BIG, BIG + 1, BIG + 1, BIG + 11, BIG + 100011, BIG + 100012,
+                  BIG + 100013]
+OVERFLOW_POINTS = [[5e307], [-1.0], [0.0], [1e307], [-1.7e308], [1.7e308]]
+SPAN_4_VALUE = float.fromhex("0x1.5590f931159cfp+1019")
+SPAN_4_REFUSED = "control points of span 4 are too large to evaluate in floats"
+
+
+class TestFillsCoverTheOtherKind:
+    """A fill also writes the spans its page holds in the other kind, if they fit."""
+
+    @pytest.mark.parametrize("paths", ["emc", "ecm", "mec", "mce", "cem", "cme"])
+    def test_only_the_asked_span_raises(self, paths):
+        curve = SplineCurve(2, KnotVector(OVERFLOW_KNOTS), OVERFLOW_POINTS)
+        tau = BIG + 6.0
+        for path in paths:
+            if path == "e":
+                assert same_bits(curve.evaluate([tau]), np.array([[SPAN_4_VALUE]]))
+            elif path == "m":
+                assert same_bits(curve.eval_matrix(tau), np.array([SPAN_4_VALUE]))
+            else:
+                with pytest.raises(DomainError, match="^%s$" % SPAN_4_REFUSED):
+                    curve.eval_cumulative(tau)
+        assert curve.stats()["spans_touched"] == 1
+
+    def test_an_added_span_that_does_not_fit_is_skipped(self):
+        # two more small points: span 7 fits in both kinds
+        kv = KnotVector(OVERFLOW_KNOTS + [BIG + 100014, BIG + 100015])
+        points = OVERFLOW_POINTS[:5] + [[1.0], [2.0], [3.0]]
+        want = SplineCurve(2, kv, points).eval_cumulative(BIG + 100012.5)
+        curve = SplineCurve(2, kv, points)
+        assert same_bits(curve.eval_matrix(BIG + 6.0), np.array([SPAN_4_VALUE]))
+        # the cumulative fill of span 7 adds span 4, which does not fit
+        assert same_bits(curve.eval_cumulative(BIG + 100012.5), want)
+        assert curve._cache["c", 0][1].tolist() == [False] * 5 + [True]
+        assert curve._cache["fills"] == [1, 1]
+        with pytest.raises(DomainError, match="^%s$" % SPAN_4_REFUSED):
+            curve.eval_cumulative(BIG + 6.0)
+        assert same_bits(curve.evaluate([BIG + 6.0]), np.array([[SPAN_4_VALUE]]))
 
 
 class TestConcurrency:

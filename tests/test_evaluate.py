@@ -34,7 +34,8 @@ from splinemat import (
     lambda_weights,
     normalize,
 )
-from splinemat.curve import _CHUNK
+from splinemat.curve import _CHUNK, _windows
+from splinemat.knots import span_of
 
 SETTINGS = settings(max_examples=100, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
@@ -126,6 +127,21 @@ def test_batched_span_index_equals_find_span(case):
     assert spans.tolist() == want
     # the float of a rounded knot may sit an ulp past the span's end
     assert np.all((u >= -1e-12) & (u <= 1.0 + 1e-12))
+
+
+@SETTINGS
+@given(curves(storages=("integer", "float"), closed_end=True),
+       st.lists(st.floats(0.0, 1.0), max_size=8))
+def test_batch_oracle_span_equals_span_of(curve, shares):
+    # knots stored as floats, or integers that are exactly doubles: the
+    # oracle runs on float knots, and its batch takes one float search
+    fk, k = curve._view, curve.degree
+    assert fk.oracle.storage == "float"
+    knots = [float(v) for v in curve.knots.values]
+    taus = ([fk.lo, fk.hi] + [t for t in knots if fk.lo <= t <= fk.hi]
+            + [min(fk.hi, fk.lo + s * (fk.hi - fk.lo)) for s in shares])
+    spans, _ = _windows(fk, curve.knots, k, np.array(taus))
+    assert spans.tolist() == [span_of(fk.oracle.values, k, t) for t in taus]
 
 
 @SETTINGS

@@ -19,7 +19,9 @@ derivative order 0..k+1, the scalar views ``eval_matrix``,
 ``eval_cumulative`` and ``eval_derivative``, the same scalar views called
 first on a fresh copy of each curve (``cold_scalar``: derivatives k..1,
 then the cumulative and the matrix view, per parameter), ``_sample_grid``,
-``eval_coxdeboor``, ``splinemat check`` for seeds 0..39 and the bytes of
+``eval_coxdeboor``, the oracle's batch ``_coxdeboor`` over all of a
+curve's parameters (``coxdeboor_batch``: the float batch recursion on
+every knot kind), ``splinemat check`` for seeds 0..39 and the bytes of
 ``splinemat sample``'s CSV.  A path that raises hashes its error's type
 and message in place of the values.
 """
@@ -134,6 +136,7 @@ def main() -> None:
                 add("cold_scalar", name, outcome(fresh.eval_matrix, tau))
             for tau in taus[::4]:
                 add("eval_coxdeboor", name, outcome(curve.eval_coxdeboor, tau))
+            add("coxdeboor_batch", name, outcome(curve._coxdeboor, taus))
             add("_sample_grid", name, outcome(lambda: np.concatenate(
                 [a.ravel() for a in curve._sample_grid(301)])))
             add("sample_csv", name, sample_csv(curve, workdir))
