@@ -162,26 +162,28 @@ class SplineCurve:
             return self._cache[("x", spans[0])][i:i + 1]
         return np.stack([self._cache[("x", j)][i] for j in spans])
 
-    def _blocks(self, kind: str, spans: np.ndarray) -> np.ndarray:
+    def _blocks(self, kind: str, spans: np.ndarray, batch=None) -> np.ndarray:
         """The (k+1, n, d) coefficient blocks of ``spans``: the one route from spans to blocks.
 
         Entry [r, i] is the v^r coefficient on span ``spans[i]`` (see
         ``_page``).  Each page hit fills what is missing, then gives all
         powers of its spans with one ``take``.  A curve of at most one page
         takes no page arithmetic, so one span costs a few numpy calls.
+        ``batch``, the spans of every chunk of a call, goes to ``_page``.
         """
         k = self.degree
         if self.count - k <= _CHUNK:  # one page
             offsets = spans - k
-            return self._page(kind, 0, offsets).take(offsets, axis=1)
+            return self._page(kind, 0, offsets, batch).take(offsets, axis=1)
         pages, offsets = np.divmod(spans - k, _CHUNK)
         out = np.empty((k + 1, len(spans), self.dim))
         for page in np.flatnonzero(np.bincount(pages)).tolist():
             where = pages == page
-            out[:, where] = self._page(kind, page, offsets[where]).take(offsets[where], axis=1)
+            blocks = self._page(kind, page, offsets[where], batch)
+            out[:, where] = blocks.take(offsets[where], axis=1)
         return out
 
-    def _page(self, kind: str, page: int, offsets: np.ndarray) -> np.ndarray:
+    def _page(self, kind: str, page: int, offsets: np.ndarray, batch=None) -> np.ndarray:
         """The kind's (k+1, P, d) page ``page``, with the blocks at ``offsets`` filled.
 
         Entry [r, i], P = ``_CHUNK`` but in the last page, is the v^r
@@ -194,9 +196,11 @@ class SplineCurve:
         every unfilled span of the page under its one matrix; other knots,
         float-stored ones always, fill the unfilled ``offsets`` with their
         own rows, and with them every span whose block the page holds in
-        the other kind only: its rows are cached, its points at hand.  So a
-        fill can write more spans than asked; with nothing missing at
-        ``offsets``, the other kind is not looked at.  It raises
+        the other kind only: its rows are cached, its points at hand.  A
+        fill also asks for the page's spans in ``batch`` (spans), if given,
+        so a call of many chunks fills each page once.  So a fill can write
+        more spans than ``offsets``; with nothing missing there, neither
+        ``batch`` nor the other kind is looked at.  It raises
         DomainError, and writes nothing, at the first asked span (every
         span on evenly spaced knots) whose max(k, 1) * sum_r |c_r| is not
         below half the largest double in a coordinate: below that, no
@@ -215,6 +219,10 @@ class SplineCurve:
             missing = asked = (~filled).nonzero()[0]
         else:
             missing = asked = offsets[~filled[offsets]]
+            if len(asked) and batch is not None:  # the spans of the call's other chunks too
+                offsets = batch - first
+                offsets = offsets[(offsets >= 0) & (offsets < len(filled))]
+                missing = asked = offsets[~filled[offsets]]
             other = self._cache.get(("c" if kind == "m" else "m", page)) if len(asked) else None
             if other is not None:  # and the spans the page holds in the other kind
                 want = other[1] & ~filled
@@ -318,19 +326,16 @@ class SplineCurve:
         """The batched core: Horner's rule in u - 1/2 over the spans' blocks.
 
         ``kind`` "m" or "c" picks the blocks (see ``_page``), gathered once
-        per chunk after each page they lie in is filled once for the whole
-        call; ``order`` > 0 differentiates them, dividing by the span width
-        once per order (chain rule).
+        per chunk; a fill in a call of more than one chunk covers the page's
+        spans in all of them.  ``order`` > 0 differentiates the blocks,
+        dividing by the span width once per order (chain rule).
         """
-        if len(u) > _CHUNK:  # fill each page once, not once per chunk
-            pages, offsets = np.divmod(spans - self.degree, _CHUNK)
-            for page in np.flatnonzero(np.bincount(pages)).tolist():
-                self._page(kind, page, offsets[pages == page])
+        batch = spans if len(u) > _CHUNK else None  # one fill per page, not one per chunk
         out = np.empty((len(u), self.dim))
         x = np.repeat((u - 0.5)[:, None], self.dim, axis=1)  # Horner steps without broadcasts
         for start in range(0, len(u), _CHUNK):
             part = slice(start, start + _CHUNK)
-            rows = self._blocks(kind, spans[part])[order:]
+            rows = self._blocks(kind, spans[part], batch)[order:]
             out[part] = horner(_derivative_rows(rows, order), x[part])
         if order:
             # once per order, as in _point: a power of a narrow width
