@@ -225,7 +225,7 @@ class SplineCurve:
                 missing = asked = offsets[~filled[offsets]]
             other = self._cache.get(("c" if kind == "m" else "m", page)) if len(asked) else None
             if other is not None:  # and the spans the page holds in the other kind
-                want = other[1] & ~filled
+                want = other[1] > filled  # held there, not here
                 want[asked] = True
                 missing = want.nonzero()[0]
             elif len(asked) > 1:  # sorted, each span once

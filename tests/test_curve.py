@@ -1041,7 +1041,7 @@ class TestScalarFirstTouch:
         # a batch that repeats filled spans and one new span writes it once
         curve.evaluate([3.5, 4.5, 6.5, 5.5, 6.25, 6.5])
         assert filled() == (4, 4)
-        # the first cumulative block also writes the other three matrix spans'
+        # the first cumulative fill also writes the three other spans the matrix page holds
         curve.eval_cumulative(4.5)
         assert filled() == (8, 8)
 
