@@ -58,9 +58,6 @@ class BasisMatrix:
     def column(self, c: int) -> tuple:
         return tuple(row[c] for row in self.entries)
 
-    def as_float_rows(self) -> list:
-        return [[float(v) for v in row] for row in self.entries]
-
     @cached_property
     def column_sums_ok(self) -> bool:
         """Row 0 of the entries sums to 1 and every other row to 0, exactly.

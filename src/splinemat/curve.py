@@ -13,11 +13,11 @@ span's basis matrix, Taylor-centred at u = 1/2, times its k+1 local
 control points (the cumulative block applies the centred cumulative matrix
 to the first point and the differences).  The blocks live in power-major
 pages of consecutive spans; for every knot kind ``_blocks`` gathers them
-and ``_page``'s one fill builds the missing ones, with those its page
-already holds in the other kind.  ``polytoeplitz.horner`` evaluates them
-in v = u - 1/2, over one gather per chunk for arrays and, with the same
-result bit for bit, in Python floats for a single parameter: one
-``bisect`` over the float tables, then its span's cached column lists.
+and ``_page``'s one fill builds the missing ones, in both kinds from one
+set of rows unless the knots are evenly spaced.  ``polytoeplitz.horner``
+evaluates them in v = u - 1/2, over one gather per chunk for arrays and,
+with the same result bit for bit, in Python floats for a single parameter:
+one ``bisect`` over the float tables, then its span's cached column lists.
 Centring keeps the power form well conditioned next to wide spans (Farouki
 & Rajan 1987).  The degree recursion builds the centred matrices directly:
 on exact knots, exact until one rounding per entry and once per knot window
@@ -78,9 +78,11 @@ class SplineCurve:
     concurrently.  Coefficient blocks are stored per kind in pages of
     ``_CHUNK`` consecutive spans, each allocated when one of its spans is
     first touched: (k+1) * P * d floats per touched page and kind, P =
-    ``_CHUNK``.  A block is written whole before the page's mask marks it
-    filled, so a reader never sees a half-built block; two racing fills
-    only write the same bytes twice.
+    ``_CHUNK``.  On knots that are not evenly spaced a fill forms both
+    kinds, so a touched page holds 2 (k+1) P d floats; the rows a fill
+    applies are scratch.  A block is written whole before the page's mask
+    marks it filled, so a reader never sees a half-built block; two racing
+    fills only write the same bytes twice.
     """
 
     degree: int
@@ -131,44 +133,40 @@ class SplineCurve:
     def domain(self) -> tuple:
         return self.knots.domain(self.degree)
 
-    def _rows(self, kind: str, spans: list) -> np.ndarray:
-        """C-contiguous float rows (s, k+1, k+1): centred matrices ("m") or cumulative forms ("c").
+    def _rows(self, spans: list) -> np.ndarray:
+        """Float rows (s, 2, k+1, k+1) of ``spans``: centred matrices, then cumulative forms.
 
-        Kept per span as ``("x", j)``, read-only ``float_rows``: a window's
-        "rows" ``window_part`` on rational knots, else one ``float_span_columns``
-        call.  One span's rows are a read-only view of that entry, not a
-        stack.  A race builds one twice.  Raises DegenerateSpan at a zero width.
+        Scratch for one fill, kept by no curve: read-only ``float_rows``,
+        by one ``float_span_columns`` call on float-stored knots, else from
+        each window's shared "rows" ``window_part``; one span's rows on
+        rational knots are a view of that entry, not a stack.  Raises
+        DegenerateSpan at a zero width.
         """
-        missing = [j for j in spans if ("x", j) not in self._cache]
-        zero = [j for j in missing if self.knots.values[j] == self.knots.values[j + 1]]
+        zero = [j for j in spans if self.knots.values[j] == self.knots.values[j + 1]]
         if zero:
             raise DegenerateSpan("span %d has zero width" % zero[0])
-        if missing:
-            start = time.perf_counter()
-            if self.knots.storage == "float":
-                rows = float_rows(*float_span_columns(self._view.values, self.degree, missing))
-                built = len(missing)
-            else:
-                windows = [span_window(self.knots, self.degree, j) for j in missing]
-                parts = {w: window_part(w, "rows") for w in dict.fromkeys(windows)}
-                rows = [parts[w][0] for w in windows]
-                built = sum(new for _, new in parts.values())
-            self._cache["builds"].append((built, time.perf_counter() - start if built else 0.0))
-            self._cache["hits"].append(len(missing) - built)
-            for j, r in zip(missing, rows):
-                self._cache.setdefault(("x", j), r)
-        i = "mc".index(kind)
-        if len(spans) == 1:  # a view, not a one-element stack
-            return self._cache[("x", spans[0])][i:i + 1]
-        return np.stack([self._cache[("x", j)][i] for j in spans])
+        start = time.perf_counter()
+        if self.knots.storage == "float":
+            rows = float_rows(*float_span_columns(self._view.values, self.degree, spans))
+            built = len(spans)
+        else:
+            windows = [span_window(self.knots, self.degree, j) for j in spans]
+            parts = {w: window_part(w, "rows") for w in dict.fromkeys(windows)}
+            built = sum(new for _, new in parts.values())
+            rows = parts[windows[0]][0][None] if len(spans) == 1 else np.stack(
+                [parts[w][0] for w in windows])
+        self._cache["builds"].append((built, time.perf_counter() - start if built else 0.0))
+        self._cache["hits"].append(len(spans) - built)
+        return rows
 
     def _blocks(self, kind: str, spans: np.ndarray, batch=None) -> np.ndarray:
         """The (k+1, n, d) coefficient blocks of ``spans``: the one route from spans to blocks.
 
         Entry [r, i] is the v^r coefficient on span ``spans[i]`` (see
-        ``_page``).  Each page hit fills what is missing, then gives all
-        powers of its spans with one ``take``.  A curve of at most one page
-        takes no page arithmetic, so one span costs a few numpy calls.
+        ``_page``).  Each page hit fills what is missing (in both kinds on
+        knots that are not evenly spaced), then gives all powers of its
+        spans with one ``take``.  A curve of at most one page takes no page
+        arithmetic, so one span costs a few numpy calls.
         ``batch``, the spans of every chunk of a call, goes to ``_page``.
         """
         k = self.degree
@@ -189,76 +187,76 @@ class SplineCurve:
         Entry [r, i], P = ``_CHUNK`` but in the last page, is the v^r
         coefficient, v = u - 1/2, on span k + page * P + i: of the centred
         matrix ("m") times the local points, or of the centred cumulative
-        matrix ("c") times the first point and the differences, formed
-        independently.  The one fill gathers the k+1 points of each missing
-        span and applies the rows by one ``einsum``: evenly spaced rational
-        knots (``is_uniform``), whose spans all have one knot window, fill
-        every unfilled span of the page under its one matrix; other knots,
-        float-stored ones always, fill the unfilled ``offsets`` with their
-        own rows, and with them every span whose block the page holds in
-        the other kind only: its rows are cached, its points at hand.  A
-        fill also asks for the page's spans in ``batch`` (spans), if given,
-        so a call of many chunks fills each page once.  So a fill can write
-        more spans than ``offsets``; with nothing missing there, neither
-        ``batch`` nor the other kind is looked at.  It raises
-        DomainError, and writes nothing, at the first asked span (every
-        span on evenly spaced knots) whose max(k, 1) * sum_r |c_r| is not
-        below half the largest double in a coordinate: below that, no
-        Horner partial sum at orders 0 and 1 overflows.  An added span that
-        fails the rule is skipped: not written, its mask not set.
+        matrix ("c") times the first point and the differences.  A fill
+        gathers the k+1 points of each missing span and applies the rows by
+        one ``einsum`` per kind.  On evenly spaced rational knots
+        (``is_uniform``: one knot window) it fills every unfilled span of
+        the page in the asked kind.  On other knots it fills the unfilled
+        ``offsets`` and the page's spans in ``batch`` (a call's spans, so a
+        call fills each page once) in both kinds, from one ``_rows`` call;
+        with no offset unfilled, ``batch`` is not read.  A block fits if
+        max(k, 1) * sum_r |c_r| is below half the largest double in each
+        coordinate: then no Horner partial sum at orders 0 and 1 overflows.
+        The fill raises DomainError, writing nothing, at the first span whose
+        asked block does not fit; a block of the other kind that does not
+        fit is skipped, unwritten and unmarked, so that kind's fill raises.
         """
         k, first = self.degree, self.degree + page * _CHUNK
-        entry = self._cache.get((kind, page))
-        if entry is None:
-            size = min(_CHUNK, self.count - first)
-            entry = self._cache.setdefault((kind, page), (np.empty((k + 1, size, self.dim)),
-                                                          np.zeros(size, bool)))
-        blocks, filled = entry
+        blocks, filled = self._cache.get((kind, page)) or self._allocate(kind, page)
         uniform = self.knots.is_uniform
-        if uniform:
-            missing = asked = (~filled).nonzero()[0]
+        if uniform:  # one matrix: the whole page
+            missing = (~filled).nonzero()[0]
+        elif filled[offsets].all():
+            return blocks
         else:
-            missing = asked = offsets[~filled[offsets]]
-            if len(asked) and batch is not None:  # the spans of the call's other chunks too
-                offsets = batch - first
-                offsets = offsets[(offsets >= 0) & (offsets < len(filled))]
-                missing = asked = offsets[~filled[offsets]]
-            other = self._cache.get(("c" if kind == "m" else "m", page)) if len(asked) else None
-            if other is not None:  # and the spans the page holds in the other kind
-                want = other[1] > filled  # held there, not here
-                want[asked] = True
-                missing = want.nonzero()[0]
-            elif len(asked) > 1:  # sorted, each span once
-                missing = np.flatnonzero(np.bincount(asked))
-        if len(missing):
-            spans = missing + first
-            rows = self._rows(kind, [k])[0] if uniform else self._rows(kind, spans.tolist())
-            if len(spans) == 1:  # a C-contiguous view of the one run, as the gather's copy
-                windows = self.points[spans[0] - k:spans[0] + 1][None]
-            else:
-                windows = self.points.take(spans[:, None] + np.arange(-k, 1), axis=0)
+            if batch is not None:  # the page's spans in the call's other chunks too
+                offsets = batch[(batch >= first) & (batch < first + len(filled))] - first
+            want = np.zeros_like(filled)
+            want[offsets] = True
+            missing = (want > filled).nonzero()[0]  # sorted, each span once
+        if not len(missing):
+            return blocks
+        spans = missing + first
+        rows = self._rows([k]) if uniform else self._rows(spans.tolist())
+        if len(spans) == 1:  # a C-contiguous view of the one run, as the gather's copy
+            windows = self.points[spans[0] - k:spans[0] + 1][None]
+        else:
+            windows = self.points.take(spans[:, None] + np.arange(-k, 1), axis=0)
+        for form in (kind,) if uniform else (kind, "c" if kind == "m" else "m"):
+            i, done = "mc".index(form), missing
             with np.errstate(over="ignore", invalid="ignore"):
-                fresh = _coefficient_blocks(kind, rows, windows)
+                # C-contiguous: a block's bits do not depend on the other spans of the fill
+                fresh = _coefficient_blocks(form, rows[0, i] if uniform
+                                            else np.ascontiguousarray(rows[:, i]), windows)
                 # the sum over the whole fill bounds each span's (NaN fails both)
                 if not max(k, 1) * float(abs(fresh).sum()) < sys.float_info.max / 2:
-                    fits = (max(k, 1) * abs(fresh).sum(axis=0) < sys.float_info.max / 2).all(axis=1)
-                    refused = ~fits & np.isin(missing, asked)
-                    if refused.any():
+                    fits = (max(k, 1) * abs(fresh).sum(axis=0) < sys.float_info.max / 2).all(1)
+                    if form == kind and not fits.all():
                         raise DomainError("control points of span %d are too large to evaluate"
-                                          " in floats" % spans[refused.argmax()])
-                    missing, fresh = missing[fits], fresh[:, fits]  # an added span may not fit
-            blocks[:, missing] = fresh
-            filled[missing] = True  # only once the blocks are written
-            self._cache["fills"].append(len(missing))
+                                          " in floats" % spans[fits.argmin()])
+                    done, fresh = missing[fits], fresh[:, fits]
+            # each page on its own: a racing fill may have stored only the other kind's
+            out, mask = self._cache.get((form, page)) or self._allocate(form, page)
+            out[:, done] = fresh
+            mask[done] = True  # only once the blocks are written
+            if len(done):
+                self._cache["fills"].append(len(done))
         return blocks
+
+    def _allocate(self, kind: str, page: int) -> tuple:
+        """The kind's page ``page`` as stored: (k+1, P, d) blocks and its mask, unfilled if new."""
+        size = min(_CHUNK, self.count - self.degree - page * _CHUNK)
+        return self._cache.setdefault((kind, page), (np.empty((self.degree + 1, size, self.dim)),
+                                                     np.zeros(size, bool)))
 
     def stats(self) -> dict:
         """Construction so far, per curve.
 
-        ``window_hits`` counts spans that reused the build of an earlier
-        span with the same knot window, in the curve or the process;
-        ``spans_built`` counts the spans built and ``build_s`` their
-        seconds.  Those three are counted when a span is first needed,
+        ``spans_built`` counts the spans whose rows a fill built and
+        ``build_s`` their seconds; ``window_hits`` counts the spans whose
+        rows a fill found built for an earlier span with the same knot
+        window, in the curve or the process (evenly spaced knots look their
+        one window up once per fill).  Those three are counted per fill,
         never per point; racing threads may build (and count) a span twice.
         ``spans_touched`` sums the pages' masks, once per filled block (span
         and kind, "m" or "c"); ``blocks_filled`` counts every block a fill

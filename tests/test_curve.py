@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -714,7 +715,7 @@ class TestFloatConstruction:
             curve = SplineCurve(degree, kv, np.zeros((len(kv.values) - degree - 1, 1)))
             spans = positive_spans(kv, degree)
             for kind in "mc":
-                rows = curve._rows(kind, spans)
+                rows = curve._rows(spans)[:, "mc".index(kind)]
                 assert rows.shape == (len(spans), degree + 1, degree + 1)
                 for j, got in zip(spans, rows):
                     assert got.tobytes() == float_loop_rows(kv, degree, j, kind).tobytes()
@@ -796,11 +797,11 @@ class TestFloatConstruction:
                     continue
                 m = general_basis_matrix(exact_kv, degree, j)
                 for kind, exact in (("m", m), ("c", cumulative_matrix(m))):
-                    rows = curve._rows(kind, [j])[0]
+                    rows = curve._rows([j])[:, "mc".index(kind)][0]
                     assert rows.shape == (degree + 1, degree + 1)
-                    want = horner(np.array(centred(exact).as_float_rows()), (u - 0.5)[:, None])
+                    want = horner(np.array(centred(exact).entries, dtype=float), (u - 0.5)[:, None])
                     assert np.abs(horner(rows, (u - 0.5)[:, None]) - want).max() <= 1e-12
-                basis = horner(curve._rows("m", [j])[0], (u - 0.5)[:, None])
+                basis = horner(curve._rows([j])[:, 0][0], (u - 0.5)[:, None])
                 assert np.abs(basis.sum(axis=1) - 1.0).max() <= 1e-12
 
 
@@ -827,7 +828,7 @@ class TestNearlyEvenlySpacedFloatKnots:
         rng = np.random.default_rng(310)
         curve = SplineCurve(3, jittered_float_knots(rng, 46), rng.normal(size=(42, 2)))
         curve.evaluate([3.5, 7.25, 7.5, 20.5])
-        assert curve.stats()["spans_touched"] == 3
+        assert curve.stats()["spans_touched"] == 6  # both kinds of three spans
 
 
 def positive_spans(kv, degree):
@@ -873,9 +874,9 @@ class TestExactRows:
         curve = SplineCurve(degree, kv, np.zeros((len(kv.values) - degree - 1, 1)))
         for j in positive_spans(kv, degree):
             m = general_basis_matrix(kv, degree, j)
-            assert same_bits(curve._rows("m", [j])[0], centred(m).as_float_rows())
-            assert same_bits(curve._rows("c", [j])[0],
-                             centred(cumulative_matrix(m)).as_float_rows())
+            assert same_bits(curve._rows([j])[:, 0][0], np.array(centred(m).entries, dtype=float))
+            assert same_bits(curve._rows([j])[:, 1][0],
+                             np.array(centred(cumulative_matrix(m)).entries, dtype=float))
             window = span_window(kv, degree, j)
             assert window_part(window, "centred matrix")[0].entries == centred(m).entries
 
@@ -884,7 +885,7 @@ class TestExactRows:
         kv = KnotVector([0, 1, 2, 2, 3, 4, 5])
         curve = SplineCurve(2, kv if storage == "rational" else kv.as_float(), np.zeros((4, 1)))
         with pytest.raises(DegenerateSpan, match="span 2 has zero width"):
-            curve._rows("m", [2])
+            curve._rows([2])
         with pytest.raises(DegenerateSpan, match="span 2 has zero width"):
             curve._matrix_point(2, 0.5)
 
@@ -921,16 +922,17 @@ class TestExactRows:
         curve = SplineCurve(10, kv, np.zeros((70, 3)))
         assert curve.stats()["spans_touched"] == 0
         mids = [float(kv.values[j] + kv.values[j + 1]) / 2 for j in positive_spans(kv, 10)]
+        # a fill forms both kinds of its spans
         for t in mids[:5]:
             curve.eval_matrix(t)
-        assert curve.stats()["spans_touched"] == 5
+        assert curve.stats()["spans_touched"] == 10
         curve.evaluate(mids)
-        assert curve.stats()["spans_touched"] == 60
+        assert curve.stats()["spans_touched"] == 120
         # derivatives share the matrix blocks; repeated points build nothing
         curve.evaluate(mids, derivative=1)
         for t in mids + mids:
             curve.eval_derivative(t, 2)
-        assert curve.stats()["spans_touched"] == 60
+        assert curve.stats()["spans_touched"] == 120
         for t in mids:
             curve.eval_cumulative(t)
         curve.evaluate(mids)
@@ -943,9 +945,9 @@ class TestExactRows:
         assert curve.stats()["spans_touched"] == 13
         curve.sample(50)
         curve.eval_cumulative(7.5)
-        # the table's one knot window is built once
+        # the table's one knot window is built once; the cumulative fill finds it built
         stats = curve.stats()
-        assert (stats["spans_built"], stats["window_hits"], stats["spans_touched"]) == (1, 0, 26)
+        assert (stats["spans_built"], stats["window_hits"], stats["spans_touched"]) == (1, 1, 26)
         assert stats["build_s"] > 0.0
 
     def test_stats_count_every_span_on_float_knots(self):
@@ -966,7 +968,7 @@ class TestExactRows:
         taus = rng.uniform(lo, hi, 2000)
         curve.evaluate(taus)
         filled = curve.stats()["blocks_filled"]
-        assert filled == curve.stats()["spans_touched"] == 60
+        assert filled == curve.stats()["spans_touched"] == 120
         curve.evaluate(taus)
         assert curve.stats()["blocks_filled"] == filled
 
@@ -981,8 +983,9 @@ class TestExactRows:
         assert (second.stats()["spans_built"], second.stats()["window_hits"]) == (0, 60)
         assert second.stats()["build_s"] == 0.0
         # the spans share the window's rows, which no caller can write
-        assert first._cache[("x", 10)] is second._cache[("x", 10)]
-        assert not first._cache[("x", 10)].flags.writeable
+        rows, built = window_part(span_window(kv, 10, 10), "rows")
+        assert not built and not rows.flags.writeable
+        assert first._rows([10]).base is second._rows([10]).base is rows
         uniform_basis_matrix.cache_clear()
         third = SplineCurve(10, kv, np.zeros((70, 1)))
         third.evaluate(mids)
@@ -1025,7 +1028,7 @@ class TestScalarFirstTouch:
         assert len(gathers) == 5
 
     @pytest.mark.parametrize("storage", ["rational", "float"])
-    def test_a_first_touch_fills_the_other_kinds_spans_too(self, storage):
+    def test_a_first_touch_fills_both_kinds(self, storage):
         kv = clamped(3, range(1, 10), 10)
         curve = SplineCurve(3, kv if storage == "rational" else kv.as_float(),
                             np.random.default_rng(8).normal(size=(13, 2)))
@@ -1035,13 +1038,13 @@ class TestScalarFirstTouch:
             return stats["blocks_filled"], stats["spans_touched"]
 
         curve.evaluate([3.5, 5.5])
-        assert filled() == (2, 2)
-        curve.eval_matrix(4.5)
-        assert filled() == (3, 3)
-        # a batch that repeats filled spans and one new span writes it once
-        curve.evaluate([3.5, 4.5, 6.5, 5.5, 6.25, 6.5])
         assert filled() == (4, 4)
-        # the first cumulative fill also writes the three other spans the matrix page holds
+        curve.eval_matrix(4.5)
+        assert filled() == (6, 6)
+        # a batch that repeats filled spans and one new span writes it once per kind
+        curve.evaluate([3.5, 4.5, 6.5, 5.5, 6.25, 6.5])
+        assert filled() == (8, 8)
+        # the matrix fills formed the cumulative blocks too
         curve.eval_cumulative(4.5)
         assert filled() == (8, 8)
 
@@ -1054,11 +1057,10 @@ class TestScalarFirstTouch:
         want_c = curve._combine(*curve._locate(mids), "c")
         curve = SplineCurve(6, curve.knots, curve.points)
         want = [curve.evaluate(mids, order) for order in range(7)]
-        assert ("c", 0) not in curve._cache  # the matrix path fills no cumulative page
+        assert curve._cache["c", 0][1].all()  # the matrix fill formed the cumulative blocks
         fills = len(curve._cache["fills"])
         assert same_bits(curve.eval_cumulative(mids[2]), want_c[2])
-        # one fill writes every span the page holds in the other kind
-        assert curve._cache["fills"][fills:] == [4]
+        assert curve._cache["fills"][fills:] == []
         pages = []
         page = SplineCurve._page
         monkeypatch.setattr(SplineCurve, "_page",
@@ -1084,7 +1086,7 @@ SPAN_4_REFUSED = "control points of span 4 are too large to evaluate in floats"
 
 
 class TestFillsCoverTheOtherKind:
-    """A fill also writes the spans its page holds in the other kind, if they fit."""
+    """A fill forms both kinds of its spans; an other-kind block that does not fit is skipped."""
 
     @pytest.mark.parametrize("paths", ["emc", "ecm", "mec", "mce", "cem", "cme"])
     def test_only_the_asked_span_raises(self, paths):
@@ -1106,14 +1108,28 @@ class TestFillsCoverTheOtherKind:
         points = OVERFLOW_POINTS[:5] + [[1.0], [2.0], [3.0]]
         want = SplineCurve(2, kv, points).eval_cumulative(BIG + 100012.5)
         curve = SplineCurve(2, kv, points)
+        # the matrix fill of span 4 forms its cumulative block, which does not fit
         assert same_bits(curve.eval_matrix(BIG + 6.0), np.array([SPAN_4_VALUE]))
-        # the cumulative fill of span 7 adds span 4, which does not fit
         assert same_bits(curve.eval_cumulative(BIG + 100012.5), want)
         assert curve._cache["c", 0][1].tolist() == [False] * 5 + [True]
-        assert curve._cache["fills"] == [1, 1]
+        assert curve._cache["fills"] == [1, 1, 1]
         with pytest.raises(DomainError, match="^%s$" % SPAN_4_REFUSED):
             curve.eval_cumulative(BIG + 6.0)
         assert same_bits(curve.evaluate([BIG + 6.0]), np.array([[SPAN_4_VALUE]]))
+
+    def test_a_skipped_block_is_not_formed_again_by_later_fills(self, monkeypatch):
+        kv = KnotVector(OVERFLOW_KNOTS + [BIG + 100014, BIG + 100015])
+        curve = SplineCurve(2, kv, OVERFLOW_POINTS[:5] + [[1.0], [2.0], [3.0]])
+        calls = []
+        rows = SplineCurve._rows
+        monkeypatch.setattr(SplineCurve, "_rows",
+                            lambda self, *args: calls.append(list(args[-1])) or rows(self, *args))
+        curve.eval_matrix(BIG + 6.0)  # span 4: its cumulative block does not fit
+        curve.eval_cumulative(BIG + 100012.5)  # span 7
+        curve.eval_matrix(BIG + 100011.5)  # span 6, in both kinds
+        curve.eval_cumulative(BIG + 100011.5)
+        assert sum(4 in spans for spans in calls) == 1
+        assert calls == [[4], [7], [6]]
 
 
 class TestConcurrency:
@@ -1197,13 +1213,56 @@ class TestConcurrency:
                 assert np.array_equal(a, b) and np.array_equal(da, db)
         every = np.concatenate([t for i in range(8) for t in batches(i)])
         assert np.array_equal(fresh.evaluate(every), serial.evaluate(every))
-        for j in spans:
-            for kind in "mc":
-                assert same_bits(fresh._rows(kind, [j])[0], serial._rows(kind, [j])[0])
         assert serial.stats()["spans_built"] == len(spans)
         # a racing fill may build a span twice, but a block is counted once
         assert fresh.stats()["spans_built"] >= len(spans)
-        assert fresh.stats()["spans_touched"] == serial.stats()["spans_touched"] == len(spans)
+        assert fresh.stats()["spans_touched"] == serial.stats()["spans_touched"] == 2 * len(spans)
+        for j in spans:  # after the counts: each call builds the span's rows again
+            for kind in "mc":
+                i = "mc".index(kind)
+                assert same_bits(fresh._rows([j])[:, i][0], serial._rows([j])[:, i][0])
+        for kind in "mc":  # the blocks the racing fills stored, in both kinds
+            (blocks, filled), (want, done) = fresh._cache[kind, 0], serial._cache[kind, 0]
+            assert np.array_equal(filled, done) and same_bits(blocks[:, filled], want[:, done])
+
+    def test_parallel_fills_of_both_kinds_on_a_fresh_page(self):
+        # matrix and cumulative threads start together on fresh uneven-knot
+        # curves: each fill writes both kinds, and either may find the other
+        # kind's page allocated, or not, by the racing fill
+        kv = KnotVector([0.0] * 4 + [1.0, 3.0, 4.0, 7.0, 8.0, 10.0, 13.0, 14.0] + [16.0] * 4)
+        rng = random.Random(35)
+        pts = [[rng.uniform(-10.0, 10.0) for _ in range(2)] for _ in range(len(kv.values) - 4)]
+        taus = np.linspace(0.0, 16.0, 33)[:-1]
+        serial = SplineCurve(3, kv, pts)
+        want_m, want_c = serial.evaluate(taus), [serial.eval_cumulative(t) for t in taus]
+        # only the cumulative page stored, as a racing fill can leave it
+        curve = SplineCurve(3, kv, pts)
+        curve._allocate("c", 0)
+        assert same_bits(curve.eval_cumulative(taus[1]), want_c[1])
+        assert curve._cache["m", 0][1].sum() == curve._cache["c", 0][1].sum() == 1
+
+        def run(curve, barrier, thread):
+            barrier.wait()
+            if thread % 2:
+                return [curve.eval_cumulative(t) for t in taus[thread::4]]
+            return curve.evaluate(taus[thread::4])
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                for _ in range(200):
+                    fresh, barrier = SplineCurve(3, kv, pts), threading.Barrier(4)
+                    futures = [pool.submit(run, fresh, barrier, i) for i in range(4)]
+                    got = [f.result(timeout=60) for f in futures]
+                    for i, values in enumerate(got):
+                        want = want_c[i::4] if i % 2 else want_m[i::4]
+                        assert all(np.array_equal(a, b) for a, b in zip(values, want))
+                    for kind in "mc":  # the serial curve's pages are full too
+                        (blocks, filled), full = fresh._cache[kind, 0], serial._cache[kind, 0][0]
+                        assert filled.all() and same_bits(blocks, full)
+        finally:
+            sys.setswitchinterval(old)
 
     def test_parallel_fills_of_spans_sharing_a_window(self):
         # clamped knots with a uniform interior: 32 spans over 8 edge windows
@@ -1239,13 +1298,17 @@ class TestConcurrency:
         for want_batches, got_batches in zip(expected, got):
             for (a, da), (b, db) in zip(want_batches, got_batches):
                 assert np.array_equal(a, b) and np.array_equal(da, db)
-        for j in spans:
-            for kind in "mc":
-                assert same_bits(fresh._rows(kind, [j])[0], serial._rows(kind, [j])[0])
         assert serial.stats()["spans_built"] == 9
         # every span is filled by one thread: a lost update would break the sum
         stats = fresh.stats()
         assert stats["spans_built"] >= 9
         assert stats["spans_built"] + stats["window_hits"] == len(spans) == 32
-        # a block is counted by the one fill that stores it
-        assert stats["spans_touched"] == 32
+        # a block is counted by the one fill that stores it, in both kinds
+        assert stats["spans_touched"] == 64
+        for j in spans:  # after the counts: each call looks the window up again
+            for kind in "mc":
+                i = "mc".index(kind)
+                assert same_bits(fresh._rows([j])[:, i][0], serial._rows([j])[:, i][0])
+        for kind in "mc":  # the blocks the racing fills stored, in both kinds
+            (blocks, filled), (want, done) = fresh._cache[kind, 0], serial._cache[kind, 0]
+            assert np.array_equal(filled, done) and same_bits(blocks[:, filled], want[:, done])

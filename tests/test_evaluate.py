@@ -315,10 +315,33 @@ def test_span_cache_grows_with_touched_spans_only():
              if isinstance(key, tuple) and key[0] in ("m", "c")}
     filled = sorted((kind, 3 + page * _CHUNK + int(i))
                     for (kind, page), (_, mask) in pages.items() for i in np.flatnonzero(mask))
-    assert filled == [("c", find_span(kv, 3, 2000.5)), ("m", find_span(kv, 3, 10.5)),
-                      ("m", find_span(kv, 3, 1000.5))]
+    spans = [find_span(kv, 3, t) for t in (10.5, 1000.5, 2000.5)]
+    assert filled == [(kind, j) for kind in "cm" for j in spans]  # a fill forms both kinds
     assert all(blocks.shape == (4, _CHUNK, 1) for blocks, _ in pages.values())
-    assert curve.stats()["spans_touched"] == 3
+    assert curve.stats()["spans_touched"] == 6
+
+
+def test_a_curve_holds_its_pages_not_its_rows():
+    import tracemalloc
+
+    # a span's rows take 2 * 31 * 31 floats (15.4 KB) at k = 30, its two
+    # blocks 2 * 31 * 3 (1.5 KB)
+    k, spans = 30, 300
+    rng = np.random.default_rng(41)
+    kv = KnotVector(np.cumsum(rng.uniform(0.5, 2.0, spans + 2 * k + 1)).tolist())
+    curve = SplineCurve(k, kv, rng.normal(size=(spans + k, 3)))
+    mids = [(kv.values[j] + kv.values[j + 1]) / 2 for j in range(k, k + spans)]
+    tracemalloc.start()
+    try:
+        curve.evaluate(mids)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    pages = [entry[0].nbytes for key, entry in curve._cache.items()
+             if isinstance(key, tuple) and key[0] in "mc"]
+    assert held <= 1.5 * sum(pages)
+    # the two kinds' pages, and no per-span entry
+    assert sorted(key for key in curve._cache if isinstance(key, tuple)) == [("c", 0), ("m", 0)]
 
 
 @st.composite
@@ -368,11 +391,14 @@ def test_page_store_batch_equals_scalar_views(case):
             assert curve.eval_derivative(tau, order).tobytes() == batches[order][i].tobytes()
         if i < half:
             assert curve.eval_cumulative(tau).tobytes() == cumulative[i].tobytes()
-    # evenly spaced knots fill whole pages, other knots the touched spans
+    # evenly spaced knots fill whole pages of the asked kind, other knots
+    # both kinds of the touched spans
     touched = [set(spans.tolist()), set(spans[:half].tolist())]
     if curve.knots.is_uniform:
         touched = [{j for j in range(k, curve.count) if (j - k) // _CHUNK in pages}
                    for pages in [{(j - k) // _CHUNK for j in kind} for kind in touched]]
+    else:
+        touched = [touched[0]] * 2
     assert curve.stats()["spans_touched"] == sum(map(len, touched))
 
 

@@ -18,7 +18,9 @@ than one page of blocks.  The paths hashed are ``evaluate`` at every
 derivative order 0..k+1, the scalar views ``eval_matrix``,
 ``eval_cumulative`` and ``eval_derivative``, the same scalar views called
 first on a fresh copy of each curve (``cold_scalar``: derivatives k..1,
-then the cumulative and the matrix view, per parameter), ``_sample_grid``,
+then the cumulative and the matrix view, per parameter), ``evaluate`` on a
+fresh copy after ``eval_cumulative`` at every parameter (``cold_cumulative``:
+the matrix blocks a cumulative-first fill forms), ``_sample_grid``,
 ``eval_coxdeboor``, the oracle's batch ``_coxdeboor`` over all of a
 curve's parameters (``coxdeboor_batch``: the float batch recursion on
 every knot kind), ``splinemat check`` for seeds 0..39 and the bytes of
@@ -134,6 +136,11 @@ def main() -> None:
                     add("cold_scalar", name, outcome(fresh.eval_derivative, tau, order))
                 add("cold_scalar", name, outcome(fresh.eval_cumulative, tau))
                 add("cold_scalar", name, outcome(fresh.eval_matrix, tau))
+            fresh = SplineCurve(curve.degree, curve.knots, curve.points)
+            for tau in taus:
+                add("cold_cumulative", name, outcome(fresh.eval_cumulative, tau))
+            for order in range(curve.degree + 2):
+                add("cold_cumulative", name, outcome(fresh.evaluate, taus, order))
             for tau in taus[::4]:
                 add("eval_coxdeboor", name, outcome(curve.eval_coxdeboor, tau))
             add("coxdeboor_batch", name, outcome(curve._coxdeboor, taus))
