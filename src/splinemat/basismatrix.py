@@ -181,13 +181,14 @@ uniform_basis_matrix.cache_clear = _windows.clear
 
 
 def float_rows(cols: np.ndarray, den) -> np.ndarray:
-    """Read-only rows (..., 2, k+1, k+1) of the matrices ``cols / den`` and their cumulative forms.
+    """Read-only rows (2, ..., k+1, k+1): the matrices ``cols / den``, then their cumulative forms.
 
-    ``cols`` is (..., column, power); ints (object arrays) over an int
-    ``den`` are summed exactly and rounded once, floats summed right to left.
+    Kind-major and C-contiguous, so each kind's rows are too.  ``cols`` is
+    (..., column, power); ints (object arrays) over an int ``den`` are
+    summed exactly and rounded once, floats summed right to left.
     """
     suffix = np.cumsum(cols[..., ::-1, :], axis=-2)[..., ::-1, :]
-    rows = (np.stack([cols, suffix], axis=-3).swapaxes(-1, -2) / den).astype(float, order="C")
+    rows = (np.stack([cols, suffix]).swapaxes(-1, -2) / den).astype(float, order="C")
     rows.setflags(write=False)
     return rows
 

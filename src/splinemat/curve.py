@@ -14,10 +14,10 @@ control points (the cumulative block applies the centred cumulative matrix
 to the first point and the differences).  The blocks live in power-major
 pages of consecutive spans; for every knot kind ``_blocks`` gathers them
 and ``_page``'s one fill builds the missing ones, in both kinds from one
-set of rows unless the knots are evenly spaced.  ``polytoeplitz.horner``
-evaluates them in v = u - 1/2, over one gather per chunk for arrays and,
-with the same result bit for bit, in Python floats for a single parameter:
-one ``bisect`` over the float tables, then its span's cached column lists.
+set of rows.  ``polytoeplitz.horner`` evaluates them in v = u - 1/2, over
+one gather per chunk for arrays and, with the same result bit for bit, in
+Python floats for a single parameter: one ``bisect`` over the float
+tables, then its span's cached column lists.
 Centring keeps the power form well conditioned next to wide spans (Farouki
 & Rajan 1987).  The degree recursion builds the centred matrices directly:
 on exact knots, exact until one rounding per entry and once per knot window
@@ -78,11 +78,10 @@ class SplineCurve:
     concurrently.  Coefficient blocks are stored per kind in pages of
     ``_CHUNK`` consecutive spans, each allocated when one of its spans is
     first touched: (k+1) * P * d floats per touched page and kind, P =
-    ``_CHUNK``.  On knots that are not evenly spaced a fill forms both
-    kinds, so a touched page holds 2 (k+1) P d floats; the rows a fill
-    applies are scratch.  A block is written whole before the page's mask
-    marks it filled, so a reader never sees a half-built block; two racing
-    fills only write the same bytes twice.
+    ``_CHUNK``.  A fill forms both kinds, so a touched page holds 2 (k+1)
+    P d floats; the rows a fill applies are scratch.  A block is written
+    whole before the page's mask marks it filled, so a reader never sees a
+    half-built block; two racing fills only write the same bytes twice.
     """
 
     degree: int
@@ -139,8 +138,9 @@ class SplineCurve:
         Scratch for one fill, kept by no curve: read-only ``float_rows``,
         by one ``float_span_columns`` call on float-stored knots, else from
         each window's shared "rows" ``window_part``; one span's rows on
-        rational knots are a view of that entry, not a stack.  Raises
-        DegenerateSpan at a zero width.
+        rational knots are a view of that entry, not a stack.  Laid out
+        kind-major, so each kind's rows ``[:, i]`` are C-contiguous as
+        they are.  Raises DegenerateSpan at a zero width.
         """
         zero = [j for j in spans if self.knots.values[j] == self.knots.values[j + 1]]
         if zero:
@@ -148,13 +148,13 @@ class SplineCurve:
         start = time.perf_counter()
         if self.knots.storage == "float":
             rows = float_rows(*float_span_columns(self._view.values, self.degree, spans))
-            built = len(spans)
+            rows, built = rows.swapaxes(0, 1), len(spans)
         else:
             windows = [span_window(self.knots, self.degree, j) for j in spans]
             parts = {w: window_part(w, "rows") for w in dict.fromkeys(windows)}
             built = sum(new for _, new in parts.values())
             rows = parts[windows[0]][0][None] if len(spans) == 1 else np.stack(
-                [parts[w][0] for w in windows])
+                [parts[w][0] for w in windows], axis=1).swapaxes(0, 1)
         self._cache["builds"].append((built, time.perf_counter() - start if built else 0.0))
         self._cache["hits"].append(len(spans) - built)
         return rows
@@ -163,10 +163,10 @@ class SplineCurve:
         """The (k+1, n, d) coefficient blocks of ``spans``: the one route from spans to blocks.
 
         Entry [r, i] is the v^r coefficient on span ``spans[i]`` (see
-        ``_page``).  Each page hit fills what is missing (in both kinds on
-        knots that are not evenly spaced), then gives all powers of its
-        spans with one ``take``.  A curve of at most one page takes no page
-        arithmetic, so one span costs a few numpy calls.
+        ``_page``).  Each page hit fills what is missing, in both kinds,
+        then gives all powers of its spans with one ``take``.  A curve of
+        at most one page takes no page arithmetic, so one span costs a few
+        numpy calls.
         ``batch``, the spans of every chunk of a call, goes to ``_page``.
         """
         k = self.degree
@@ -189,14 +189,15 @@ class SplineCurve:
         matrix ("m") times the local points, or of the centred cumulative
         matrix ("c") times the first point and the differences.  A fill
         gathers the k+1 points of each missing span and applies the rows by
-        one ``einsum`` per kind.  On evenly spaced rational knots
-        (``is_uniform``: one knot window) it fills every unfilled span of
-        the page in the asked kind.  On other knots it fills the unfilled
-        ``offsets`` and the page's spans in ``batch`` (a call's spans, so a
-        call fills each page once) in both kinds, from one ``_rows`` call;
-        with no offset unfilled, ``batch`` is not read.  A block fits if
-        max(k, 1) * sum_r |c_r| is below half the largest double in each
-        coordinate: then no Horner partial sum at orders 0 and 1 overflows.
+        one ``einsum`` per kind, both kinds from one ``_rows`` call under
+        one ``errstate``.  On evenly spaced rational knots (``is_uniform``:
+        one knot window, whose rows serve every span) it fills every span
+        of the page that is unfilled in the asked kind.  On other knots it
+        fills the unfilled ``offsets`` and the page's spans in ``batch`` (a
+        call's spans, so a call fills each page once); with no offset
+        unfilled, ``batch`` is not read.  A block fits if max(k, 1) *
+        sum_r |c_r| is below half the largest double in each coordinate:
+        then no Horner partial sum at orders 0 and 1 overflows.
         The fill raises DomainError, writing nothing, at the first span whose
         asked block does not fit; a block of the other kind that does not
         fit is skipped, unwritten and unmarked, so that kind's fill raises.
@@ -211,23 +212,22 @@ class SplineCurve:
         else:
             if batch is not None:  # the page's spans in the call's other chunks too
                 offsets = batch[(batch >= first) & (batch < first + len(filled))] - first
-            want = np.zeros_like(filled)
+            want = np.zeros(len(filled), bool)
             want[offsets] = True
             missing = (want > filled).nonzero()[0]  # sorted, each span once
         if not len(missing):
             return blocks
         spans = missing + first
-        rows = self._rows([k]) if uniform else self._rows(spans.tolist())
+        rows = self._rows([k] if uniform else spans.tolist())
         if len(spans) == 1:  # a C-contiguous view of the one run, as the gather's copy
             windows = self.points[spans[0] - k:spans[0] + 1][None]
         else:
             windows = self.points.take(spans[:, None] + np.arange(-k, 1), axis=0)
-        for form in (kind,) if uniform else (kind, "c" if kind == "m" else "m"):
-            i, done = "mc".index(form), missing
-            with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            for form in (kind, "c" if kind == "m" else "m"):
+                done = missing
                 # C-contiguous: a block's bits do not depend on the other spans of the fill
-                fresh = _coefficient_blocks(form, rows[0, i] if uniform
-                                            else np.ascontiguousarray(rows[:, i]), windows)
+                fresh = _coefficient_blocks(form, rows[:, "mc".index(form)], windows)
                 # the sum over the whole fill bounds each span's (NaN fails both)
                 if not max(k, 1) * float(abs(fresh).sum()) < sys.float_info.max / 2:
                     fits = (max(k, 1) * abs(fresh).sum(axis=0) < sys.float_info.max / 2).all(1)
@@ -235,12 +235,12 @@ class SplineCurve:
                         raise DomainError("control points of span %d are too large to evaluate"
                                           " in floats" % spans[fits.argmin()])
                     done, fresh = missing[fits], fresh[:, fits]
-            # each page on its own: a racing fill may have stored only the other kind's
-            out, mask = self._cache.get((form, page)) or self._allocate(form, page)
-            out[:, done] = fresh
-            mask[done] = True  # only once the blocks are written
-            if len(done):
-                self._cache["fills"].append(len(done))
+                # each page on its own: a racing fill may have stored only the other kind's
+                out, mask = self._cache.get((form, page)) or self._allocate(form, page)
+                out[:, done] = fresh
+                mask[done] = True  # only once the blocks are written
+                if len(done):
+                    self._cache["fills"].append(len(done))
         return blocks
 
     def _allocate(self, kind: str, page: int) -> tuple:
@@ -281,7 +281,7 @@ class SplineCurve:
         if arr.ndim != 1:
             raise ValueError("taus must be a 1-D sequence")
         fk = self._view
-        if np.issubdtype(arr.dtype, np.floating):
+        if arr.dtype.kind == "f":
             arr = arr.astype(float, copy=False)
             return arr, (arr >= fk.lo) & (arr <= fk.hi) & (fk.last >= 0)
         lo, hi = self.domain
@@ -423,9 +423,9 @@ class SplineCurve:
             part = arr[start:min(start + _CHUNK, stop)]
             spans, weights = _windows(self._view, self.knots, k, part)
             local = self.points[spans[:, None] + np.arange(-k, 1)]
-            rows = out[start:start + len(part)]
+            rows, terms = out[start:start + len(part)], weights[:, :, None] * local
             for c in range(k + 1):
-                rows += weights[:, c, None] * local[:, c]
+                rows += terms[:, c]
         if stop < len(arr):
             find_span(self.knots, self.degree, arr.tolist()[stop])
         return out
@@ -578,16 +578,15 @@ def _derivative_rows(rows: np.ndarray, order: int) -> np.ndarray:
 def _coefficient_blocks(kind: str, rows: np.ndarray, windows: np.ndarray) -> np.ndarray:
     """Power-major blocks of runs of k+1 consecutive points: (k+1, runs, d).
 
-    ``windows`` (runs, k+1, d) and ``rows``, one (k+1, k+1) matrix for
-    every run or a stack of one per run, are C-contiguous: einsum sums in
-    memory order, so one layout makes a block's bits depend on values
-    alone.  "m" applies the rows to the run; "c" applies rows[..., 1:] to
+    ``windows`` (runs, k+1, d) and ``rows`` (runs, k+1, k+1), or (1, k+1,
+    k+1) for one matrix that every run shares, are C-contiguous: einsum
+    sums in memory order, so one layout makes a block's bits depend on
+    values alone.  "m" applies the rows to the run; "c" applies rows[..., 1:] to
     its differences and adds its first point to row 0 (column 0 of a
     cumulative matrix, centred or not, is (1, 0, ..., 0)).
     """
-    subscripts = ("rc" if rows.ndim == 2 else "nrc") + ",ncd->rnd"
     if kind == "c":
-        out = np.einsum(subscripts, rows[..., 1:], windows[:, 1:] - windows[:, :-1])
+        out = np.einsum("nrc,ncd->rnd", rows[..., 1:], windows[:, 1:] - windows[:, :-1])
         out[0] += windows[:, 0]
         return out
-    return np.einsum(subscripts, rows, windows)
+    return np.einsum("nrc,ncd->rnd", rows, windows)

@@ -1,3 +1,4 @@
+import io
 import math
 import random
 import sys
@@ -942,13 +943,49 @@ class TestExactRows:
     def test_stats_count_every_block_of_a_uniform_table(self):
         curve = SplineCurve(3, KnotVector.uniform(20), np.zeros((16, 2)))
         curve.eval_matrix(5.5)
-        assert curve.stats()["spans_touched"] == 13
+        assert curve.stats()["spans_touched"] == 26
         curve.sample(50)
         curve.eval_cumulative(7.5)
-        # the table's one knot window is built once; the cumulative fill finds it built
+        # the table's one knot window is built once, by the one fill of both kinds
         stats = curve.stats()
-        assert (stats["spans_built"], stats["window_hits"], stats["spans_touched"]) == (1, 1, 26)
+        assert (stats["spans_built"], stats["window_hits"], stats["spans_touched"]) == (1, 0, 26)
         assert stats["build_s"] > 0.0
+
+    def test_a_uniform_fill_forms_both_kinds(self):
+        points = np.random.default_rng(4).normal(size=(16, 2))
+        curve = SplineCurve(3, KnotVector.uniform(20), points)
+        want = SplineCurve(3, curve.knots, points)._combine(*curve._locate([5.5, 9.25, 12.0]), "c")
+        curve.evaluate([5.5, 9.25])
+        assert curve._cache["fills"] == [13, 13]  # one fill: the whole page, in both kinds
+        for tau, value in zip([5.5, 9.25, 12.0], want):
+            assert same_bits(curve.eval_cumulative(tau), value)
+        assert curve._cache["fills"] == [13, 13]
+
+    def test_check_fills_each_fresh_curve_once(self, monkeypatch):
+        # degrees 1..6, an evenly spaced and a clamped curve each
+        calls = []
+        page = SplineCurve._page
+
+        def counted(self, *args):
+            fills = len(self._cache["fills"])
+            blocks = page(self, *args)
+            calls.append(len(self._cache["fills"]) > fills)
+            return blocks
+
+        monkeypatch.setattr(SplineCurve, "_page", counted)
+        assert cli.run_check(6, 25, 0, io.StringIO()) == 0
+        assert calls == [True] * 12
+
+    @pytest.mark.parametrize("storage", ["rational", "float"])
+    def test_each_kinds_rows_are_c_contiguous(self, storage):
+        kv = clamped(4, [1, 2, 2, 5, 6], 9)
+        curve = SplineCurve(4, kv if storage == "rational" else kv.as_float(),
+                            np.zeros((len(kv.values) - 5, 2)))
+        spans = positive_spans(kv, 4)
+        for asked in ([spans[0]], spans):
+            rows = curve._rows(asked)
+            assert rows.shape == (len(asked), 2, 5, 5)
+            assert rows[:, 0].flags.c_contiguous and rows[:, 1].flags.c_contiguous
 
     def test_stats_count_every_span_on_float_knots(self):
         kv = KnotVector([0.0] * 4 + [1.0, 2.0, 3.0, 4.0] + [5.0] * 4)
@@ -1132,6 +1169,50 @@ class TestFillsCoverTheOtherKind:
         assert calls == [[4], [7], [6]]
 
 
+def race_both_kinds(kv):
+    """Matrix and cumulative threads start together on fresh curves of degree 3 over ``kv``.
+
+    Each fill writes both kinds, and either may find the other kind's page
+    allocated, or not, by the racing fill.
+    """
+    rng = random.Random(35)
+    pts = [[rng.uniform(-10.0, 10.0) for _ in range(2)] for _ in range(len(kv.values) - 4)]
+    lo, hi = (float(v) for v in kv.domain(3))
+    taus = np.linspace(lo, hi, 33)[:-1]
+    serial = SplineCurve(3, kv, pts)
+    want_m, want_c = serial.evaluate(taus), [serial.eval_cumulative(t) for t in taus]
+    # only the cumulative page stored, as a racing fill can leave it
+    curve = SplineCurve(3, kv, pts)
+    curve._allocate("c", 0)
+    assert same_bits(curve.eval_cumulative(taus[1]), want_c[1])
+    # evenly spaced knots fill the whole page
+    spans = len(pts) - 3 if kv.is_uniform else 1
+    assert curve._cache["m", 0][1].sum() == curve._cache["c", 0][1].sum() == spans
+
+    def run(curve, barrier, thread):
+        barrier.wait()
+        if thread % 2:
+            return [curve.eval_cumulative(t) for t in taus[thread::4]]
+        return curve.evaluate(taus[thread::4])
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            for _ in range(200):
+                fresh, barrier = SplineCurve(3, kv, pts), threading.Barrier(4)
+                futures = [pool.submit(run, fresh, barrier, i) for i in range(4)]
+                got = [f.result(timeout=60) for f in futures]
+                for i, values in enumerate(got):
+                    want = want_c[i::4] if i % 2 else want_m[i::4]
+                    assert all(np.array_equal(a, b) for a, b in zip(values, want))
+                for kind in "mc":  # the serial curve's pages are full too
+                    (blocks, filled), full = fresh._cache[kind, 0], serial._cache[kind, 0][0]
+                    assert filled.all() and same_bits(blocks, full)
+    finally:
+        sys.setswitchinterval(old)
+
+
 class TestConcurrency:
     def test_parallel_evaluation_is_consistent(self):
         rng = random.Random(31)
@@ -1226,43 +1307,11 @@ class TestConcurrency:
             assert np.array_equal(filled, done) and same_bits(blocks[:, filled], want[:, done])
 
     def test_parallel_fills_of_both_kinds_on_a_fresh_page(self):
-        # matrix and cumulative threads start together on fresh uneven-knot
-        # curves: each fill writes both kinds, and either may find the other
-        # kind's page allocated, or not, by the racing fill
-        kv = KnotVector([0.0] * 4 + [1.0, 3.0, 4.0, 7.0, 8.0, 10.0, 13.0, 14.0] + [16.0] * 4)
-        rng = random.Random(35)
-        pts = [[rng.uniform(-10.0, 10.0) for _ in range(2)] for _ in range(len(kv.values) - 4)]
-        taus = np.linspace(0.0, 16.0, 33)[:-1]
-        serial = SplineCurve(3, kv, pts)
-        want_m, want_c = serial.evaluate(taus), [serial.eval_cumulative(t) for t in taus]
-        # only the cumulative page stored, as a racing fill can leave it
-        curve = SplineCurve(3, kv, pts)
-        curve._allocate("c", 0)
-        assert same_bits(curve.eval_cumulative(taus[1]), want_c[1])
-        assert curve._cache["m", 0][1].sum() == curve._cache["c", 0][1].sum() == 1
+        race_both_kinds(KnotVector([0.0] * 4 + [1.0, 3.0, 4.0, 7.0, 8.0, 10.0, 13.0, 14.0]
+                                   + [16.0] * 4))
 
-        def run(curve, barrier, thread):
-            barrier.wait()
-            if thread % 2:
-                return [curve.eval_cumulative(t) for t in taus[thread::4]]
-            return curve.evaluate(taus[thread::4])
-
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                for _ in range(200):
-                    fresh, barrier = SplineCurve(3, kv, pts), threading.Barrier(4)
-                    futures = [pool.submit(run, fresh, barrier, i) for i in range(4)]
-                    got = [f.result(timeout=60) for f in futures]
-                    for i, values in enumerate(got):
-                        want = want_c[i::4] if i % 2 else want_m[i::4]
-                        assert all(np.array_equal(a, b) for a, b in zip(values, want))
-                    for kind in "mc":  # the serial curve's pages are full too
-                        (blocks, filled), full = fresh._cache[kind, 0], serial._cache[kind, 0][0]
-                        assert filled.all() and same_bits(blocks, full)
-        finally:
-            sys.setswitchinterval(old)
+    def test_parallel_fills_of_both_kinds_on_a_fresh_uniform_page(self):
+        race_both_kinds(KnotVector.uniform(16))
 
     def test_parallel_fills_of_spans_sharing_a_window(self):
         # clamped knots with a uniform interior: 32 spans over 8 edge windows
@@ -1312,3 +1361,4 @@ class TestConcurrency:
         for kind in "mc":  # the blocks the racing fills stored, in both kinds
             (blocks, filled), (want, done) = fresh._cache[kind, 0], serial._cache[kind, 0]
             assert np.array_equal(filled, done) and same_bits(blocks[:, filled], want[:, done])
+

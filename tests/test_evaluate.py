@@ -391,15 +391,13 @@ def test_page_store_batch_equals_scalar_views(case):
             assert curve.eval_derivative(tau, order).tobytes() == batches[order][i].tobytes()
         if i < half:
             assert curve.eval_cumulative(tau).tobytes() == cumulative[i].tobytes()
-    # evenly spaced knots fill whole pages of the asked kind, other knots
-    # both kinds of the touched spans
-    touched = [set(spans.tolist()), set(spans[:half].tolist())]
+    # a fill forms both kinds of the touched spans, on evenly spaced knots
+    # of every span in their pages
+    touched = set(spans.tolist())
     if curve.knots.is_uniform:
-        touched = [{j for j in range(k, curve.count) if (j - k) // _CHUNK in pages}
-                   for pages in [{(j - k) // _CHUNK for j in kind} for kind in touched]]
-    else:
-        touched = [touched[0]] * 2
-    assert curve.stats()["spans_touched"] == sum(map(len, touched))
+        pages = {(j - k) // _CHUNK for j in touched}
+        touched = {j for j in range(k, curve.count) if (j - k) // _CHUNK in pages}
+    assert curve.stats()["spans_touched"] == 2 * len(touched)
 
 
 def test_recursion_batch_memory_is_bounded_by_its_passes():

@@ -14,7 +14,11 @@ adds is hashed on the older tree too.  The curves take six knot kinds
 with repeated interior knots, the rationals i^2/3, and the floats
 -1.5 + 0.5 i, evenly spaced and exactly doubles) at degrees 0..10, 20
 and 30, with 3-D control points in C order, plus two curves longer
-than one page of blocks.  The paths hashed are ``evaluate`` at every
+than one page of blocks and six whose control points hold runs of 0.0
+and -0.0 (evenly spaced, clamped and float knots at degrees 3 and 10):
+the parameters at the knots, and about half the others, have v = u - 1/2
+below zero, so those curves pin the sign of every zero that the fills'
+``einsum`` and ``horner`` give.  The paths hashed are ``evaluate`` at every
 derivative order 0..k+1, the scalar views ``eval_matrix``,
 ``eval_cumulative`` and ``eval_derivative``, the same scalar views called
 first on a fresh copy of each curve (``cold_scalar``: derivatives k..1,
@@ -74,6 +78,21 @@ def curves():
             yield "%s-k%d" % (kind, k), SplineCurve(k, kv, points)
     for kv in (KnotVector.uniform(2600), KnotVector(np.cumsum(rng.uniform(0.5, 2.0, 2600)).tolist())):
         yield "long-%s" % kv.storage, SplineCurve(3, kv, rng.normal(0.0, 10.0, (2596, 3)))
+    for kind in ("uniform", "clamped", "float"):
+        for k in (3, 10):
+            kv = knot_vector(kind, k, rng)
+            points = signed_zeros(len(kv.values) - k - 1, rng)
+            yield "zeros-%s-k%d" % (kind, k), SplineCurve(k, kv, points)
+
+
+def signed_zeros(n: int, rng) -> np.ndarray:
+    """(n, 3) points: runs of 0.0 then -0.0, all -0.0, and a run of -0.0 between normals."""
+    points = np.zeros((n, 3))
+    points[n // 2:, 0] = -0.0
+    points[:, 1] = -0.0
+    points[:, 2] = rng.normal(0.0, 10.0, n)
+    points[n // 4:3 * n // 4, 2] = -0.0
+    return points
 
 
 def outcome(fn, *args) -> bytes:
