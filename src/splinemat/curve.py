@@ -133,14 +133,13 @@ class SplineCurve:
         return self.knots.domain(self.degree)
 
     def _rows(self, spans: list) -> np.ndarray:
-        """Float rows (s, 2, k+1, k+1) of ``spans``: centred matrices, then cumulative forms.
+        """Float rows (2, s, k+1, k+1) of ``spans``: centred matrices, then cumulative forms.
 
         Scratch for one fill, kept by no curve: read-only ``float_rows``,
         by one ``float_span_columns`` call on float-stored knots, else from
         each window's shared "rows" ``window_part``; one span's rows on
-        rational knots are a view of that entry, not a stack.  Laid out
-        kind-major, so each kind's rows ``[:, i]`` are C-contiguous as
-        they are.  Raises DegenerateSpan at a zero width.
+        rational knots are a view of that entry, not a stack.  Each kind's
+        rows are C-contiguous.  Raises DegenerateSpan at a zero width.
         """
         zero = [j for j in spans if self.knots.values[j] == self.knots.values[j + 1]]
         if zero:
@@ -148,13 +147,13 @@ class SplineCurve:
         start = time.perf_counter()
         if self.knots.storage == "float":
             rows = float_rows(*float_span_columns(self._view.values, self.degree, spans))
-            rows, built = rows.swapaxes(0, 1), len(spans)
+            built = len(spans)
         else:
             windows = [span_window(self.knots, self.degree, j) for j in spans]
             parts = {w: window_part(w, "rows") for w in dict.fromkeys(windows)}
             built = sum(new for _, new in parts.values())
-            rows = parts[windows[0]][0][None] if len(spans) == 1 else np.stack(
-                [parts[w][0] for w in windows], axis=1).swapaxes(0, 1)
+            rows = parts[windows[0]][0][:, None] if len(spans) == 1 else np.stack(
+                [parts[w][0] for w in windows], axis=1)
         self._cache["builds"].append((built, time.perf_counter() - start if built else 0.0))
         self._cache["hits"].append(len(spans) - built)
         return rows
@@ -227,7 +226,7 @@ class SplineCurve:
             for form in (kind, "c" if kind == "m" else "m"):
                 done = missing
                 # C-contiguous: a block's bits do not depend on the other spans of the fill
-                fresh = _coefficient_blocks(form, rows[:, "mc".index(form)], windows)
+                fresh = _coefficient_blocks(form, rows["mc".index(form)], windows)
                 # the sum over the whole fill bounds each span's (NaN fails both)
                 if not max(k, 1) * float(abs(fresh).sum()) < sys.float_info.max / 2:
                     fits = (max(k, 1) * abs(fresh).sum(axis=0) < sys.float_info.max / 2).all(1)

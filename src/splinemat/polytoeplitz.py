@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from numpy import ndarray
-
 from .errors import SizeError
 
 
@@ -45,16 +43,7 @@ def horner(coeffs: Sequence, x):
     """Value at x of the polynomial with ``coeffs``, constant term first.
 
     Exact for Fraction or int x and coefficients, plain float math otherwise.
-    At an ndarray x the later steps update the first, ``0 * x + coeffs[-1]``,
-    in place (same roundings, no temporaries), so every coefficient must fit
-    its shape and dtype; any other x takes the plain loop.
     """
-    if type(x) is ndarray and len(coeffs):
-        acc = 0 * x + coeffs[-1]
-        for c in coeffs[-2::-1]:
-            acc *= x
-            acc += c
-        return acc
     acc = 0
     for c in reversed(coeffs):
         acc = acc * x + c

@@ -716,7 +716,7 @@ class TestFloatConstruction:
             curve = SplineCurve(degree, kv, np.zeros((len(kv.values) - degree - 1, 1)))
             spans = positive_spans(kv, degree)
             for kind in "mc":
-                rows = curve._rows(spans)[:, "mc".index(kind)]
+                rows = curve._rows(spans)["mc".index(kind)]
                 assert rows.shape == (len(spans), degree + 1, degree + 1)
                 for j, got in zip(spans, rows):
                     assert got.tobytes() == float_loop_rows(kv, degree, j, kind).tobytes()
@@ -798,11 +798,11 @@ class TestFloatConstruction:
                     continue
                 m = general_basis_matrix(exact_kv, degree, j)
                 for kind, exact in (("m", m), ("c", cumulative_matrix(m))):
-                    rows = curve._rows([j])[:, "mc".index(kind)][0]
+                    rows = curve._rows([j])["mc".index(kind)][0]
                     assert rows.shape == (degree + 1, degree + 1)
                     want = horner(np.array(centred(exact).entries, dtype=float), (u - 0.5)[:, None])
                     assert np.abs(horner(rows, (u - 0.5)[:, None]) - want).max() <= 1e-12
-                basis = horner(curve._rows([j])[:, 0][0], (u - 0.5)[:, None])
+                basis = horner(curve._rows([j])[0, 0], (u - 0.5)[:, None])
                 assert np.abs(basis.sum(axis=1) - 1.0).max() <= 1e-12
 
 
@@ -875,8 +875,8 @@ class TestExactRows:
         curve = SplineCurve(degree, kv, np.zeros((len(kv.values) - degree - 1, 1)))
         for j in positive_spans(kv, degree):
             m = general_basis_matrix(kv, degree, j)
-            assert same_bits(curve._rows([j])[:, 0][0], np.array(centred(m).entries, dtype=float))
-            assert same_bits(curve._rows([j])[:, 1][0],
+            assert same_bits(curve._rows([j])[0, 0], np.array(centred(m).entries, dtype=float))
+            assert same_bits(curve._rows([j])[1, 0],
                              np.array(centred(cumulative_matrix(m)).entries, dtype=float))
             window = span_window(kv, degree, j)
             assert window_part(window, "centred matrix")[0].entries == centred(m).entries
@@ -984,8 +984,8 @@ class TestExactRows:
         spans = positive_spans(kv, 4)
         for asked in ([spans[0]], spans):
             rows = curve._rows(asked)
-            assert rows.shape == (len(asked), 2, 5, 5)
-            assert rows[:, 0].flags.c_contiguous and rows[:, 1].flags.c_contiguous
+            assert rows.shape == (2, len(asked), 5, 5)
+            assert rows[0].flags.c_contiguous and rows[1].flags.c_contiguous
 
     def test_stats_count_every_span_on_float_knots(self):
         kv = KnotVector([0.0] * 4 + [1.0, 2.0, 3.0, 4.0] + [5.0] * 4)
@@ -1301,7 +1301,7 @@ class TestConcurrency:
         for j in spans:  # after the counts: each call builds the span's rows again
             for kind in "mc":
                 i = "mc".index(kind)
-                assert same_bits(fresh._rows([j])[:, i][0], serial._rows([j])[:, i][0])
+                assert same_bits(fresh._rows([j])[i, 0], serial._rows([j])[i, 0])
         for kind in "mc":  # the blocks the racing fills stored, in both kinds
             (blocks, filled), (want, done) = fresh._cache[kind, 0], serial._cache[kind, 0]
             assert np.array_equal(filled, done) and same_bits(blocks[:, filled], want[:, done])
@@ -1357,7 +1357,7 @@ class TestConcurrency:
         for j in spans:  # after the counts: each call looks the window up again
             for kind in "mc":
                 i = "mc".index(kind)
-                assert same_bits(fresh._rows([j])[:, i][0], serial._rows([j])[:, i][0])
+                assert same_bits(fresh._rows([j])[i, 0], serial._rows([j])[i, 0])
         for kind in "mc":  # the blocks the racing fills stored, in both kinds
             (blocks, filled), (want, done) = fresh._cache[kind, 0], serial._cache[kind, 0]
             assert np.array_equal(filled, done) and same_bits(blocks[:, filled], want[:, done])
