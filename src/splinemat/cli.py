@@ -288,7 +288,8 @@ def run_check(degree_max: int, trials: int, seed: int, out=None) -> int:
             curve = SplineCurve(k, kv, points)
             lo, hi = (float(v) for v in curve.domain)
             taus = [rng.uniform(lo, hi) for _ in range(trials)]
-            # the recursion and the cumulative form are the scalar paths under test
+            # the recursion runs as one batch (coxdeboor.float_windows) and so
+            # does the matrix path; the cumulative form is the scalar path under test
             a = curve._coxdeboor(taus)
             b = curve.evaluate(taus)
             c = np.array([curve.eval_cumulative(t) for t in taus])

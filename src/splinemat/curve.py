@@ -485,11 +485,16 @@ def _float_view(knots: KnotVector, degree: int) -> _FloatKnots:
     """The float tables of a degree-``degree`` curve over ``knots``.
 
     A knot's bound is its nearest double, stepped up once if that lies
-    below the knot.  The oracle's knots are the float copy if every knot is
-    a double and their range is finite in floats, else the stored knots.
-    The copy gives the same result at a float tau bit for bit: Fraction-float
-    arithmetic already rounds the knot (or the exact knot difference, which
-    then equals the rounded float difference) and runs in floats, and the
+    below the knot.  On rational knots every table is computed in ints
+    from each knot's numerator n and denominator d, with one rounding per
+    entry: a knot's double is n / d, a span's width is the exact difference
+    of its knots over d_i d_{i+1}, and the side of its double that a knot
+    lies on is an exact comparison.  The oracle's knots are those doubles,
+    with no second conversion of the knots, if every knot is one and their
+    range is finite in floats, else the stored knots.  The copy gives the
+    same result at a float tau bit for bit: Fraction-float arithmetic
+    already rounds the knot (or the exact knot difference, which then
+    equals the rounded float difference) and runs in floats, and the
     comparisons and zero tests are exact either way.
     """
     vals = knots.values
@@ -497,26 +502,32 @@ def _float_view(knots: KnotVector, degree: int) -> _FloatKnots:
         values = bounds = np.array(vals)
         widths = np.diff(values)
         signs = [0] * len(vals)
+        oracle = knots
     else:
         # in ints: int / int rounds correctly, as float(Fraction) does
-        ratios = [(v.numerator, v.denominator) for v in vals]
-        values = np.array([_quotient(n, d) for n, d in ratios])
+        nums = [v.numerator for v in vals]
+        dens = [v.denominator for v in vals]
+        floats = [_quotient(n, d) for n, d in zip(nums, dens)]
         widths = np.array([_quotient(nb * da - na * db, da * db)
-                           for (na, da), (nb, db) in zip(ratios, ratios[1:])])
-        signs = [_sign(f, n, d) for f, (n, d) in zip(values.tolist(), ratios)]
+                           for na, da, nb, db in zip(nums, dens, nums[1:], dens[1:])])
+        # a float and an int compare exactly
+        signs = [(f > n) - (f < n) if d == 1 else _sign(f, n, d)
+                 for f, n, d in zip(floats, nums, dens)]
+        values = np.array(floats)
         bounds = np.array([math.nextafter(f, math.inf) if s < 0 else f
-                           for f, s in zip(values.tolist(), signs)])
+                           for f, s in zip(floats, signs)]) if -1 in signs else values
+        exact = not any(signs) and math.isfinite(floats[-1] - floats[0])
+        oracle = KnotVector(floats) if exact else knots
     widths[~(np.isfinite(widths) & (widths > 0))] = np.nan
     for table in (values, bounds, widths):  # shared by every curve over the knots
         table.setflags(write=False)
     end = float(values[-degree - 1])
     lo, hi = knots.domain(degree)
     last = span_of(vals, degree, hi) if lo < hi else -1
-    exact = not any(signs) and math.isfinite(float(values[-1]) - float(values[0]))
     cut = bounds[:last + 1]
     return _FloatKnots(values=values, bounds=cut, widths=widths, lo=float(bounds[degree]),
                        hi=math.nextafter(end, -math.inf) if signs[-degree - 1] > 0 else end,
-                       last=last, oracle=knots.as_float() if exact else knots,
+                       last=last, oracle=oracle,
                        views=tuple(map(memoryview, (cut, values, widths))))
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from numbers import Rational
 from typing import Sequence, Union
 
 from .errors import DegenerateSpan, DomainError, InvalidKnots
@@ -21,6 +22,10 @@ class KnotVector:
     for plain evaluation.  ``is_uniform`` holds for rational storage with
     equal positive differences, never for float storage: float knots
     that look evenly spaced need not give equal span matrices.
+    On rational storage the order and spacing tests run in ints, pair by
+    pair, on each knot's numerator and denominator: O(M) products of a
+    few knots' numbers, never a common denominator of all the knots, and
+    no Fraction arithmetic.
     Instances are immutable and safe to share.
     What is derived from the knots alone is kept with them (``_derived``).
     """
@@ -34,26 +39,38 @@ class KnotVector:
         if any(isinstance(v, float) for v in vals):
             storage = "float"
             try:
-                vals = tuple(float(v) for v in vals)
+                vals = tuple(map(float, vals))
             except OverflowError:
                 raise InvalidKnots("knot values are beyond the float range") from None
-            if not all(math.isfinite(v) for v in vals):
+            if not all(map(math.isfinite, vals)):
                 raise InvalidKnots("knots must be finite")
             # Span widths are taken in floats: the knot range must be a finite double too.
             if vals[-1] - vals[0] == math.inf:
                 raise InvalidKnots("knot range [%r, %r] is beyond the float range"
                                    % (vals[0], vals[-1]))
+            for a, b in zip(vals, vals[1:]):
+                if not a <= b:
+                    raise InvalidKnots("knots must be non-decreasing: %r > %r" % (a, b))
+            uniform = False
         else:
             storage = "rational"
-            vals = tuple(Fraction(v) for v in vals)
-        for a, b in zip(vals, vals[1:]):
-            if not a <= b:
-                raise InvalidKnots("knots must be non-decreasing: %r > %r" % (a, b))
-        step = vals[1] - vals[0]
+            vals = tuple(v if type(v) is Fraction else Fraction(v) for v in vals)
+            # In ints, pair by pair: knot i is n_i / d_i, and gap i, n_{i+1} d_i - n_i d_{i+1},
+            # is the width of span i times d_i d_{i+1} > 0.  No common denominator:
+            # the lcm of many distinct ones would grow without bound.
+            nums = [v.numerator for v in vals]
+            dens = [v.denominator for v in vals]
+            gaps = [nb * da - na * db for na, da, nb, db in zip(nums, dens, nums[1:], dens[1:])]
+            if min(gaps) < 0:
+                i = next(i for i, gap in enumerate(gaps) if gap < 0)
+                raise InvalidKnots("knots must be non-decreasing: %s > %s"
+                                   % (vals[i], vals[i + 1]))
+            first, scale = gaps[0], dens[0] * dens[1]
+            uniform = first > 0 and all(gap * scale == first * da * db
+                                        for gap, da, db in zip(gaps, dens, dens[1:]))
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "storage", storage)
-        object.__setattr__(self, "is_uniform", storage == "rational" and step > 0
-                           and all(b - a == step for a, b in zip(vals, vals[1:])))
+        object.__setattr__(self, "is_uniform", uniform)
         object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name, value):
@@ -90,9 +107,20 @@ class KnotVector:
     def uniform(cls, count: int, start: Scalar = 0, step: Scalar = 1) -> "KnotVector":
         """Evenly spaced knots ``start + i*step`` for ``i < count``.
 
-        Exact (rational) when ``start`` and ``step`` are ints or Fractions.
+        Exact (rational) when ``start`` and ``step`` are ints or Fractions:
+        then the numerators are built in ints over the least common
+        denominator of ``start`` and ``step``.  A float start or step gives
+        float knots, each ``start + i*step`` in floats.
         """
-        return cls([start + i * step for i in range(count)])
+        if not (isinstance(start, Rational) and isinstance(step, Rational)):
+            return cls([start + i * step for i in range(count)])
+        start, step = Fraction(start), Fraction(step)
+        den = math.lcm(start.denominator, step.denominator)
+        first = start.numerator * (den // start.denominator)
+        gap = step.numerator * (den // step.denominator)
+        nums = [first + i * gap for i in range(count)]
+        # ints when den == 1: Fraction(n) is cheaper than Fraction(n, 1)
+        return cls(nums if den == 1 else [Fraction(n, den) for n in nums])
 
     def as_rational(self) -> "KnotVector":
         """Exact rational copy of this vector.

@@ -423,6 +423,12 @@ class TestSplineFiles:
         # an exponent would build the whole power of ten before any check
         ({"degree": 1, "knots": [0, 1, 2, "1e10000000"], "control_points": [[0], [1]]},
          "expected an integer, decimal or 'p/q' string"),
+        # exact knots print as the file writes them
+        ({"degree": 1, "knots": [0, 2, 1, 3], "control_points": [[0], [1]]},
+         "knots must be non-decreasing: 2 > 1"),
+        ({"degree": 1, "knots": {"start": 0, "delta": "-1/2", "count": 4},
+          "control_points": [[0], [1]]},
+         "knots must be non-decreasing: 0 > -1/2"),
     ])
     def test_malformed_fields_exit_two_with_one_line(self, tmp_path, capsys, spec, message):
         path = tmp_path / "bad.json"

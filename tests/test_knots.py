@@ -1,6 +1,11 @@
+import math
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splinemat import (
     DegenerateSpan,
@@ -20,8 +25,13 @@ class TestKnotVector:
     def test_rejects_short_and_decreasing(self):
         with pytest.raises(InvalidKnots):
             KnotVector([1])
-        with pytest.raises(InvalidKnots):
+        # exact knots print as written, float knots by their repr
+        with pytest.raises(InvalidKnots, match=r"^knots must be non-decreasing: 2 > 1$"):
             KnotVector([0, 2, 1])
+        with pytest.raises(InvalidKnots, match=r"^knots must be non-decreasing: 1/3 > -1/2$"):
+            KnotVector([Fraction(1, 3), Fraction(-1, 2)])
+        with pytest.raises(InvalidKnots, match=r"^knots must be non-decreasing: 2\.5 > 1\.0$"):
+            KnotVector([0.0, 2.5, 1.0])
 
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidKnots):
@@ -79,6 +89,107 @@ class TestKnotVector:
         kv = KnotVector([0, 1])
         with pytest.raises(AttributeError):
             kv.values = (0, 2)
+
+
+def reference_knots(values):
+    """``KnotVector``'s checks in plain Fraction (or float) arithmetic: (values, storage, is_uniform)."""
+    vals = tuple(values)
+    if len(vals) < 2:
+        raise InvalidKnots("need at least 2 knots, got %d" % len(vals))
+    if any(isinstance(v, float) for v in vals):
+        storage, vals, show = "float", tuple(float(v) for v in vals), repr
+        if not all(math.isfinite(v) for v in vals):
+            raise InvalidKnots("knots must be finite")
+        if vals[-1] - vals[0] == math.inf:
+            raise InvalidKnots("knot range [%r, %r] is beyond the float range" % (vals[0], vals[-1]))
+    else:
+        storage, vals, show = "rational", tuple(Fraction(v) for v in vals), str
+    for a, b in zip(vals, vals[1:]):
+        if not a <= b:
+            raise InvalidKnots("knots must be non-decreasing: %s > %s" % (show(a), show(b)))
+    step = vals[1] - vals[0]
+    return vals, storage, (storage == "rational" and step > 0
+                           and all(b - a == step for a, b in zip(vals, vals[1:])))
+
+
+def knot_outcome(build, *args):
+    """(typed values, storage, is_uniform) of ``build(*args)``, or its InvalidKnots' message.
+
+    Each value is paired with its type, and a float is taken by its hex form,
+    so that equal outcomes hold the same numbers bit for bit.
+    """
+    try:
+        kv = build(*args)
+    except InvalidKnots as err:
+        return str(err)
+    if isinstance(kv, KnotVector):
+        kv = kv.values, kv.storage, kv.is_uniform
+    values, storage, uniform = kv
+    return [(type(v), v.hex() if isinstance(v, float) else v) for v in values], storage, uniform
+
+
+exact = st.one_of(st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 30, 10 ** 30),
+                  st.fractions(-1000, 1000, max_denominator=60))
+
+
+@st.composite
+def exact_knot_lists(draw):
+    """Int/Fraction knots: sorted, with repeats, with a swapped pair, evenly spaced, or nudged."""
+    shape = draw(st.sampled_from(["sorted", "repeats", "swapped", "even", "nudged"]))
+    if shape in ("even", "nudged"):
+        start, step = draw(exact), draw(exact)
+        values = [start + i * step for i in range(draw(st.integers(2, 12)))]
+        if shape == "nudged":
+            i = draw(st.integers(0, len(values) - 1))
+            values[i] += draw(st.fractions(-1, 1, max_denominator=7).filter(bool))
+        return values
+    values = sorted(draw(st.lists(exact, min_size=0, max_size=12)))
+    if shape == "repeats" and values:
+        i = draw(st.integers(0, len(values) - 1))
+        values[i:i] = [values[i]] * draw(st.integers(1, 3))
+    if shape == "swapped" and len(values) > 1:
+        i = draw(st.integers(0, len(values) - 2))
+        values[i], values[i + 1] = values[i + 1], values[i]
+    return values
+
+
+class TestIntegerChecks:
+    """The order and spacing tests in ints equal the same tests in Fraction arithmetic."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(exact_knot_lists())
+    def test_checks_equal_fraction_arithmetic(self, values):
+        assert knot_outcome(KnotVector, values) == knot_outcome(reference_knots, values)
+
+    @settings(max_examples=300, deadline=None)
+    @given(count=st.integers(0, 12),
+           start=st.one_of(exact, st.floats(-1e6, 1e6)),
+           step=st.one_of(exact, st.floats(-1e3, 1e3)))
+    def test_uniform_is_start_plus_i_step(self, count, start, step):
+        listed = [start + i * step for i in range(count)]
+        assert knot_outcome(KnotVector.uniform, count, start, step) == \
+            knot_outcome(reference_knots, listed)
+
+    def test_allocation_stays_proportional_to_the_knots(self):
+        # 2,000 increasing knots i + 1/p_i, each over its own prime: their
+        # least common denominator has 24,856 bits, so numerators over it
+        # would take ~6 MB, against ~220 kB for the knots themselves
+        sieve = [True] * 20_000
+        for p in range(2, 142):
+            if sieve[p]:
+                sieve[p * p::p] = [False] * len(range(p * p, 20_000, p))
+        primes = [p for p in range(2, 20_000) if sieve[p]][:2000]
+        knots = [Fraction(i * p + 1, p) for i, p in enumerate(primes)]
+        own = sys.getsizeof(knots) + sum(sys.getsizeof(v) + sys.getsizeof(v.numerator)
+                                         + sys.getsizeof(v.denominator) for v in knots)
+        tracemalloc.start()
+        try:
+            kv = KnotVector(knots)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(kv) == 2000 and not kv.is_uniform
+        assert peak < 2 * own, (peak, own)
 
 
 class TestFindSpan:

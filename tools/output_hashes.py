@@ -29,7 +29,14 @@ the matrix blocks a cumulative-first fill forms), ``_sample_grid``,
 curve's parameters (``coxdeboor_batch``: the float batch recursion on
 every knot kind), ``splinemat check`` for seeds 0..39 and the bytes of
 ``splinemat sample``'s CSV.  A path that raises hashes its error's type
-and message in place of the values.
+and message in place of the values.  The ``knots`` line hashes each
+curve's float view of its knots (the values, bounds and widths tables,
+lo, hi, last and the oracle's knots) and, for a fixed set of knot lists
+(ints, Fractions, i^2/3, ``KnotVector.uniform`` with int, Fraction and
+float steps, floats, knots beyond the float range and rejected lists),
+the vector's values, storage and ``is_uniform`` and the float views of
+curves of degree 0..3 over it.  A rejected list hashes its error's type
+only, so that the line pins what is accepted, not how a refusal is worded.
 """
 
 from __future__ import annotations
@@ -95,10 +102,64 @@ def signed_zeros(n: int, rng) -> np.ndarray:
     return points
 
 
+def knot_lists():
+    """``(name, build)``: knot vectors to hash on the ``knots`` line, the last six rejected."""
+    F = Fraction
+    floats = np.cumsum(np.random.default_rng(29).uniform(0.1, 3.0, 14)).tolist()
+    return [
+        ("ints", lambda: KnotVector(list(range(-3, 14)))),
+        ("clamped", lambda: KnotVector([0] * 4 + [1, 2, 3] + [4] * 4)),
+        ("repeated", lambda: KnotVector([0, 1, 1, 2, 5, 5, 5, 8, 9, 12])),
+        ("sevenths", lambda: KnotVector([F(i, 7) - 1 for i in range(0, 60, 4)])),
+        ("mixed", lambda: KnotVector([-2, F(-3, 2), F(-1, 3), 0, F(5, 8), 1, F(22, 7), 4])),
+        ("squares", lambda: KnotVector([F(i * i, 3) for i in range(15)])),
+        ("fine", lambda: KnotVector([F(i, 3 ** 40) for i in range(10)])),
+        ("huge", lambda: KnotVector([-10 ** 400, -1, 0, 1, 10 ** 300, 10 ** 400])),
+        ("tiny", lambda: KnotVector([0, F(1, 10 ** 400), F(2, 10 ** 400), 1, 2, 3])),
+        ("uniform-ints", lambda: KnotVector.uniform(16, -5, 3)),
+        ("uniform-fraction", lambda: KnotVector.uniform(16, F(-7, 3), F(5, 2))),
+        ("uniform-thirds", lambda: KnotVector.uniform(16, 0, F(1, 3))),
+        ("uniform-halves", lambda: KnotVector.uniform(16, -1.5, 0.5)),
+        ("uniform-tenths", lambda: KnotVector.uniform(16, 0, 0.1)),
+        ("floats", lambda: KnotVector(floats)),
+        ("short", lambda: KnotVector([1])),
+        ("decreasing", lambda: KnotVector([0, 2, 1, 3])),
+        ("decreasing-uniform", lambda: KnotVector.uniform(4, 0, F(-1, 2))),
+        ("decreasing-floats", lambda: KnotVector([0.0, 2.5, 1.0])),
+        ("nan", lambda: KnotVector([0.0, float("nan"), 1.0])),
+        ("float-range", lambda: KnotVector([-1e308, 0.0, 1e308])),
+    ]
+
+
+def view_tables(curve) -> bytes:
+    """The tables of ``curve``'s float view of its knots."""
+    view = curve._view
+    return b"".join([view.values.tobytes(), view.bounds.tobytes(), view.widths.tobytes(),
+                     repr((view.lo, view.hi, view.last, view.oracle.storage,
+                           view.oracle.values)).encode()])
+
+
+def knot_hashes(add) -> None:
+    """Add each of ``knot_lists()``'s vectors, and the float views over it, to the ``knots`` line."""
+    for name, build in knot_lists():
+        try:
+            kv = build()
+        except SplineError as err:
+            add("knots", name, type(err).__name__.encode())
+            continue
+        add("knots", name, repr((kv.values, kv.storage, kv.is_uniform)).encode())
+        for k in range(4):
+            if len(kv.values) >= 2 * k + 2:
+                points = np.zeros((len(kv.values) - k - 1, 1))
+                add("knots", "%s-k%d" % (name, k),
+                    outcome(lambda: view_tables(SplineCurve(k, kv, points))))
+
+
 def outcome(fn, *args) -> bytes:
     """The bytes of ``fn(*args)``, or its error's type and message."""
     try:
-        return np.asarray(fn(*args)).tobytes()
+        result = fn(*args)
+        return result if isinstance(result, bytes) else np.asarray(result).tobytes()
     except (SplineError, ValueError) as err:
         return ("%s: %s" % (type(err).__name__, err)).encode()
 
@@ -139,8 +200,10 @@ def main() -> None:
         hashes.setdefault(path, hashlib.sha256()).update(name.encode() + b"\0" + data)
 
     rng = np.random.default_rng(21)
+    views = []  # hashed on the knots line, after the lines above it
     with tempfile.TemporaryDirectory() as workdir:
         for name, curve in curves():
+            views.append((name, view_tables(curve)))
             taus = taus_of(curve, rng)
             for order in range(curve.degree + 2):
                 add("evaluate", name, outcome(curve.evaluate, taus, order))
@@ -170,6 +233,9 @@ def main() -> None:
         out = io.StringIO()
         code = cli.run_check(8, 20, seed, out)
         add("check", str(seed), b"%d\n" % code + out.getvalue().encode())
+    for name, tables in views:
+        add("knots", name, tables)
+    knot_hashes(add)
     for path, digest in hashes.items():
         print(path, digest.hexdigest())
 
