@@ -135,9 +135,12 @@ def load_spline(path: str) -> SplineCurve:
     if not isinstance(points, list) or not points:
         raise ValueError("control_points must be a non-empty list of vectors")
     rows = []
-    for p in points:
+    for i, p in enumerate(points):
         if not isinstance(p, list):
             raise ValueError("each control point must be a list of coordinates")
+        if len(p) != len(points[0]):
+            raise ValueError("control point %d has %d coordinates, expected %d"
+                             % (i, len(p), len(points[0])))
         rows.append([_parse_coordinate(c) for c in p])
     return SplineCurve(degree, kv, rows)
 
@@ -243,9 +246,16 @@ def cmd_sample(args) -> int:
 
 
 def _relative_gaps(a, b) -> np.ndarray:
-    """Per row of two (n, d) arrays: max|a-b| / max(1, max|a|, max|b|)."""
-    scale = np.maximum(1.0, np.maximum(np.abs(a).max(axis=1), np.abs(b).max(axis=1)))
-    return np.abs(a - b).max(axis=1) / scale
+    """Per row of two (n, d) arrays: max|a-b| / max(1, max|a|, max|b|).
+
+    The row maxima are taken column by column into column 0: numpy reduces
+    a short last axis row by row, ~3x slower at d = 2 on 150 rows.
+    """
+    gap, scale = np.abs(a - b), np.maximum(np.abs(a), np.abs(b))
+    for c in range(1, gap.shape[1]):
+        np.maximum(gap[:, 0], gap[:, c], out=gap[:, 0])
+        np.maximum(scale[:, 0], scale[:, c], out=scale[:, 0])
+    return gap[:, 0] / np.maximum(1.0, scale[:, 0])
 
 
 @lru_cache(maxsize=None)  # at most MAX_DEGREE + 1 pairs; knot vectors are immutable

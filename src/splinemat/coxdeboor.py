@@ -96,43 +96,41 @@ def float_windows(values: np.ndarray, degree: int, spans: np.ndarray,
 
     ``values`` holds the knots as doubles, ``spans`` each tau's span by
     ``span_of``, a span of the evaluable domain, so row i is
-    B_{j-k,k}(tau), ..., B_{j,k}(tau) for j = spans[i].  The window's 2k+2
-    knots have the same shape at every tau, so the indicator is raised one
-    degree at a time over the whole batch, each tau's float operations
-    those of ``_window_values`` in its order; every row equals
-    ``basis_window``'s bit for bit.  A term whose lower-degree value is
-    zero is masked: its ratio is not computed (``where=``) and it adds 0.0,
-    which changes no bit of a sum of non-negative terms, as the scalar loop
-    drops it (the 0/0 = 0 convention).
+    B_{j-k,k}(tau), ..., B_{j,k}(tau) for j = spans[i].  Only the triangle
+    of functions nonzero on span j is raised (Piegl & Tiller A2.2): at
+    degree l the columns k-l+1..k, the functions B_{j-l+1,l-1}..B_{j,l-1},
+    each give an up term to its own column and a down term to the column
+    before, over the 2k knots tau_{j-k+1}..tau_{j+k}, the same at every
+    tau, so each degree is one step for the whole batch.  Each tau's float
+    operations are those of ``_window_values`` in its order, and every row
+    equals ``basis_window``'s bit for bit: where the scalar loop drops a
+    term of a zero value, the batch adds its +0.0, which changes no bit of
+    a sum of non-negative terms.
 
-    This cannot raise.  The knots' range is finite in floats, so every
-    difference is finite; a nonzero lower-degree value puts tau inside that
-    function's support, so its term's denominator is positive and its
-    ratio at most 1.  The masked ratios, which may divide by zero, never
-    run; the scoped ``np.errstate`` lets a ratio underflow silently, as
-    Python floats do, whatever the caller's setting.  Scratch memory is
-    O(n (2k+2)) floats.
+    This cannot raise.  Every width on the triangle covers span j, so it
+    is positive, and finite, as the knots' range is finite in floats; every
+    numerator lies between 0 and its width, so every ratio lies in [0, 1].
+    The scoped ``np.errstate`` lets a ratio underflow silently, as Python
+    floats do, whatever the caller's setting.  Scratch memory is O(n k)
+    floats.
     """
-    # row c holds window column c: column s reads knots[s:]
-    knots = values[spans + np.arange(-degree, degree + 2)[:, None]]
-    left, right = taus - knots, knots - taus
-    row = np.zeros((degree + 2, len(taus)))
+    # row r holds tau_{j-k+1+r}: column c's knots are rows c-1 and c-1+level
+    knots = values[spans + np.arange(1 - degree, degree + 1)[:, None]]
+    left, right = taus - knots[:degree], knots[degree:] - taus
+    row = np.empty((degree + 1, len(taus)))
     row[degree] = 1.0
     with np.errstate(under="ignore"):
-        for k in range(1, degree + 1):
-            s = slice(degree - k, degree + 1)  # the columns raised to degree k
-            # knots[c + k] - knots[c] for the columns c = degree-k..degree+1:
-            # column s's first denominator is column s+1's second
-            width = knots[degree:degree + k + 2] - knots[degree - k:degree + 2]
-            nonzero = row[degree - k:] != 0
-            up = np.divide(left[s], width[:-1], out=np.zeros((k + 1, len(taus))),
-                           where=nonzero[:-1])
-            up *= row[s]
-            down = np.divide(right[degree + 1:degree + k + 2], width[1:],
-                             out=np.zeros((k + 1, len(taus))), where=nonzero[1:])
-            down *= row[degree - k + 1:]
-            np.add(up, down, out=row[s])
-    return row[:-1].T
+        for level in range(1, degree + 1):
+            lo = degree - level + 1  # the columns nonzero at degree level-1
+            width = knots[degree:degree + level] - knots[lo - 1:degree]
+            up = left[lo - 1:] / width
+            up *= row[lo:]
+            down = right[:level] / width
+            down *= row[lo:]
+            row[lo - 1] = down[0]
+            np.add(up[:-1], down[1:], out=row[lo:degree])
+            row[degree] = up[-1]
+    return row.T
 
 
 def basis_values(kv: KnotVector, first: int, last: int, degree: int, tau) -> list:

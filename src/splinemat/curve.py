@@ -97,6 +97,8 @@ class SplineCurve:
             pts = np.array(points, dtype=float, order="C")  # a private copy
         except OverflowError:  # an int coordinate beyond the float range
             raise ValueError("control points must be finite") from None
+        except ValueError:  # ragged rows, or a coordinate that is no number
+            raise ValueError("control points must form an (N, d) array") from None
         if pts.ndim == 1:
             pts = pts[:, None]
         if pts.ndim != 2 or pts.shape[0] == 0 or pts.shape[1] == 0:
@@ -536,9 +538,10 @@ def _windows(fk: _FloatKnots, knots: KnotVector, degree: int, taus: np.ndarray) 
 
     Float taus run on ``fk.oracle``, other taus (Fraction, int) on
     ``knots``.  On float-stored oracle knots a float batch of more than
-    one tau takes ``coxdeboor.float_windows`` in one pass, with the same
-    bits, over the spans of one search of the bounds: those knots cut at
-    ``last``, so ``span_of``'s spans in the domain.  Every other batch, a
+    one tau takes ``coxdeboor.float_windows``, one numpy step per degree
+    over each span's triangle and 2k-knot window, with the same bits, over
+    the spans of one search of the bounds: those knots cut at ``last``, so
+    ``span_of``'s spans in the domain.  Every other batch, a
     single tau too, as its fixed cost exceeds one recursion's, takes the
     scalar routine tau by tau, in mixed or exact arithmetic, and raises
     DomainError at the first tau whose recursion needs a knot difference

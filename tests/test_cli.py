@@ -1,5 +1,6 @@
 import functools
 import io
+import itertools
 import json
 import random
 import re
@@ -323,6 +324,23 @@ class TestCheckCommand:
             want.append("%.3e" % worst)
         assert printed == want
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_relative_gaps_equal_the_row_max_formula(self, d):
+        def by_rows(a, b):  # a reduction along the last axis
+            scale = np.maximum(1.0, np.maximum(np.abs(a).max(axis=1), np.abs(b).max(axis=1)))
+            return np.abs(a - b).max(axis=1) / scale
+
+        rng = np.random.default_rng(d)
+        a = rng.normal(0.0, 1.0, (60, d)) * 10.0 ** rng.integers(-3, 4, (60, 1))
+        b = a + rng.normal(0.0, 1e-9, (60, d))
+        specials = (np.nan, np.inf, -np.inf, -0.0, 1.0)
+        for r, (x, y) in enumerate(itertools.product(specials, repeat=2)):
+            a[r, r % d], b[r, r % d] = x, y
+        with np.errstate(invalid="ignore"):
+            got, want = cli._relative_gaps(a, b), by_rows(a, b)
+        assert np.isnan(got).any()
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
     def test_trials_cap_checked_before_any_work(self, capsys, monkeypatch):
         def build(*args, **kwargs):
             raise AssertionError("work started before the trial count was checked")
@@ -414,6 +432,8 @@ class TestSplineFiles:
          "coordinate must be a number"),
         ({"degree": 1, "knots": [0, 1, 2, 3], "control_points": [[0], [True]]},
          "coordinate must be a number"),
+        ({"degree": 1, "knots": [0, 1, 2, 3, 4, 5], "control_points": [[0], [1, 2], [2], [3]]},
+         "control point 1 has 2 coordinates, expected 1"),
         ({"degree": True, "knots": [0, 1, 2, 3], "control_points": [[0], [1]]},
          "degree must be a non-negative integer"),
         ({"degree": 1, "knots": [0, 1, 2, 3], "control_points": [[0], [10 ** 400]]},

@@ -2,12 +2,15 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from splinemat import DomainError, KnotVector, basis, basis0, cumulative_basis, find_span
-from splinemat.coxdeboor import basis_values, basis_window
+from splinemat import (DomainError, KnotVector, SplineCurve, basis, basis0, cumulative_basis,
+                       find_span)
+from splinemat.coxdeboor import basis_values, basis_window, float_windows
+from splinemat.curve import _windows
 
 
 def clamped(degree, interior, last):
@@ -266,3 +269,29 @@ def test_window_span_is_the_indicator_span(case):
                 assert total == 1
             else:
                 assert abs(total - 1) <= 1e-12
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(knots_and_taus())
+def test_float_batch_equals_the_scalar_windows(case):
+    # the batch oracle's spans and weight bits are basis_window's, and it
+    # reads no knot outside tau_{j-k+1} .. tau_{j+k}
+    kv, degree, taus = case
+    assume(len(kv.values) >= 2 * degree + 2)
+    points = np.zeros((len(kv.values) - degree - 1, 1))
+    fk = SplineCurve(degree, kv, points)._view
+    assume(fk.oracle.storage == "float" and fk.last >= 0)  # float knots, a domain
+    taus = np.array([t for t in taus if isinstance(t, float) and fk.lo <= t <= fk.hi])
+    assume(len(taus) >= 2)
+    last = len(kv.values) - degree - 2
+    with np.errstate(all="raise"):
+        spans, weights = _windows(fk, kv, degree, taus)
+        for r, tau in enumerate(taus.tolist()):
+            j, window = basis_window(fk.oracle, 0, last, degree, tau)
+            assert spans[r] == j
+            assert weights[r].tobytes() == np.array(window, dtype=float).tobytes(), (kv, tau)
+            window_only = np.full(len(kv.values), np.nan)
+            window_only[j - degree + 1:j + degree + 1] = fk.values[j - degree + 1:j + degree + 1]
+            alone = float_windows(window_only, degree, spans[r:r + 1], taus[r:r + 1])
+            assert alone.tobytes() == weights[r].tobytes()

@@ -77,6 +77,10 @@ class TestConstruction:
             with pytest.raises(ValueError, match="control points must be finite"):
                 SplineCurve(1, KnotVector([0, 1, 2, 3]), points)
 
+    def test_ragged_points_form_no_array(self):
+        with pytest.raises(ValueError, match=r"^control points must form an \(N, d\) array$"):
+            SplineCurve(1, KnotVector([0, 1, 2, 3, 4, 5]), [[0], [1, 2], [2], [3]])
+
     def test_one_dimensional_points_get_a_column(self):
         assert CUBIC.points.shape == (4, 1)
         assert CUBIC.dim == 1 and CUBIC.count == 4

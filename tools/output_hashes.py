@@ -37,6 +37,11 @@ float steps, floats, knots beyond the float range and rejected lists),
 the vector's values, storage and ``is_uniform`` and the float views of
 curves of degree 0..3 over it.  A rejected list hashes its error's type
 only, so that the line pins what is accepted, not how a refusal is worded.
+The ``coxdeboor_scales`` line hashes ``_coxdeboor`` at the ends of the
+domain, the knots and the doubles next to them on curves of degree 1..6
+whose evenly spaced, clamped and random float knots are scaled by 1e-320,
+so that the widths are subnormal, and by 1e300, so that the ratios of a
+parameter next to the knot 0 underflow.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import math
 import os
 import sys
 import tempfile
@@ -90,6 +96,29 @@ def curves():
             kv = knot_vector(kind, k, rng)
             points = signed_zeros(len(kv.values) - k - 1, rng)
             yield "zeros-%s-k%d" % (kind, k), SplineCurve(k, kv, points)
+
+
+def scaled_curves():
+    """``(name, curve)``: evenly spaced, clamped and random float knots times 1e-320 and 1e300."""
+    rng = np.random.default_rng(30)
+    for scale in (1e-320, 1e300):
+        for k in range(1, 7):
+            count = SPANS + 2 * k + 1
+            for kind, base in (("uniform", list(range(count))),
+                               ("clamped", [0] * k + list(range(SPANS + 1)) + [SPANS] * k),
+                               ("float", np.cumsum(rng.uniform(0.25, 4.0, count)).tolist())):
+                kv = KnotVector([v * scale for v in base])
+                points = rng.normal(0.0, 10.0, (count - k - 1, 3))
+                yield "%s-%g-k%d" % (kind, scale, k), SplineCurve(k, kv, points)
+
+
+def knot_taus(curve) -> list:
+    """The ends of the domain, its float knots and the doubles next to them, in the domain."""
+    lo, hi = (float(v) for v in curve.domain)
+    taus = [lo, hi]
+    for v in curve.knots.values:
+        taus += [v, math.nextafter(v, -math.inf), math.nextafter(v, math.inf)]
+    return sorted({t for t in taus if lo <= t <= hi})
 
 
 def signed_zeros(n: int, rng) -> np.ndarray:
@@ -236,6 +265,8 @@ def main() -> None:
     for name, tables in views:
         add("knots", name, tables)
     knot_hashes(add)
+    for name, curve in scaled_curves():
+        add("coxdeboor_scales", name, outcome(curve._coxdeboor, knot_taus(curve)))
     for path, digest in hashes.items():
         print(path, digest.hexdigest())
 
