@@ -105,7 +105,9 @@ def float_windows(values: np.ndarray, degree: int, spans: np.ndarray,
     operations are those of ``_window_values`` in its order, and every row
     equals ``basis_window``'s bit for bit: where the scalar loop drops a
     term of a zero value, the batch adds its +0.0, which changes no bit of
-    a sum of non-negative terms.
+    a sum of non-negative terms.  One + 0.0 turns a knot difference of
+    -0.0 (tau = -0.0 over a +0.0 knot, say) into +0.0, as the scalar
+    loop's int 0 start does, and changes no other bit.
 
     This cannot raise.  Every width on the triangle covers span j, so it
     is positive, and finite, as the knots' range is finite in floats; every
@@ -116,7 +118,7 @@ def float_windows(values: np.ndarray, degree: int, spans: np.ndarray,
     """
     # row r holds tau_{j-k+1+r}: column c's knots are rows c-1 and c-1+level
     knots = values[spans + np.arange(1 - degree, degree + 1)[:, None]]
-    left, right = taus - knots[:degree], knots[degree:] - taus
+    left, right = taus - knots[:degree] + 0.0, knots[degree:] - taus + 0.0
     row = np.empty((degree + 1, len(taus)))
     row[degree] = 1.0
     with np.errstate(under="ignore"):

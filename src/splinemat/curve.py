@@ -191,35 +191,30 @@ class SplineCurve:
         matrix ("c") times the first point and the differences.  A fill
         gathers the k+1 points of each missing span and applies the rows by
         one ``einsum`` per kind, both kinds from one ``_rows`` call under
-        one ``errstate``.  On evenly spaced rational knots (``is_uniform``:
-        one knot window, whose rows serve every span) it fills every span
-        of the page that is unfilled in the asked kind.  On other knots it
-        fills the unfilled ``offsets`` and the page's spans in ``batch`` (a
-        call's spans, so a call fills each page once); with no offset
-        unfilled, ``batch`` is not read.  A block fits if max(k, 1) *
-        sum_r |c_r| is below half the largest double in each coordinate:
-        then no Horner partial sum at orders 0 and 1 overflows.
+        one ``errstate``.  On every knot kind it fills the unfilled
+        ``offsets`` and the page's spans in ``batch`` (a call's spans, so a
+        call fills each page once); with no offset unfilled, ``batch`` is
+        not read.  A block fits if max(k, 1) * sum_r |c_r| is below half
+        the largest double in each coordinate: then no Horner partial sum
+        at orders 0 and 1 overflows.
         The fill raises DomainError, writing nothing, at the first span whose
         asked block does not fit; a block of the other kind that does not
         fit is skipped, unwritten and unmarked, so that kind's fill raises.
         """
         k, first = self.degree, self.degree + page * _CHUNK
         blocks, filled = self._cache.get((kind, page)) or self._allocate(kind, page)
-        uniform = self.knots.is_uniform
-        if uniform:  # one matrix: the whole page
-            missing = (~filled).nonzero()[0]
-        elif filled[offsets].all():
+        if filled[offsets].all():
             return blocks
-        else:
-            if batch is not None:  # the page's spans in the call's other chunks too
-                offsets = batch[(batch >= first) & (batch < first + len(filled))] - first
-            want = np.zeros(len(filled), bool)
-            want[offsets] = True
-            missing = (want > filled).nonzero()[0]  # sorted, each span once
-        if not len(missing):
+        if batch is not None:  # the page's spans in the call's other chunks too
+            offsets = batch[(batch >= first) & (batch < first + len(filled))] - first
+        want = np.zeros(len(filled), bool)
+        want[offsets] = True
+        missing = (want > filled).nonzero()[0]  # sorted, each span once
+        if not len(missing):  # a racing fill wrote them since the test above
             return blocks
         spans = missing + first
-        rows = self._rows([k] if uniform else spans.tolist())
+        # evenly spaced knots: one knot window, whose rows every span shares
+        rows = self._rows([k] if self.knots.is_uniform else spans.tolist())
         if len(spans) == 1:  # a C-contiguous view of the one run, as the gather's copy
             windows = self.points[spans[0] - k:spans[0] + 1][None]
         else:
@@ -355,7 +350,7 @@ class SplineCurve:
         so the result equals the batch's bit for bit.  An order's lists are
         ``_derivative_rows`` of the span's block (at order 0 the block
         itself), read in place from its page once filled, else through
-        ``_blocks``, whose fill can write more spans than the one asked.
+        ``_blocks``, whose fill writes the span in both kinds.
         """
         fk = self._view
         bounds, values, widths = fk.views

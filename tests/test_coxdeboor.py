@@ -295,3 +295,26 @@ def test_float_batch_equals_the_scalar_windows(case):
             window_only[j - degree + 1:j + degree + 1] = fk.values[j - degree + 1:j + degree + 1]
             alone = float_windows(window_only, degree, spans[r:r + 1], taus[r:r + 1])
             assert alone.tobytes() == weights[r].tobytes()
+
+
+@pytest.mark.parametrize("end", [False, True], ids=["inside", "at_end"])
+@pytest.mark.parametrize("zero", [0.0, -0.0], ids=["plus", "minus"])
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_float_batch_keeps_the_scalar_signed_zeros(degree, zero, end):
+    # a zero knot inside the domain or at its right end: tau = -0.0 over a
+    # +0.0 knot, or +0.0 under a -0.0 one, makes a knot difference -0.0;
+    # basis_window's weights there are +0.0, and so are the batch's
+    values = ([-5.0, -4.0, -3.0, -2.0, -1.0, zero] + [1.0] * degree if end
+              else [-3.0, -2.0, -1.0, zero, 1.0, 2.0, 3.0, 4.0])
+    kv = KnotVector(values)
+    fk = SplineCurve(degree, kv, np.zeros((len(values) - degree - 1, 1)))._view
+    assert math.copysign(1.0, fk.hi if end else kv.values[3]) == math.copysign(1.0, zero)
+    taus = np.array([-0.0, 0.0])
+    last = len(values) - degree - 2
+    windows = [basis_window(kv, 0, last, degree, tau) for tau in taus.tolist()]
+    spans = np.array([j for j, _ in windows])
+    want = np.array([window for _, window in windows], dtype=float)
+    got = float_windows(np.array(kv.values), degree, spans, taus)
+    assert got.tobytes() == want.tobytes()
+    got_spans, weights = _windows(fk, kv, degree, taus)
+    assert np.array_equal(got_spans, spans) and weights.tobytes() == want.tobytes()

@@ -947,12 +947,14 @@ class TestExactRows:
     def test_stats_count_every_block_of_a_uniform_table(self):
         curve = SplineCurve(3, KnotVector.uniform(20), np.zeros((16, 2)))
         curve.eval_matrix(5.5)
-        assert curve.stats()["spans_touched"] == 26
+        assert curve.stats()["spans_touched"] == 2  # span 5, in both kinds
         curve.sample(50)
         curve.eval_cumulative(7.5)
-        # the table's one knot window is built once, by the one fill of both kinds
+        # the table's one knot window is built once, by the first fill; the
+        # sample's fill of the other 12 spans finds it built
         stats = curve.stats()
-        assert (stats["spans_built"], stats["window_hits"], stats["spans_touched"]) == (1, 0, 26)
+        assert (stats["spans_built"], stats["window_hits"], stats["spans_touched"]) == (1, 1, 26)
+        assert stats["blocks_filled"] == 26
         assert stats["build_s"] > 0.0
 
     def test_a_uniform_fill_forms_both_kinds(self):
@@ -960,10 +962,10 @@ class TestExactRows:
         curve = SplineCurve(3, KnotVector.uniform(20), points)
         want = SplineCurve(3, curve.knots, points)._combine(*curve._locate([5.5, 9.25, 12.0]), "c")
         curve.evaluate([5.5, 9.25])
-        assert curve._cache["fills"] == [13, 13]  # one fill: the whole page, in both kinds
+        assert curve._cache["fills"] == [2, 2]  # one fill: the asked spans, in both kinds
         for tau, value in zip([5.5, 9.25, 12.0], want):
             assert same_bits(curve.eval_cumulative(tau), value)
-        assert curve._cache["fills"] == [13, 13]
+        assert curve._cache["fills"] == [2, 2, 1, 1]  # span 12's first touch
 
     def test_check_fills_each_fresh_curve_once(self, monkeypatch):
         # degrees 1..6, an evenly spaced and a clamped curve each
@@ -1173,6 +1175,42 @@ class TestFillsCoverTheOtherKind:
         assert calls == [[4], [7], [6]]
 
 
+class TestEvenlySpacedFills:
+    """Evenly spaced knots fill only the asked spans, as every other knot kind does."""
+
+    @pytest.mark.parametrize("storage", ["rational", "float"])
+    def test_a_span_nobody_asked_for_cannot_raise(self, storage):
+        # span 4's points overflow in floats; tau = 30.5 reads points 27..30, all 0
+        kv = KnotVector.uniform(40)
+        assert kv.is_uniform and not kv.as_float().is_uniform
+        points = np.zeros((36, 1))
+        points[0], points[1] = sys.float_info.max / 2, -sys.float_info.max / 2
+        curve = SplineCurve(3, kv if storage == "rational" else kv.as_float(), points)
+        assert same_bits(curve.evaluate([30.5]), [[0.0]])
+        assert same_bits(curve.eval_matrix(30.5), [0.0])
+        assert same_bits(curve.eval_cumulative(30.5), [0.0])
+        assert same_bits(curve._coxdeboor([30.5]), [[0.0]])
+        with pytest.raises(DomainError, match="^%s$" % SPAN_4_REFUSED):
+            curve.eval_matrix(4.5)
+
+    def test_a_sparse_batch_fills_two_blocks_per_asked_span(self):
+        # two pages; 3000 taus, so the batch runs in three chunks
+        kv = KnotVector.uniform(_CHUNK + 200)
+        points = np.random.default_rng(36).normal(size=(_CHUNK + 196, 2))
+        spans = [3, 700, 1026, _CHUNK + 3, _CHUNK + 150]
+        taus = np.repeat([j + 0.25 for j in spans], 600)
+        curve = SplineCurve(3, kv, points)
+        got = curve.evaluate(taus)
+        stats = curve.stats()
+        assert stats["blocks_filled"] == stats["spans_touched"] == 2 * len(spans)
+        assert np.flatnonzero(curve._cache["c", 1][1]).tolist() == [0, 147]
+        # each block's bits are those of a fill of every span
+        dense = SplineCurve(3, kv, points)
+        dense._sample_grid(4 * (_CHUNK + 193))
+        assert dense.stats()["spans_touched"] == 2 * (_CHUNK + 193)
+        assert same_bits(got, dense.evaluate(taus))
+
+
 def race_both_kinds(kv):
     """Matrix and cumulative threads start together on fresh curves of degree 3 over ``kv``.
 
@@ -1189,9 +1227,8 @@ def race_both_kinds(kv):
     curve = SplineCurve(3, kv, pts)
     curve._allocate("c", 0)
     assert same_bits(curve.eval_cumulative(taus[1]), want_c[1])
-    # evenly spaced knots fill the whole page
-    spans = len(pts) - 3 if kv.is_uniform else 1
-    assert curve._cache["m", 0][1].sum() == curve._cache["c", 0][1].sum() == spans
+    # the fill writes the asked span only, in both kinds
+    assert curve._cache["m", 0][1].sum() == curve._cache["c", 0][1].sum() == 1
 
     def run(curve, barrier, thread):
         barrier.wait()

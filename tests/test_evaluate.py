@@ -391,13 +391,8 @@ def test_page_store_batch_equals_scalar_views(case):
             assert curve.eval_derivative(tau, order).tobytes() == batches[order][i].tobytes()
         if i < half:
             assert curve.eval_cumulative(tau).tobytes() == cumulative[i].tobytes()
-    # a fill forms both kinds of the touched spans, on evenly spaced knots
-    # of every span in their pages
-    touched = set(spans.tolist())
-    if curve.knots.is_uniform:
-        pages = {(j - k) // _CHUNK for j in touched}
-        touched = {j for j in range(k, curve.count) if (j - k) // _CHUNK in pages}
-    assert curve.stats()["spans_touched"] == 2 * len(touched)
+    # a fill forms both kinds of the touched spans, and of no other span
+    assert curve.stats()["spans_touched"] == 2 * len(set(spans.tolist()))
 
 
 def test_recursion_batch_memory_is_bounded_by_its_passes():
