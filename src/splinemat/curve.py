@@ -31,7 +31,7 @@ import math
 import sys
 import time
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,20 +75,18 @@ class SplineCurve:
     control points, copied into a private read-only C-contiguous array: a
     block's bits depend on their values alone.  Instances are immutable and
     compare and hash by identity; evaluation is pure and safe to run
-    concurrently.  Coefficient blocks are stored per kind in pages of
-    ``_CHUNK`` consecutive spans, each allocated when one of its spans is
-    first touched: (k+1) * P * d floats per touched page and kind, P =
-    ``_CHUNK``.  A fill forms both kinds, so a touched page holds 2 (k+1)
-    P d floats; the rows a fill applies are scratch.  A block is written
-    whole before the page's mask marks it filled, so a reader never sees a
-    half-built block; two racing fills only write the same bytes twice.
+    concurrently.  Coefficient blocks are stored in pages of ``_CHUNK``
+    consecutive spans, each allocated in both kinds when one of its spans
+    is first touched: 2 (k+1) P d floats per touched page, P = ``_CHUNK``;
+    the rows a fill applies are scratch.  Only ``_page``, ``_point`` and
+    ``stats()`` know the store's layout.  A block is written whole before
+    its kind's mask marks it filled, so a reader never sees a half-built
+    block; two racing fills only write the same bytes twice.
     """
 
     degree: int
     knots: KnotVector
     points: np.ndarray
-    _cache: dict = field(default_factory=dict, repr=False)
-    _view: _FloatKnots = field(init=False, repr=False)
 
     def __init__(self, degree: int, knots: KnotVector, points):
         if degree < 0:
@@ -119,8 +117,10 @@ class SplineCurve:
         # every curve of this degree over these knots shares the tables
         object.__setattr__(self, "_view", knots._derived(("view", degree), _float_view,
                                                          knots, degree))
-        # per fill: spans built and seconds, window hits, blocks written
-        object.__setattr__(self, "_cache", {"builds": [], "hits": [], "fills": []})
+        object.__setattr__(self, "_pages", {})  # page -> {"m": (blocks, mask), "c": ...}
+        object.__setattr__(self, "_columns", {})  # (kind, order, span) -> _point's lists
+        object.__setattr__(self, "_builds", [])  # per _rows call: (built, seconds, hits)
+        object.__setattr__(self, "_fills", [])  # blocks written, per kind and fill
 
     @property
     def count(self) -> int:
@@ -156,8 +156,8 @@ class SplineCurve:
             built = sum(new for _, new in parts.values())
             rows = parts[windows[0]][0][:, None] if len(spans) == 1 else np.stack(
                 [parts[w][0] for w in windows], axis=1)
-        self._cache["builds"].append((built, time.perf_counter() - start if built else 0.0))
-        self._cache["hits"].append(len(spans) - built)
+        self._builds.append((built, time.perf_counter() - start if built else 0.0,
+                             len(spans) - built))
         return rows
 
     def _blocks(self, kind: str, spans: np.ndarray, batch=None) -> np.ndarray:
@@ -183,26 +183,32 @@ class SplineCurve:
         return out
 
     def _page(self, kind: str, page: int, offsets: np.ndarray, batch=None) -> np.ndarray:
-        """The kind's (k+1, P, d) page ``page``, with the blocks at ``offsets`` filled.
+        """The kind's (k+1, P, d) blocks of page ``page``, with those at ``offsets`` filled.
 
         Entry [r, i], P = ``_CHUNK`` but in the last page, is the v^r
         coefficient, v = u - 1/2, on span k + page * P + i: of the centred
         matrix ("m") times the local points, or of the centred cumulative
-        matrix ("c") times the first point and the differences.  A fill
-        gathers the k+1 points of each missing span and applies the rows by
-        one ``einsum`` per kind, both kinds from one ``_rows`` call under
-        one ``errstate``.  On every knot kind it fills the unfilled
-        ``offsets`` and the page's spans in ``batch`` (a call's spans, so a
-        call fills each page once); with no offset unfilled, ``batch`` is
-        not read.  A block fits if max(k, 1) * sum_r |c_r| is below half
-        the largest double in each coordinate: then no Horner partial sum
-        at orders 0 and 1 overflows.
-        The fill raises DomainError, writing nothing, at the first span whose
-        asked block does not fit; a block of the other kind that does not
-        fit is skipped, unwritten and unmarked, so that kind's fill raises.
+        matrix ("c") times the first point and the differences.  One
+        ``setdefault`` allocates a page in both kinds.  A fill gathers the
+        k+1 points of each missing span and applies the rows by one
+        ``einsum`` per kind, both kinds from one ``_rows`` call under one
+        ``errstate``.  On every knot kind it fills the unfilled ``offsets``
+        and the page's spans in ``batch`` (a call's spans, so a call fills
+        each page once); with no offset unfilled, ``batch`` is not read.  A
+        block fits if max(k, 1) * sum_r |c_r| is below half the largest
+        double in each coordinate: then no Horner partial sum at orders 0
+        and 1 overflows.  The fill raises DomainError, writing nothing, at
+        the first span whose asked block does not fit; a block of the other
+        kind that does not fit is skipped, unwritten and unmarked, so that
+        kind's fill raises.
         """
         k, first = self.degree, self.degree + page * _CHUNK
-        blocks, filled = self._cache.get((kind, page)) or self._allocate(kind, page)
+        store = self._pages.get(page)
+        if store is None:
+            size = min(_CHUNK, self.count - first)
+            store = self._pages.setdefault(page, {form: (np.empty((k + 1, size, self.dim)),
+                                                         np.zeros(size, bool)) for form in "mc"})
+        blocks, filled = store[kind]
         if filled[offsets].all():
             return blocks
         if batch is not None:  # the page's spans in the call's other chunks too
@@ -231,19 +237,12 @@ class SplineCurve:
                         raise DomainError("control points of span %d are too large to evaluate"
                                           " in floats" % spans[fits.argmin()])
                     done, fresh = missing[fits], fresh[:, fits]
-                # each page on its own: a racing fill may have stored only the other kind's
-                out, mask = self._cache.get((form, page)) or self._allocate(form, page)
+                out, mask = store[form]
                 out[:, done] = fresh
                 mask[done] = True  # only once the blocks are written
                 if len(done):
-                    self._cache["fills"].append(len(done))
+                    self._fills.append(len(done))
         return blocks
-
-    def _allocate(self, kind: str, page: int) -> tuple:
-        """The kind's page ``page`` as stored: (k+1, P, d) blocks and its mask, unfilled if new."""
-        size = min(_CHUNK, self.count - self.degree - page * _CHUNK)
-        return self._cache.setdefault((kind, page), (np.empty((self.degree + 1, size, self.dim)),
-                                                     np.zeros(size, bool)))
 
     def stats(self) -> dict:
         """Construction so far, per curve.
@@ -258,12 +257,11 @@ class SplineCurve:
         and kind, "m" or "c"); ``blocks_filled`` counts every block a fill
         wrote, so any excess over ``spans_touched`` is rework.
         """
-        cache = self._cache.copy()  # fills may store entries meanwhile
-        builds = cache["builds"]
-        return {"spans_built": sum(n for n, _ in builds), "window_hits": sum(cache["hits"]),
-                "build_s": math.fsum(s for _, s in builds), "blocks_filled": sum(cache["fills"]),
-                "spans_touched": sum(int(entry[1].sum()) for key, entry in cache.items()
-                                     if isinstance(key, tuple) and key[0] in "mc")}
+        built, seconds, hits = zip((0, 0.0, 0), *self._builds)
+        pages = list(self._pages.values())  # a fill may add a page meanwhile
+        return {"spans_built": sum(built), "window_hits": sum(hits), "build_s": math.fsum(seconds),
+                "blocks_filled": sum(self._fills), "spans_touched": sum(
+                    int(mask.sum()) for store in pages for _, mask in store.values())}
 
     def _batch(self, taus) -> tuple:
         """A 1-D batch of parameters and the mask of those in the evaluable domain.
@@ -364,16 +362,16 @@ class SplineCurve:
             span, u = int(spans[0]), float(us[0])
         if order > self.degree:
             return np.zeros(self.dim)
-        cols = self._cache.get(("h", kind, order, span))
+        cols = self._columns.get((kind, order, span))
         if cols is None:  # lists are mutable: stored, never handed out
             page, offset = divmod(span - self.degree, _CHUNK)
-            entry = self._cache.get((kind, page))
-            if entry is not None and entry[1][offset]:  # filled: read in place
-                block = entry[0][:, offset]
+            store = self._pages.get(page)
+            if store is not None and store[kind][1][offset]:  # filled: read in place
+                block = store[kind][0][:, offset]
             else:
                 block = self._blocks(kind, np.array([span]))[:, 0]
             rows = _derivative_rows(block[order:], order)
-            cols = self._cache.setdefault(("h", kind, order, span), rows.T.tolist())
+            cols = self._columns.setdefault((kind, order, span), rows.T.tolist())
         out = []  # loops, not comprehensions: no closure cells to make per call
         for col in cols:
             x = horner(col, u - 0.5)

@@ -91,6 +91,17 @@ class TestBasisMatrixCommand:
         kf.write_text(json.dumps([0, 1, 2, 3]))
         assert main(["basis-matrix", "--degree", "1", "--knots-file", str(kf)]) == 2
 
+    def test_knots_file_without_a_list_exits_two(self, tmp_path, capsys):
+        kf = tmp_path / "knots.json"
+        kf.write_text(json.dumps("x"))
+        assert main(["basis-matrix", "--degree", "1", "--knots-file", str(kf), "--span", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: knots file must hold a JSON array (or {'knots': [...]})\n"
+
+    def test_span_without_knots_file_exits_two(self, capsys):
+        assert main(["basis-matrix", "--degree", "1", "--span", "1"]) == 2
+        assert capsys.readouterr().err == "error: --span only applies with --knots-file\n"
+
     def test_csv_format(self, capsys):
         assert main(["basis-matrix", "--degree", "1", "--format", "csv"]) == 0
         out = capsys.readouterr().out.splitlines()
@@ -342,6 +353,17 @@ class TestCheckCommand:
         assert np.isnan(got).any()
         assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--degree-max", "31"], "degree-max must lie in [0, %d]" % MAX_DEGREE),
+        (["--degree-max", "-1"], "degree-max must lie in [0, %d]" % MAX_DEGREE),
+        (["--trials", "0"], "trials must be >= 1"),
+    ], ids=["degree-max-31", "degree-max-minus-1", "trials-0"])
+    def test_arguments_out_of_range_exit_two(self, capsys, argv, message):
+        assert main(["check"] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: %s\n" % message
+
     def test_trials_cap_checked_before_any_work(self, capsys, monkeypatch):
         def build(*args, **kwargs):
             raise AssertionError("work started before the trial count was checked")
@@ -450,6 +472,18 @@ class TestSplineFiles:
          "knots must be non-decreasing: 0 > -1/2"),
         ({"degree": 1, "knots": [0, 1, 2, 3, 4, 5], "control_points": [[0], [1, 2], [2], [3]]},
          "control point 1 has 2 coordinates, expected 1"),
+        ([1, [0, 1, 2, 3], [[0], [1]]], "spline file must hold a JSON object"),
+        ({"degree": 1, "knots": {"start": 0, "delta": 1, "count": 2.5},
+          "control_points": [[0], [1]]},
+         "uniform knot count must be an integer >= 2"),
+        ({"degree": 1, "knots": "0 1 2 3", "control_points": [[0], [1]]},
+         "knots must be a list or a {start, delta, count} object"),
+        ({"degree": 1, "knots": [0, 1, 2, 3], "control_points": []},
+         "control_points must be a non-empty list of vectors"),
+        ({"degree": 1, "knots": [0, 1, 2, 3], "control_points": [0, 1]},
+         "each control point must be a list of coordinates"),
+        ({"degree": 1, "knots": [0, 1, None, 3], "control_points": [[0], [1]]},
+         "expected a number or 'p/q' string, got None"),
     ])
     def test_malformed_fields_exit_two_with_one_line(self, tmp_path, capsys, spec, message):
         path = tmp_path / "bad.json"

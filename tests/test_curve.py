@@ -77,6 +77,14 @@ class TestConstruction:
             with pytest.raises(ValueError, match="control points must be finite"):
                 SplineCurve(1, KnotVector([0, 1, 2, 3]), points)
 
+    def test_negative_degree(self):
+        with pytest.raises(ValueError, match="^degree must be non-negative$"):
+            SplineCurve(-1, KnotVector([0, 1, 2]), [[0]])
+
+    def test_no_points_form_no_array(self):
+        with pytest.raises(ValueError, match=r"^control points must form an \(N, d\) array$"):
+            SplineCurve(1, KnotVector([0, 1, 2, 3]), [])
+
     def test_ragged_points_form_no_array(self):
         with pytest.raises(ValueError, match=r"^control points must form an \(N, d\) array$"):
             SplineCurve(1, KnotVector([0, 1, 2, 3, 4, 5]), [[0], [1, 2], [2], [3]])
@@ -962,10 +970,10 @@ class TestExactRows:
         curve = SplineCurve(3, KnotVector.uniform(20), points)
         want = SplineCurve(3, curve.knots, points)._combine(*curve._locate([5.5, 9.25, 12.0]), "c")
         curve.evaluate([5.5, 9.25])
-        assert curve._cache["fills"] == [2, 2]  # one fill: the asked spans, in both kinds
+        assert curve._fills == [2, 2]  # one fill: the asked spans, in both kinds
         for tau, value in zip([5.5, 9.25, 12.0], want):
             assert same_bits(curve.eval_cumulative(tau), value)
-        assert curve._cache["fills"] == [2, 2, 1, 1]  # span 12's first touch
+        assert curve._fills == [2, 2, 1, 1]  # span 12's first touch
 
     def test_check_fills_each_fresh_curve_once(self, monkeypatch):
         # degrees 1..6, an evenly spaced and a clamped curve each
@@ -973,9 +981,9 @@ class TestExactRows:
         page = SplineCurve._page
 
         def counted(self, *args):
-            fills = len(self._cache["fills"])
+            fills = len(self._fills)
             blocks = page(self, *args)
-            calls.append(len(self._cache["fills"]) > fills)
+            calls.append(len(self._fills) > fills)
             return blocks
 
         monkeypatch.setattr(SplineCurve, "_page", counted)
@@ -1100,10 +1108,10 @@ class TestScalarFirstTouch:
         want_c = curve._combine(*curve._locate(mids), "c")
         curve = SplineCurve(6, curve.knots, curve.points)
         want = [curve.evaluate(mids, order) for order in range(7)]
-        assert curve._cache["c", 0][1].all()  # the matrix fill formed the cumulative blocks
-        fills = len(curve._cache["fills"])
+        assert curve._pages[0]["c"][1].all()  # the matrix fill formed the cumulative blocks
+        fills = len(curve._fills)
         assert same_bits(curve.eval_cumulative(mids[2]), want_c[2])
-        assert curve._cache["fills"][fills:] == []
+        assert curve._fills[fills:] == []
         pages = []
         page = SplineCurve._page
         monkeypatch.setattr(SplineCurve, "_page",
@@ -1154,8 +1162,8 @@ class TestFillsCoverTheOtherKind:
         # the matrix fill of span 4 forms its cumulative block, which does not fit
         assert same_bits(curve.eval_matrix(BIG + 6.0), np.array([SPAN_4_VALUE]))
         assert same_bits(curve.eval_cumulative(BIG + 100012.5), want)
-        assert curve._cache["c", 0][1].tolist() == [False] * 5 + [True]
-        assert curve._cache["fills"] == [1, 1, 1]
+        assert curve._pages[0]["c"][1].tolist() == [False] * 5 + [True]
+        assert curve._fills == [1, 1, 1]
         with pytest.raises(DomainError, match="^%s$" % SPAN_4_REFUSED):
             curve.eval_cumulative(BIG + 6.0)
         assert same_bits(curve.evaluate([BIG + 6.0]), np.array([[SPAN_4_VALUE]]))
@@ -1203,7 +1211,7 @@ class TestEvenlySpacedFills:
         got = curve.evaluate(taus)
         stats = curve.stats()
         assert stats["blocks_filled"] == stats["spans_touched"] == 2 * len(spans)
-        assert np.flatnonzero(curve._cache["c", 1][1]).tolist() == [0, 147]
+        assert np.flatnonzero(curve._pages[1]["c"][1]).tolist() == [0, 147]
         # each block's bits are those of a fill of every span
         dense = SplineCurve(3, kv, points)
         dense._sample_grid(4 * (_CHUNK + 193))
@@ -1214,8 +1222,8 @@ class TestEvenlySpacedFills:
 def race_both_kinds(kv):
     """Matrix and cumulative threads start together on fresh curves of degree 3 over ``kv``.
 
-    Each fill writes both kinds, and either may find the other kind's page
-    allocated, or not, by the racing fill.
+    Each fill writes both kinds into the page that the first of them
+    allocates, in both kinds at once.
     """
     rng = random.Random(35)
     pts = [[rng.uniform(-10.0, 10.0) for _ in range(2)] for _ in range(len(kv.values) - 4)]
@@ -1223,12 +1231,10 @@ def race_both_kinds(kv):
     taus = np.linspace(lo, hi, 33)[:-1]
     serial = SplineCurve(3, kv, pts)
     want_m, want_c = serial.evaluate(taus), [serial.eval_cumulative(t) for t in taus]
-    # only the cumulative page stored, as a racing fill can leave it
     curve = SplineCurve(3, kv, pts)
-    curve._allocate("c", 0)
     assert same_bits(curve.eval_cumulative(taus[1]), want_c[1])
     # the fill writes the asked span only, in both kinds
-    assert curve._cache["m", 0][1].sum() == curve._cache["c", 0][1].sum() == 1
+    assert curve._pages[0]["m"][1].sum() == curve._pages[0]["c"][1].sum() == 1
 
     def run(curve, barrier, thread):
         barrier.wait()
@@ -1248,7 +1254,7 @@ def race_both_kinds(kv):
                     want = want_c[i::4] if i % 2 else want_m[i::4]
                     assert all(np.array_equal(a, b) for a, b in zip(values, want))
                 for kind in "mc":  # the serial curve's pages are full too
-                    (blocks, filled), full = fresh._cache[kind, 0], serial._cache[kind, 0][0]
+                    (blocks, filled), full = fresh._pages[0][kind], serial._pages[0][kind][0]
                     assert filled.all() and same_bits(blocks, full)
     finally:
         sys.setswitchinterval(old)
@@ -1344,7 +1350,7 @@ class TestConcurrency:
                 i = "mc".index(kind)
                 assert same_bits(fresh._rows([j])[i, 0], serial._rows([j])[i, 0])
         for kind in "mc":  # the blocks the racing fills stored, in both kinds
-            (blocks, filled), (want, done) = fresh._cache[kind, 0], serial._cache[kind, 0]
+            (blocks, filled), (want, done) = fresh._pages[0][kind], serial._pages[0][kind]
             assert np.array_equal(filled, done) and same_bits(blocks[:, filled], want[:, done])
 
     def test_parallel_fills_of_both_kinds_on_a_fresh_page(self):
@@ -1400,6 +1406,6 @@ class TestConcurrency:
                 i = "mc".index(kind)
                 assert same_bits(fresh._rows([j])[i, 0], serial._rows([j])[i, 0])
         for kind in "mc":  # the blocks the racing fills stored, in both kinds
-            (blocks, filled), (want, done) = fresh._cache[kind, 0], serial._cache[kind, 0]
+            (blocks, filled), (want, done) = fresh._pages[0][kind], serial._pages[0][kind]
             assert np.array_equal(filled, done) and same_bits(blocks[:, filled], want[:, done])
 

@@ -311,8 +311,8 @@ def test_span_cache_grows_with_touched_spans_only():
     assert peak < full / 20
     # one (k+1, P, d) page per touched page and kind, one filled block per
     # touched span and kind
-    pages = {key: curve._cache[key] for key in curve._cache
-             if isinstance(key, tuple) and key[0] in ("m", "c")}
+    pages = {(kind, page): entry for page, store in curve._pages.items()
+             for kind, entry in store.items()}
     filled = sorted((kind, 3 + page * _CHUNK + int(i))
                     for (kind, page), (_, mask) in pages.items() for i in np.flatnonzero(mask))
     spans = [find_span(kv, 3, t) for t in (10.5, 1000.5, 2000.5)]
@@ -337,11 +337,12 @@ def test_a_curve_holds_its_pages_not_its_rows():
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    pages = [entry[0].nbytes for key, entry in curve._cache.items()
-             if isinstance(key, tuple) and key[0] in "mc"]
+    pages = [blocks.nbytes for store in curve._pages.values() for blocks, _ in store.values()]
     assert held <= 1.5 * sum(pages)
     # the two kinds' pages, and no per-span entry
-    assert sorted(key for key in curve._cache if isinstance(key, tuple)) == [("c", 0), ("m", 0)]
+    assert sorted((kind, page) for page, store in curve._pages.items()
+                  for kind in store) == [("c", 0), ("m", 0)]
+    assert curve._columns == {}
 
 
 @st.composite

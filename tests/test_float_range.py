@@ -8,13 +8,16 @@ points reach magnitudes up to 1e308, where a span's coefficients can come
 near the largest double.  Every path either raises DomainError or gives
 finite values; derivatives may be +-inf beyond the float range but are
 never NaN.  The scalar views give the batch's bytes, or its DomainError.
+A fixed probe pins knots beyond the float range that are not integers.
 """
 
 import math
+import sys
 from fractions import Fraction
 from itertools import accumulate
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -106,3 +109,19 @@ def test_every_path_raises_domain_error_or_gives_finite_values(spline):
     assert_finite(outcome(curve.evaluate, taus))
     assert_finite(outcome(curve._coxdeboor, taus))
     assert_finite(outcome(lambda: np.array([p for _, p in curve.sample(5)])))
+
+
+# a knot beyond the float range that is not an integer: its nearest double
+# is infinite, so the side of it that the knot lies on is the infinity's
+BEYOND = Fraction(2 * 10 ** 400 + 1, 2)
+
+
+def test_non_integer_knots_beyond_the_float_range():
+    curve = SplineCurve(1, KnotVector([0, 1, 2, 3, 4, BEYOND, BEYOND + 1]),
+                        [[0.0], [1.0], [2.0], [3.0], [4.0]])
+    assert curve.evaluate([1.5, 3.5]).tolist() == [[0.5], [2.5]]
+    with pytest.raises(DomainError, match="width is outside the float range"):
+        curve.evaluate([4.5])
+    mirrored = SplineCurve(1, KnotVector([-BEYOND - 1, -BEYOND, 0, 1, 2, 3]),
+                           [[0.0], [1.0], [2.0], [3.0]])
+    assert mirrored._view.bounds[0] == -sys.float_info.max

@@ -234,6 +234,10 @@ class TestFindSpan:
         with pytest.raises(DomainError):
             find_span(KnotVector([0, 0, 0, 0]), 1, 0.0)
 
+    def test_too_few_knots_for_the_degree(self):
+        with pytest.raises(DomainError, match="^no evaluable domain for degree 1 with 3 knots$"):
+            find_span(KnotVector([0, 1, 2]), 1, 0.5)
+
 
 class TestNormalize:
     def test_examples(self):

@@ -82,6 +82,11 @@ class TestToeplitz:
         rows = toeplitz_from_poly(PowerPoly((0, 1)), 3).as_rows()
         assert rows == [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
 
+    @pytest.mark.parametrize("r,c", [(3, 0), (0, 3), (-1, 0), (0, -1)])
+    def test_entry_outside_the_matrix(self, r, c):
+        with pytest.raises(IndexError, match=r"^entry \(%d, %d\) outside 3x3 matrix$" % (r, c)):
+            toeplitz_from_poly(PowerPoly((1, 1)), 3).entry(r, c)
+
     def test_too_few_rows(self):
         with pytest.raises(SizeError):
             toeplitz_from_poly(PowerPoly((1, 2, 3)), 2)

@@ -41,7 +41,10 @@ The ``coxdeboor_scales`` line hashes ``_coxdeboor`` at the ends of the
 domain, the knots and the doubles next to them on curves of degree 1..6
 whose evenly spaced, clamped and random float knots are scaled by 1e-320,
 so that the widths are subnormal, and by 1e300, so that the ratios of a
-parameter next to the knot 0 underflow.
+parameter next to the knot 0 underflow.  The ``stats`` line, last, hashes
+the counts of ``stats()`` (all but ``build_s``, a time) of each curve
+after its paths and of its last fresh copy, so that a change to the store
+of blocks shows if it fills other blocks than before.
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ import numpy as np
 
 DEGREES = list(range(11)) + [20, 30]
 SPANS = 9  # spans in each curve's evaluable domain
+COUNTS = ("spans_built", "window_hits", "blocks_filled", "spans_touched")
 
 
 def knot_vector(kind: str, k: int, rng) -> KnotVector:
@@ -184,6 +188,12 @@ def knot_hashes(add) -> None:
                     outcome(lambda: view_tables(SplineCurve(k, kv, points))))
 
 
+def stat_counts(curve) -> bytes:
+    """The counts of ``curve.stats()``, without its build time."""
+    stats = curve.stats()
+    return repr([stats[key] for key in COUNTS]).encode()
+
+
 def outcome(fn, *args) -> bytes:
     """The bytes of ``fn(*args)``, or its error's type and message."""
     try:
@@ -230,6 +240,7 @@ def main() -> None:
 
     rng = np.random.default_rng(21)
     views = []  # hashed on the knots line, after the lines above it
+    counts = []  # hashed on the stats line, last
     with tempfile.TemporaryDirectory() as workdir:
         for name, curve in curves():
             views.append((name, view_tables(curve)))
@@ -258,6 +269,7 @@ def main() -> None:
             add("_sample_grid", name, outcome(lambda: np.concatenate(
                 [a.ravel() for a in curve._sample_grid(301)])))
             add("sample_csv", name, sample_csv(curve, workdir))
+            counts.append((name, stat_counts(curve) + stat_counts(fresh)))
     for seed in range(40):
         out = io.StringIO()
         code = cli.run_check(8, 20, seed, out)
@@ -267,6 +279,8 @@ def main() -> None:
     knot_hashes(add)
     for name, curve in scaled_curves():
         add("coxdeboor_scales", name, outcome(curve._coxdeboor, knot_taus(curve)))
+    for name, data in counts:
+        add("stats", name, data)
     for path, digest in hashes.items():
         print(path, digest.hexdigest())
 
