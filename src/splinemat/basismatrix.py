@@ -12,8 +12,8 @@ input, in integers, and forms the ``Fraction`` entries once, at the end;
 evenly spaced knots are the one window (1-k, ..., k).  ``centred`` builds
 the same matrix in powers of v = u - 1/2 instead, for the curve's
 evaluation (see ``_raise_degree``); ``window_part`` caches it per window.
-On float-stored knots ``float_span_columns`` runs the centred recursion in
-double precision, for a whole batch of spans at once with numpy.
+On float-stored knots ``float_span_columns`` runs the centred recursion on
+the same windows in double precision, a whole batch of spans at once.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import accumulate
 from typing import Optional
 
@@ -241,24 +241,24 @@ def float_span_columns(values: np.ndarray, degree: int, spans) -> tuple:
     width.  ``cols`` is the (s, k+1, k+1) stack of span, column, power of
     v = u - 1/2, and every span's matrix is ``cols[i] / den``.  This is the
     centred recursion of ``span_columns`` run level by level across all
-    spans in double precision: its weights, as floats d0 + d1 u, are
-    centred as (2 d0 + d1, 2 d1) over 2, and each entry takes
-    its terms in the order of ``_raise_degree``'s loop, so running that
-    loop in floats gives the same entries bit for bit.  Every weight's
-    denominator covers the span, so none is zero.  Scratch memory is
-    O(s (k+1)^2) floats.
+    spans in double precision, on each span's 2k-knot window, gathered
+    once: its weights, as floats d0 + d1 u, are centred as (2 d0 + d1,
+    2 d1) over 2, and each entry takes its terms in the order of
+    ``_raise_degree``'s loop, so running that loop in floats gives the
+    same entries bit for bit.  Every weight's denominator covers the span,
+    so none is zero.  Scratch memory is O(s (k+1)^2) floats.
     """
-    spans = np.asarray(spans, dtype=np.intp)[:, None]
-    # every level's weights at once, level after level (see _transitions)
-    back, c = _transitions(degree)
-    low, high = values[spans - back], values[spans + 1 + c]
-    left, den = values[spans], high - low
-    d0, d1 = (left - low) / den, (values[spans + 1] - left) / den
-    a0, a1 = 2 * d0 + d1, 2 * d1
+    spans = np.asarray(spans, dtype=np.intp)
+    # row i holds tau_{j-k+1} .. tau_{j+k} of span j = spans[i]: tau_j is entry k - 1
+    window = values[spans[:, None] + np.arange(1 - degree, degree + 1)]
+    left = window[:, degree - 1:degree]
+    lefts, width = left - window[:, :degree], window[:, degree:degree + 1] - left
     cols = np.ones((len(spans), 1, 1))
     for level in range(1, degree + 1):
-        at = slice(level * (level - 1) // 2, level * (level + 1) // 2)
-        up0, up1 = a0[:, at, None], a1[:, at, None]
+        # weight c of level L: (tau - tau_{j-L+1+c}) / (tau_{j+1+c} - tau_{j-L+1+c})
+        den = window[:, degree:degree + level] - window[:, degree - level:degree]
+        d0, d1 = lefts[:, degree - level:] / den, width / den
+        up0, up1 = (2 * d0 + d1)[:, :, None], (2 * d1)[:, :, None]
         # parent column c feeds new column c+1 by (a0, a1) and column c by
         # (2 - a0, -a1); an entry takes the terms in this order
         new = np.zeros((len(spans), level + 1, level + 1))
@@ -268,20 +268,6 @@ def float_span_columns(values: np.ndarray, degree: int, spans) -> tuple:
         new[:, :-1, :-1] += (2 - up0) * cols
         cols = new
     return cols, 2.0 ** degree
-
-
-@lru_cache(maxsize=None)
-def _transitions(degree: int) -> tuple:
-    """Per transition c of levels 1..degree in turn, ``(L - 1 - c, c)`` as two arrays.
-
-    Transition c of level L pairs with basis index span - (L - 1 - c),
-    whose weight denominator is tau_{span+1+c} - tau_{span-(L-1-c)}.
-    """
-    levels, c = np.tril_indices(degree)
-    back = levels - c
-    c.setflags(write=False)
-    back.setflags(write=False)
-    return back, c
 
 
 def cumulative_matrix(m: BasisMatrix) -> BasisMatrix:

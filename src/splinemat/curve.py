@@ -22,7 +22,7 @@ Centring keeps the power form well conditioned next to wide spans (Farouki
 & Rajan 1987).  The degree recursion builds the centred matrices directly:
 on exact knots, exact until one rounding per entry and once per knot window
 in the process (evenly spaced knots have one); on float-stored knots, by
-one batched numpy recursion in double precision per fill.
+one batched double-precision recursion per fill over the spans' windows.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ _CHUNK = 1024
 
 @dataclass(frozen=True)
 class _FloatKnots:
-    """Float tables for span lookup and the oracle's knots, read-only, one per knots and degree."""
+    """Float tables for span lookup and the oracle, read-only, one per knots and degree."""
 
     values: np.ndarray  # the nearest double of each knot
     # the smallest double >= each knot up to span ``last``'s start: a float
@@ -63,7 +63,7 @@ class _FloatKnots:
     lo: float  # the smallest double in the evaluable domain
     hi: float  # the largest double in it
     last: int  # last span of positive width; -1 if none
-    oracle: KnotVector  # the knots the recursion runs on at a float tau
+    exact: bool  # every knot is its double in ``values``, and their range is finite
     views: tuple  # zero-copy memoryviews of bounds, values, widths for ``_point``
 
 
@@ -484,20 +484,20 @@ def _float_view(knots: KnotVector, degree: int) -> _FloatKnots:
     from each knot's numerator n and denominator d, with one rounding per
     entry: a knot's double is n / d, a span's width is the exact difference
     of its knots over d_i d_{i+1}, and the side of its double that a knot
-    lies on is an exact comparison.  The oracle's knots are those doubles,
-    with no second conversion of the knots, if every knot is one and their
-    range is finite in floats, else the stored knots.  The copy gives the
-    same result at a float tau bit for bit: Fraction-float arithmetic
-    already rounds the knot (or the exact knot difference, which then
-    equals the rounded float difference) and runs in floats, and the
-    comparisons and zero tests are exact either way.
+    lies on is an exact comparison.  ``exact`` holds if every knot is its
+    double and their range is finite in floats: then the oracle's recursion
+    at a float tau gives the same bits on ``values`` as on the stored
+    knots, as Fraction-float arithmetic already rounds the knot (or the
+    exact knot difference, which then equals the rounded float difference)
+    and runs in floats, and the comparisons and zero tests are exact
+    either way.
     """
     vals = knots.values
     if knots.storage == "float":
         values = bounds = np.array(vals)
         widths = np.diff(values)
         signs = [0] * len(vals)
-        oracle = knots
+        exact = True
     else:
         # in ints: int / int rounds correctly, as float(Fraction) does
         nums = [v.numerator for v in vals]
@@ -512,7 +512,6 @@ def _float_view(knots: KnotVector, degree: int) -> _FloatKnots:
         bounds = np.array([math.nextafter(f, math.inf) if s < 0 else f
                            for f, s in zip(floats, signs)]) if -1 in signs else values
         exact = not any(signs) and math.isfinite(floats[-1] - floats[0])
-        oracle = KnotVector(floats) if exact else knots
     widths[~(np.isfinite(widths) & (widths > 0))] = np.nan
     for table in (values, bounds, widths):  # shared by every curve over the knots
         table.setflags(write=False)
@@ -522,35 +521,32 @@ def _float_view(knots: KnotVector, degree: int) -> _FloatKnots:
     cut = bounds[:last + 1]
     return _FloatKnots(values=values, bounds=cut, widths=widths, lo=float(bounds[degree]),
                        hi=math.nextafter(end, -math.inf) if signs[-degree - 1] > 0 else end,
-                       last=last, oracle=oracle,
+                       last=last, exact=exact,
                        views=tuple(map(memoryview, (cut, values, widths))))
 
 
 def _windows(fk: _FloatKnots, knots: KnotVector, degree: int, taus: np.ndarray) -> tuple:
     """``coxdeboor.basis_window`` of each tau in the domain: (n,) spans and (n, k+1) float weights.
 
-    Float taus run on ``fk.oracle``, other taus (Fraction, int) on
-    ``knots``.  On float-stored oracle knots a float batch of more than
-    one tau takes ``coxdeboor.float_windows``, one numpy step per degree
-    over each span's triangle and 2k-knot window, with the same bits, over
-    the spans of one search of the bounds: those knots cut at ``last``, so
-    ``span_of``'s spans in the domain.  Every other batch, a
-    single tau too, as its fixed cost exceeds one recursion's, takes the
-    scalar routine tau by tau, in mixed or exact arithmetic, and raises
-    DomainError at the first tau whose recursion needs a knot difference
-    beyond the float range: one that overflows, or one that rounds to
-    zero.
+    A float batch over ``exact`` knots, a single tau too, takes
+    ``coxdeboor.float_windows``, one numpy step per degree over each span's
+    triangle and 2k-knot window, with the same bits, over the spans of one
+    search of the bounds: those knots cut at ``last``, so ``span_of``'s
+    spans in the domain.  Other batches, of exact taus (Fraction, int) or
+    over knots a double cannot hold, take the scalar routine tau by tau on
+    the stored knots, in mixed or exact arithmetic, and raise DomainError
+    at the first tau whose recursion needs a knot difference beyond the
+    float range: one that overflows, or one that rounds to zero.
     """
-    if taus.dtype == float and fk.oracle.storage == "float" and len(taus) > 1:
+    if taus.dtype == float and fk.exact:
         spans = np.searchsorted(fk.bounds, taus, side="right") - 1  # the knots, cut at last
         return spans, coxdeboor.float_windows(fk.values, degree, spans, taus)
-    kv = fk.oracle if taus.dtype == float else knots
     spans = np.empty(len(taus), dtype=np.intp)
     weights = np.empty((len(taus), degree + 1))
     last = len(knots.values) - degree - 2
     for r, tau in enumerate(taus.tolist()):
         try:
-            spans[r], weights[r] = coxdeboor.basis_window(kv, 0, last, degree, tau)
+            spans[r], weights[r] = coxdeboor.basis_window(knots, 0, last, degree, tau)
         except ArithmeticError:
             raise DomainError("tau %s needs knot differences beyond the float range"
                               % tau) from None

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from numbers import Rational
+from numbers import Rational, Real
 from typing import Sequence, Union
 
 from .errors import DegenerateSpan, DomainError, InvalidKnots
@@ -16,10 +16,11 @@ Scalar = Union[int, float, Fraction]
 class KnotVector:
     """Non-decreasing sequence of parameter values defining the spans.
 
-    Values are stored either exactly (ints and Fractions, tagged
-    ``"rational"``) or as floats (tagged ``"float"``).  Exact storage is
-    required for exact basis-matrix construction; float storage is fine
-    for plain evaluation.  ``is_uniform`` holds for rational storage with
+    Values are stored as floats (tagged ``"float"``) if any is a real
+    number that is not rational, such as a float or a NumPy float, else
+    exactly, as Fractions of Python ints (tagged ``"rational"``).  Exact
+    storage is required for exact basis-matrix construction; float storage
+    is fine for plain evaluation.  ``is_uniform`` holds for rational storage with
     equal positive differences, never for float storage: float knots
     that look evenly spaced need not give equal span matrices.
     On rational storage the order and spacing tests run in ints, pair by
@@ -36,7 +37,8 @@ class KnotVector:
         vals = tuple(values)
         if len(vals) < 2:
             raise InvalidKnots("need at least 2 knots, got %d" % len(vals))
-        if any(isinstance(v, float) for v in vals):
+        if any(t is float or t is not int and t is not Fraction and issubclass(t, Real)
+               and not issubclass(t, Rational) for t in map(type, vals)):  # ABC tests last
             storage = "float"
             try:
                 vals = tuple(map(float, vals))
@@ -54,7 +56,10 @@ class KnotVector:
             uniform = False
         else:
             storage = "rational"
+            exotic = not set(map(type, vals)) <= {int, Fraction}  # NumPy ints, strings, ...
             vals = tuple(v if type(v) is Fraction else Fraction(v) for v in vals)
+            if exotic:  # a NumPy int's Fraction holds NumPy ints
+                vals = tuple(Fraction(*map(int, v.as_integer_ratio())) for v in vals)
             # In ints, pair by pair: knot i is n_i / d_i, and gap i, n_{i+1} d_i - n_i d_{i+1},
             # is the width of span i times d_i d_{i+1} > 0.  No common denominator:
             # the lcm of many distinct ones would grow without bound.

@@ -32,9 +32,6 @@ class PowerPoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
     def __call__(self, x):
         return horner(self.coeffs, x)
 

@@ -10,6 +10,8 @@ from itertools import accumulate
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from splinemat import (
     MAX_DEGREE,
@@ -247,7 +249,7 @@ class TestOracleKnots:
             lo, hi = (float(v) for v in curve.domain)
             taus = [float(v) for v in kv.values if lo <= v <= hi]
             taus += [rng.uniform(lo, hi) for _ in range(10)]
-            assert curve._view.oracle.storage == "float"
+            assert curve._view.exact
             for tau in taus:
                 assert (curve.eval_coxdeboor(tau) == fraction_reference(curve, tau)).all()
 
@@ -258,7 +260,7 @@ class TestOracleKnots:
         tau = float(third)
         got = curve.eval_coxdeboor(tau)
         assert (got == fraction_reference(curve, tau)).all()
-        assert curve._view.oracle is curve.knots
+        assert not curve._view.exact
         # float(1/3) lies left of the knot 1/3 but on the rounded knot itself,
         # so a float copy of these knots gives another last bit
         as_float = SplineCurve(1, curve.knots.as_float(), curve.points)
@@ -270,7 +272,7 @@ class TestOracleKnots:
                             [[-1.0], [-4.0], [4.0]])
         tau = float(tenth)
         assert tau > tenth
-        assert curve._view.oracle is curve.knots
+        assert not curve._view.exact
         got = curve.eval_coxdeboor(tau)
         assert (got == fraction_reference(curve, tau)).all()
         assert (curve._coxdeboor([tau])[0] == got).all()
@@ -304,12 +306,12 @@ class TestOracleKnots:
             assert curve._coxdeboor([tau])[0] == pytest.approx(want, rel=1e-15)
 
     def test_knot_range_beyond_float_range_keeps_the_fractions(self):
-        # every knot is a double, but their range overflows one: a float
-        # copy of these knots is no valid KnotVector, so the oracle keeps them
+        # every knot is a double, but their range overflows one: the float
+        # batch cannot take their widths, so the oracle keeps the stored knots
         big = 2 ** 1023
         curve = SplineCurve(1, KnotVector([-big, -big, 0, 1, big, big]),
                             [[0.0], [1.0], [2.0], [3.0]])
-        assert curve._view.oracle is curve.knots
+        assert not curve._view.exact
         got = curve.eval_coxdeboor(0.5)
         assert (got == fraction_reference(curve, 0.5)).all()
         assert (got == curve.eval_matrix(0.5)).all() and got.tolist() == [1.5]
@@ -346,7 +348,8 @@ def scalar_oracle(curve, taus):
 
     DomainError stands for the error the scalar routine raises.
     """
-    kv, k, last = curve._view.oracle, curve.degree, curve.count - 1
+    fk, k, last = curve._view, curve.degree, curve.count - 1
+    kv = KnotVector(fk.values.tolist()) if fk.exact else curve.knots
     spans, weights, values = [], [], []
     for tau in taus:
         try:
@@ -391,7 +394,7 @@ class TestBatchOracle:
             curve = SplineCurve(k, kv, rng.normal(0.0, 10.0, (len(kv.values) - k - 1, 3)))
             taus = domain_doubles(curve)
             taus += rng.uniform(curve._view.lo, curve._view.hi, 20).tolist()
-            assert (curve._view.oracle.storage == "float") == (name != "squares")
+            assert curve._view.exact == (name != "squares")
             with np.errstate(all="raise"):  # the batch is silent whatever the caller's setting
                 self.assert_same_as_scalar(curve, taus)
 
@@ -404,7 +407,7 @@ class TestBatchOracle:
         gaps = [0] * k + rng.integers(1, 4, k + 5).tolist()
         kv = KnotVector([scale * s for s in accumulate(gaps, initial=0)])
         curve = SplineCurve(k, kv, rng.uniform(-1.0, 1.0, (len(kv.values) - k - 1, 2)))
-        assert (curve._view.oracle.storage == "float") == isinstance(scale, float)
+        assert curve._view.exact == isinstance(scale, float)
         self.assert_same_as_scalar(curve, domain_doubles(curve))
 
     def test_knots_a_double_cannot_hold_and_exact_taus_take_the_scalar_routine(self,
@@ -422,16 +425,19 @@ class TestBatchOracle:
         uniform._coxdeboor([3.5, 4.0])
         assert calls == [2]
 
-    def test_a_single_float_tau_takes_the_scalar_routine(self, monkeypatch):
+    def test_a_single_float_tau_takes_the_batch_routine(self, monkeypatch):
         calls = []
         batch = coxdeboor.float_windows
         monkeypatch.setattr(coxdeboor, "float_windows",
                             lambda *args: calls.append(args[1]) or batch(*args))
         rng = np.random.default_rng(75)
         curve = SplineCurve(6, KnotVector.uniform(19), rng.normal(size=(12, 2)))
-        for tau in domain_doubles(curve) + rng.uniform(6.0, 12.0, 10).tolist():
-            assert same_bits(curve.eval_coxdeboor(tau), curve._coxdeboor([tau, tau])[0])
-        assert calls == [6] * (len(domain_doubles(curve)) + 10)
+        taus = domain_doubles(curve) + rng.uniform(6.0, 12.0, 10).tolist()
+        pairs = [curve._coxdeboor([tau, tau])[0] for tau in taus]
+        calls.clear()
+        for tau, pair in zip(taus, pairs):
+            assert same_bits(curve.eval_coxdeboor(tau), pair)
+        assert calls == [6] * len(taus)  # one batch call per eval_coxdeboor
 
     @pytest.mark.parametrize("kv", [KnotVector.uniform(9),
                                     KnotVector([Fraction(i * i, 3) for i in range(9)])])
@@ -720,7 +726,35 @@ def float_knot_family(degree, seed):
     return [float_knots(rng, degree, gaps) for gaps in (spread, alternating, repeated)]
 
 
+@st.composite
+def float_construction_cases(draw):
+    """A degree, float knots with repeated knots at one scale, and a shuffled subset of spans.
+
+    Degrees 0..12, 20 and 30; knots start + gap sums times 1e-310 (subnormal
+    widths), 1 or 1e300; the spans are of positive width, in random order.
+    """
+    k = draw(st.sampled_from(list(range(13)) + [20, 30]))
+    scale = draw(st.sampled_from([1e-310, 1.0, 1e300]))
+    gaps = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.25, 4.0)),
+                         min_size=2 * k + 1, max_size=2 * k + 7))
+    gaps[k] = max(gaps[k], 1.0)  # a span of positive width in the domain
+    start = draw(st.floats(-10.0, 10.0))
+    kv = KnotVector([(start + s) * scale for s in accumulate(gaps, initial=0.0)])
+    spans = draw(st.permutations(positive_spans(kv, k)))
+    return kv, k, spans[:draw(st.integers(1, len(spans)))]
+
+
 class TestFloatConstruction:
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(float_construction_cases())
+    def test_rows_of_any_float_knots_equal_the_float_loop(self, case):
+        kv, degree, spans = case
+        assert kv.storage == "float"
+        curve = SplineCurve(degree, kv, np.zeros((len(kv.values) - degree - 1, 1)))
+        for kind, rows in zip("mc", curve._rows(spans)):
+            for j, got in zip(spans, rows):
+                assert got.tobytes() == float_loop_rows(kv, degree, j, kind).tobytes(), (kv, j)
+
     @pytest.mark.parametrize("degree", range(1, 11))
     def test_batched_rows_equal_the_float_loop_bit_for_bit(self, degree):
         for kv in float_knot_family(degree, 200 + degree):

@@ -136,12 +136,12 @@ def test_batch_oracle_span_equals_span_of(curve, shares):
     # knots stored as floats, or integers that are exactly doubles: the
     # oracle runs on float knots, and its batch takes one float search
     fk, k = curve._view, curve.degree
-    assert fk.oracle.storage == "float"
+    assert fk.exact
     knots = [float(v) for v in curve.knots.values]
     taus = ([fk.lo, fk.hi] + [t for t in knots if fk.lo <= t <= fk.hi]
             + [min(fk.hi, fk.lo + s * (fk.hi - fk.lo)) for s in shares])
     spans, _ = _windows(fk, curve.knots, k, np.array(taus))
-    assert spans.tolist() == [span_of(fk.oracle.values, k, t) for t in taus]
+    assert spans.tolist() == [span_of(tuple(knots), k, t) for t in taus]
 
 
 @SETTINGS

@@ -3,6 +3,7 @@ import sys
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from splinemat import (
     DomainError,
     InvalidKnots,
     KnotVector,
+    SplineCurve,
     find_span,
     normalize,
 )
@@ -64,6 +66,34 @@ class TestKnotVector:
         assert KnotVector([0, 1, 2]).storage == "rational"
         assert KnotVector([Fraction(1, 3), 1]).storage == "rational"
         assert KnotVector([0.0, 1, 2]).storage == "float"
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float16])
+    def test_numpy_float_knots_are_stored_as_their_doubles(self, dtype):
+        rng = np.random.default_rng(5)
+        knots = np.cumsum(rng.uniform(0.1, 3.0, 12)).astype(dtype)
+        doubles = knots.astype(float).tolist()
+        kv = KnotVector(knots)
+        assert kv.storage == "float" and kv.values == tuple(doubles)
+        points = rng.normal(size=(len(doubles) - 4, 2))
+        got, want = SplineCurve(3, kv, points), SplineCurve(3, KnotVector(doubles), points)
+        taus = np.linspace(doubles[3], doubles[-4], 25)
+        for path in (lambda c: c.evaluate(taus), lambda c: c.evaluate(taus, 2),
+                     lambda c: c.eval_matrix(taus[7]), lambda c: c._coxdeboor(taus)):
+            assert path(got).tobytes() == path(want).tobytes()
+
+    def test_numpy_ints_and_strings_stay_rational(self):
+        kv = KnotVector(np.arange(-3, 9))
+        assert kv.storage == "rational" and kv.is_uniform
+        assert kv.values == KnotVector(range(-3, 9)).values
+        assert all(type(v.numerator) is int for v in kv.values)
+        assert KnotVector(["1/3", 1, 2]).values == (Fraction(1, 3), 1, 2)
+        assert KnotVector(["1/3", 1, 2]).storage == "rational"
+        # a curve over NumPy ints is the curve over Python ints, bit for bit
+        points = np.random.default_rng(6).normal(size=(9, 2))
+        taus = np.linspace(-1.0, 6.0, 25)
+        got = SplineCurve(2, kv, points).evaluate(taus)
+        want = SplineCurve(2, KnotVector(range(-3, 9)), points).evaluate(taus)
+        assert got.tobytes() == want.tobytes()
 
     def test_uniform_flag_exact(self):
         kv = KnotVector.uniform(8)

@@ -26,7 +26,6 @@ def random_poly(rng, max_degree=8):
 class TestPowerPoly:
     def test_degree_and_zero(self):
         assert PowerPoly((1, 2, 3)).degree == 2
-        assert PowerPoly((0,)).is_zero()
         with pytest.raises(ValueError):
             PowerPoly(())
 

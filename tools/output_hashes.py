@@ -31,11 +31,11 @@ every knot kind), ``splinemat check`` for seeds 0..39 and the bytes of
 ``splinemat sample``'s CSV.  A path that raises hashes its error's type
 and message in place of the values.  The ``knots`` line hashes each
 curve's float view of its knots (the values, bounds and widths tables,
-lo, hi, last and the oracle's knots) and, for a fixed set of knot lists
-(ints, Fractions, i^2/3, ``KnotVector.uniform`` with int, Fraction and
-float steps, floats, knots beyond the float range and rejected lists),
-the vector's values, storage and ``is_uniform`` and the float views of
-curves of degree 0..3 over it.  A rejected list hashes its error's type
+lo, hi, last and the knots the oracle reads at a float tau) and, for a
+fixed set of knot lists (ints, Fractions, i^2/3, ``KnotVector.uniform``
+with int, Fraction and float steps, floats, knots beyond the float range
+and rejected lists), the vector's values, storage and ``is_uniform`` and
+the float views of curves of degree 0..3 over it.  A rejected list hashes its error's type
 only, so that the line pins what is accepted, not how a refusal is worded.
 The ``coxdeboor_scales`` line hashes ``_coxdeboor`` at the ends of the
 domain, the knots and the doubles next to them on curves of degree 1..6
@@ -167,9 +167,12 @@ def knot_lists():
 def view_tables(curve) -> bytes:
     """The tables of ``curve``'s float view of its knots."""
     view = curve._view
+    oracle = getattr(view, "oracle", None)  # older trees keep a float copy of the knots
+    if oracle is None:
+        oracle = KnotVector(view.values.tolist()) if view.exact else curve.knots
     return b"".join([view.values.tobytes(), view.bounds.tobytes(), view.widths.tobytes(),
-                     repr((view.lo, view.hi, view.last, view.oracle.storage,
-                           view.oracle.values)).encode()])
+                     repr((view.lo, view.hi, view.last, oracle.storage,
+                           oracle.values)).encode()])
 
 
 def knot_hashes(add) -> None:
