@@ -12,12 +12,13 @@ per-span coefficient blocks, de Boor's piecewise-polynomial form: the
 span's basis matrix, Taylor-centred at u = 1/2, times its k+1 local
 control points (the cumulative block applies the centred cumulative matrix
 to the first point and the differences).  The blocks live in power-major
-pages of consecutive spans; for every knot kind ``_blocks`` gathers them
-and ``_page``'s one fill builds the missing ones, in both kinds from one
-set of rows.  ``polytoeplitz.horner`` evaluates them in v = u - 1/2, over
-one gather per chunk for arrays and, with the same result bit for bit, in
-Python floats for a single parameter: one ``bisect`` over the float
-tables, then its span's cached column lists.
+pages of consecutive spans; on every knot kind a batch visits each page it
+touches once, whose one fill builds the missing blocks in both kinds from
+one set of rows.  ``polytoeplitz.horner`` evaluates them in v = u - 1/2,
+over a page's gathered blocks ``_CHUNK`` parameters at a time for arrays
+and, with the same result bit for bit, in Python floats for a single
+parameter: one ``bisect`` over the float tables, then its span's cached
+column lists.
 Centring keeps the power form well conditioned next to wide spans (Farouki
 & Rajan 1987).  The degree recursion builds the centred matrices directly:
 on exact knots, exact until one rounding per entry and once per knot window
@@ -28,6 +29,7 @@ one batched double-precision recursion per fill over the spans' windows.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 import time
 from bisect import bisect_right
@@ -43,8 +45,8 @@ from .polytoeplitz import horner
 
 # Parameters per pass of the batched core, and spans per page of blocks.
 # Scratch memory per pass is O(_CHUNK * (k+1) * d) floats whatever the
-# number of parameters, and O(_CHUNK * (k+1)^2) more in a pass that builds
-# the matrices of new spans.
+# number of parameters, and O(_CHUNK * (k+1)^2) more in a fill, which
+# builds the matrices of at most one page of new spans.
 _CHUNK = 1024
 
 
@@ -89,6 +91,7 @@ class SplineCurve:
     points: np.ndarray
 
     def __init__(self, degree: int, knots: KnotVector, points):
+        degree = operator.index(degree)  # TypeError for a float, even 3.0
         if degree < 0:
             raise ValueError("degree must be non-negative")
         try:
@@ -160,29 +163,7 @@ class SplineCurve:
                              len(spans) - built))
         return rows
 
-    def _blocks(self, kind: str, spans: np.ndarray, batch=None) -> np.ndarray:
-        """The (k+1, n, d) coefficient blocks of ``spans``: the one route from spans to blocks.
-
-        Entry [r, i] is the v^r coefficient on span ``spans[i]`` (see
-        ``_page``).  Each page hit fills what is missing, in both kinds,
-        then gives all powers of its spans with one ``take``.  A curve of
-        at most one page takes no page arithmetic, so one span costs a few
-        numpy calls.
-        ``batch``, the spans of every chunk of a call, goes to ``_page``.
-        """
-        k = self.degree
-        if self.count - k <= _CHUNK:  # one page
-            offsets = spans - k
-            return self._page(kind, 0, offsets, batch).take(offsets, axis=1)
-        pages, offsets = np.divmod(spans - k, _CHUNK)
-        out = np.empty((k + 1, len(spans), self.dim))
-        for page in np.flatnonzero(np.bincount(pages)).tolist():
-            where = pages == page
-            blocks = self._page(kind, page, offsets[where], batch)
-            out[:, where] = blocks.take(offsets[where], axis=1)
-        return out
-
-    def _page(self, kind: str, page: int, offsets: np.ndarray, batch=None) -> np.ndarray:
+    def _page(self, kind: str, page: int, offsets) -> np.ndarray:
         """The kind's (k+1, P, d) blocks of page ``page``, with those at ``offsets`` filled.
 
         Entry [r, i], P = ``_CHUNK`` but in the last page, is the v^r
@@ -192,9 +173,8 @@ class SplineCurve:
         ``setdefault`` allocates a page in both kinds.  A fill gathers the
         k+1 points of each missing span and applies the rows by one
         ``einsum`` per kind, both kinds from one ``_rows`` call under one
-        ``errstate``.  On every knot kind it fills the unfilled ``offsets``
-        and the page's spans in ``batch`` (a call's spans, so a call fills
-        each page once); with no offset unfilled, ``batch`` is not read.  A
+        ``errstate``.  On every knot kind it fills the unfilled ``offsets``,
+        an int or an array of them, all that one call asks of the page.  A
         block fits if max(k, 1) * sum_r |c_r| is below half the largest
         double in each coordinate: then no Horner partial sum at orders 0
         and 1 overflows.  The fill raises DomainError, writing nothing, at
@@ -211,8 +191,6 @@ class SplineCurve:
         blocks, filled = store[kind]
         if filled[offsets].all():
             return blocks
-        if batch is not None:  # the page's spans in the call's other chunks too
-            offsets = batch[(batch >= first) & (batch < first + len(filled))] - first
         want = np.zeros(len(filled), bool)
         want[offsets] = True
         missing = (want > filled).nonzero()[0]  # sorted, each span once
@@ -317,18 +295,31 @@ class SplineCurve:
                  order: int = 0) -> np.ndarray:
         """The batched core: Horner's rule in u - 1/2 over the spans' blocks.
 
-        ``kind`` "m" or "c" picks the blocks (see ``_page``), gathered once
-        per chunk; a fill in a call of more than one chunk covers the page's
-        spans in all of them.  ``order`` > 0 differentiates the blocks,
-        dividing by the span width once per order (chain rule).
+        ``kind`` "m" or "c" picks the blocks (see ``_page``).  The spans
+        are grouped by page once, with no page arithmetic on a curve of one
+        page; each page, lowest first, takes one ``_page`` call, then one
+        gather per ``_CHUNK`` of its parameters.  ``order`` > 0
+        differentiates the blocks, dividing by the span width once per
+        order (chain rule).
         """
-        batch = spans if len(u) > _CHUNK else None  # one fill per page, not one per chunk
+        k = self.degree
+        if self.count - k > _CHUNK:
+            pages, offsets = np.divmod(spans - k, _CHUNK)
+            at = np.argsort(pages, kind="stable")  # page by page, each in call order
+            touched, starts = np.unique(pages[at], return_index=True)
+            groups = [(page, offsets[where], where)
+                      for page, where in zip(touched.tolist(), np.split(at, starts[1:]))]
+        else:  # one page: the parameters in call order
+            groups = [(0, spans - k, None)] if len(spans) else []
         out = np.empty((len(u), self.dim))
         x = np.repeat((u - 0.5)[:, None], self.dim, axis=1)  # Horner steps without broadcasts
-        for start in range(0, len(u), _CHUNK):
-            part = slice(start, start + _CHUNK)
-            rows = self._blocks(kind, spans[part], batch)[order:]
-            out[part] = horner(_derivative_rows(rows, order), x[part])
+        for page, offsets, at in groups:
+            blocks = self._page(kind, page, offsets)
+            for start in range(0, len(offsets), _CHUNK):
+                part = slice(start, start + _CHUNK)
+                where = part if at is None else at[part]
+                rows = blocks.take(offsets[part], axis=1)[order:]
+                out[where] = horner(_derivative_rows(rows, order), x[where])
         if order:
             # once per order, as in _point: a power of a narrow width
             # underflows; a derivative beyond the float range is +-inf
@@ -347,8 +338,8 @@ class SplineCurve:
         cached per kind and order, with the batch's roundings in its order,
         so the result equals the batch's bit for bit.  An order's lists are
         ``_derivative_rows`` of the span's block (at order 0 the block
-        itself), read in place from its page once filled, else through
-        ``_blocks``, whose fill writes the span in both kinds.
+        itself), read in place from its page once filled, else from
+        ``_page``, whose fill writes the span in both kinds.
         """
         fk = self._view
         bounds, values, widths = fk.views
@@ -369,7 +360,7 @@ class SplineCurve:
             if store is not None and store[kind][1][offset]:  # filled: read in place
                 block = store[kind][0][:, offset]
             else:
-                block = self._blocks(kind, np.array([span]))[:, 0]
+                block = self._page(kind, page, offset)[:, offset]
             rows = _derivative_rows(block[order:], order)
             cols = self._columns.setdefault((kind, order, span), rows.T.tolist())
         out = []  # loops, not comprehensions: no closure cells to make per call
@@ -389,6 +380,7 @@ class SplineCurve:
         Works through the batch ``_CHUNK`` parameters at a time.  Raises
         DomainError if any tau lies outside the evaluable domain.
         """
+        derivative = operator.index(derivative)
         if derivative < 0:
             raise ValueError("derivative must be >= 0")
         spans, u = self._locate(taus)
@@ -440,6 +432,7 @@ class SplineCurve:
 
         Orders above the degree are identically zero.
         """
+        order = operator.index(order)
         if order < 1:
             raise ValueError("order must be >= 1")
         return self._point(tau, "m", order)

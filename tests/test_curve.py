@@ -110,6 +110,21 @@ class TestConstruction:
                curve.evaluate([5.5])[0]]
         assert [row.tolist() for row in got] == [[4.0, 5.0], [6.0, 7.0], [6.0, 7.0], [8.0, 9.0]]
 
+    @pytest.mark.parametrize("bad", [3.0, np.float64(3.0), 1.5, Fraction(3)],
+                             ids=["float", "float64", "half", "fraction"])
+    def test_a_degree_or_order_must_be_an_integer(self, bad):
+        kv, points = KnotVector.uniform(12), np.arange(8.0)
+        with pytest.raises(TypeError):
+            SplineCurve(bad, kv, points)
+        curve = SplineCurve(np.int64(3), kv, points)  # NumPy ints stay integers
+        with pytest.raises(TypeError):
+            curve.evaluate([5.5], derivative=bad)
+        with pytest.raises(TypeError):
+            curve.eval_derivative(5.5, bad)
+        want = SplineCurve(3, kv, points)
+        assert same_bits(curve.evaluate([5.5], np.int64(2)), want.evaluate([5.5], 2))
+        assert same_bits(curve.eval_derivative(5.5, np.int64(1)), want.eval_derivative(5.5, 1))
+
     def test_curves_compare_and_hash_by_identity(self):
         twin = SplineCurve(3, KnotVector.uniform(8), [0, 1, 2, 3])
         assert CUBIC == CUBIC and CUBIC != twin and not CUBIC == twin
@@ -804,6 +819,19 @@ class TestFloatConstruction:
         curve = SplineCurve(10, kv, np.random.default_rng(7).normal(size=(len(kv.values) - 11, 3)))
         grid, _ = curve._sample_grid(2 * _CHUNK)
         assert calls == [np.unique(curve._locate(grid)[0]).tolist()]
+        # three pages, and taus shuffled across them: one fill per page, the lowest first
+        rng = np.random.default_rng(8)
+        kv = KnotVector(np.cumsum(rng.uniform(0.5, 2.0, 2 * _CHUNK + 400)).tolist())
+        points = rng.normal(size=(len(kv.values) - 4, 2))
+        curve = SplineCurve(3, kv, points)
+        taus = np.sort(rng.uniform(curve._view.lo, curve._view.hi, 3 * _CHUNK))
+        shuffle = rng.permutation(len(taus))
+        spans = curve._locate(taus)[0]
+        pages = (spans - 3) // _CHUNK
+        calls.clear()
+        got = curve.evaluate(taus[shuffle])
+        assert calls == [np.unique(spans[pages == page]).tolist() for page in range(3)]
+        assert same_bits(got, SplineCurve(3, kv, points).evaluate(taus)[shuffle])
 
     def test_fill_scratch_is_bounded_by_the_chunk_and_silent(self):
         import tracemalloc
@@ -1100,17 +1128,17 @@ class TestScalarFirstTouch:
     def test_derivatives_after_the_matrix_view_neither_gather_nor_fill(self, monkeypatch):
         kv = clamped(10, range(1, 60), 60)
         curve = SplineCurve(10, kv, np.random.default_rng(7).normal(size=(70, 3)))
-        gathers = []
-        blocks = SplineCurve._blocks
-        monkeypatch.setattr(SplineCurve, "_blocks",
-                            lambda self, *args: gathers.append(args) or blocks(self, *args))
+        calls = []
+        page = SplineCurve._page
+        monkeypatch.setattr(SplineCurve, "_page",
+                            lambda self, *args: calls.append(args) or page(self, *args))
         for tau in (0.0, 1.5, 17.25, 31.0, 60.0):
             curve.eval_matrix(tau)
-            filled, count = curve.stats()["blocks_filled"], len(gathers)
+            filled, count = curve.stats()["blocks_filled"], len(calls)
             for order in range(1, 11):
                 curve.eval_derivative(tau, order)
-            assert (curve.stats()["blocks_filled"], len(gathers)) == (filled, count)
-        assert len(gathers) == 5
+            assert (curve.stats()["blocks_filled"], len(calls)) == (filled, count)
+        assert len(calls) == 5
 
     @pytest.mark.parametrize("storage", ["rational", "float"])
     def test_a_first_touch_fills_both_kinds(self, storage):
@@ -1251,6 +1279,24 @@ class TestEvenlySpacedFills:
         dense._sample_grid(4 * (_CHUNK + 193))
         assert dense.stats()["spans_touched"] == 2 * (_CHUNK + 193)
         assert same_bits(got, dense.evaluate(taus))
+
+    def test_pages_fill_in_ascending_order_so_the_lowest_refusal_raises(self):
+        # spans 10..13 and _CHUNK + 100..103 read a point that overflows in floats
+        kv = KnotVector.uniform(_CHUNK + 200)
+        points = np.zeros((_CHUNK + 196, 1))
+        points[10] = points[_CHUNK + 100] = sys.float_info.max / 2
+        refused = "^control points of span 12 are too large to evaluate in floats$"
+        with pytest.raises(DomainError, match=refused):
+            SplineCurve(3, kv, points).eval_matrix(12.5)
+        # the first chunk reaches the higher page only
+        rng = np.random.default_rng(9)
+        high = rng.permutation([_CHUNK + 101.5] * 8 + [_CHUNK + 50.5] * (_CHUNK - 8))
+        low = rng.permutation([12.5, 5.5, 700.25, _CHUNK + 20.5] * (_CHUNK // 2))
+        curve = SplineCurve(3, kv, points)
+        with pytest.raises(DomainError, match=refused):
+            curve.evaluate(np.concatenate([high, low]))
+        assert curve.stats()["blocks_filled"] == 0
+        assert not any(mask.any() for _, mask in curve._pages.get(1, {}).values())
 
 
 def race_both_kinds(kv):

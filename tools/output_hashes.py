@@ -41,7 +41,11 @@ The ``coxdeboor_scales`` line hashes ``_coxdeboor`` at the ends of the
 domain, the knots and the doubles next to them on curves of degree 1..6
 whose evenly spaced, clamped and random float knots are scaled by 1e-320,
 so that the widths are subnormal, and by 1e300, so that the ratios of a
-parameter next to the knot 0 underflow.  The ``stats`` line, last, hashes
+parameter next to the knot 0 underflow.  The ``shuffled`` line hashes
+``evaluate`` at every derivative order 0..k+1 on a fresh copy of each of
+the two long curves, over a seeded permutation of the parameters its
+other paths take, and that copy's ``stats()`` counts: a batch whose
+parameters cross the pages in any order.  The ``stats`` line, last, hashes
 the counts of ``stats()`` (all but ``build_s``, a time) of each curve
 after its paths and of its last fresh copy, so that a change to the store
 of blocks shows if it fills other blocks than before.
@@ -244,6 +248,7 @@ def main() -> None:
     rng = np.random.default_rng(21)
     views = []  # hashed on the knots line, after the lines above it
     counts = []  # hashed on the stats line, last
+    long = []  # the long curves and their parameters, for the shuffled line
     with tempfile.TemporaryDirectory() as workdir:
         for name, curve in curves():
             views.append((name, view_tables(curve)))
@@ -273,6 +278,8 @@ def main() -> None:
                 [a.ravel() for a in curve._sample_grid(301)])))
             add("sample_csv", name, sample_csv(curve, workdir))
             counts.append((name, stat_counts(curve) + stat_counts(fresh)))
+            if name.startswith("long-"):
+                long.append((name, curve, taus))
     for seed in range(40):
         out = io.StringIO()
         code = cli.run_check(8, 20, seed, out)
@@ -282,6 +289,13 @@ def main() -> None:
     knot_hashes(add)
     for name, curve in scaled_curves():
         add("coxdeboor_scales", name, outcome(curve._coxdeboor, knot_taus(curve)))
+    shuffle = np.random.default_rng(22)
+    for name, curve, taus in long:
+        fresh = SplineCurve(curve.degree, curve.knots, curve.points)
+        taus = shuffle.permutation(taus)
+        for order in range(curve.degree + 2):
+            add("shuffled", name, outcome(fresh.evaluate, taus, order))
+        add("shuffled", name, stat_counts(fresh))
     for name, data in counts:
         add("stats", name, data)
     for path, digest in hashes.items():
