@@ -33,7 +33,7 @@ import operator
 import sys
 import time
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,8 +51,29 @@ _CHUNK = 1024
 
 
 @dataclass(frozen=True)
+class _SamplePlan:
+    """What ``_sample_grid(n)`` derives from the knots alone; its arrays are read-only."""
+
+    n: int
+    grid: np.ndarray  # the clipped grid, handed out as is
+    # the grid's parameters inside the float domain: slice(None) if all
+    # are, else a mask
+    inner: object
+    ends: tuple  # the exact domain end in place of each parameter outside, in grid order
+    spans: np.ndarray  # ``_spans`` of grid[inner]
+    u: np.ndarray
+
+
+@dataclass(frozen=True)
 class _FloatKnots:
-    """Float tables for span lookup and the oracle, read-only, one per knots and degree."""
+    """Float tables for span lookup and the oracle, one per knots and degree.
+
+    The tables are read-only.  ``plan`` is one slot: the sample plan of the
+    last ``_sample_grid`` count n <= ``_CHUNK`` asked of these knots and
+    degree: 24 n bytes of arrays, n more for a mask if a parameter rounds
+    outside the domain.  It is shared by every curve over them and
+    replaced whole when another n is asked.
+    """
 
     values: np.ndarray  # the nearest double of each knot
     # the smallest double >= each knot up to span ``last``'s start: a float
@@ -67,6 +88,7 @@ class _FloatKnots:
     last: int  # last span of positive width; -1 if none
     exact: bool  # every knot is its double in ``values``, and their range is finite
     views: tuple  # zero-copy memoryviews of bounds, values, widths for ``_point``
+    plan: list = field(default_factory=lambda: [None], compare=False)  # [_SamplePlan or None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -441,14 +463,41 @@ class SplineCurve:
         """n matrix-path evaluations at evenly spaced parameters, ends included.
 
         A list of ``(tau, point)`` pairs; ``_sample_grid`` gives the arrays.
+        ``n`` is an integer: TypeError for a float, even 400.0.
         """
         grid, points = self._sample_grid(n)
         return list(zip(grid.tolist(), points))
 
     def _sample_grid(self, n: int) -> tuple:
-        """``sample``'s parameters and points as arrays, (n,) and (n, d)."""
+        """``sample``'s parameters and points as arrays, (n,) and (n, d).
+
+        The parameters, their spans and u come from the float view's sample
+        plan for n, built on the first call for n over these knots and
+        degree (``_sample_plan``); the grid returned is the plan's,
+        read-only.  Each call then runs the curve's own work: ``_combine``
+        over the plan's spans, with its fills and their errors, and
+        ``evaluate`` at the exact domain ends in place of parameters that
+        rounded outside the domain.
+        """
+        n = operator.index(n)  # TypeError for a float, even 400.0
         if n < 2:
             raise ValueError("need at least 2 samples")
+        plan = self._view.plan[0]  # read once: a racing call may replace it
+        if plan is None or plan.n != n:
+            plan = self._sample_plan(n)
+        points = np.empty((n, self.dim))
+        points[plan.inner] = self._combine(plan.spans, plan.u)
+        if plan.ends:
+            points[~plan.inner] = self.evaluate(plan.ends)
+        return plan.grid, points
+
+    def _sample_plan(self, n: int) -> _SamplePlan:
+        """n evenly spaced parameters over the domain and their spans; kept if n <= ``_CHUNK``.
+
+        Raises the domain's errors, keeping nothing: a degenerate domain, a
+        domain wider than the float range, or a parameter in a span whose
+        width is not a positive finite double.
+        """
         fk = self._view
         if fk.last < 0:
             find_span(self.knots, self.degree, fk.lo)  # raises: the domain is degenerate
@@ -460,13 +509,18 @@ class SplineCurve:
         # Rounding an exact bound to float may step just outside the domain;
         # parameters that landed there are evaluated at the exact bound.
         edge = (grid < fk.lo) | (grid > fk.hi)
-        inner = ~edge if edge.any() else slice(None)  # no masked copies without edge points
-        points = np.empty((n, self.dim))
-        points[inner] = self._combine(*self._spans(grid[inner]))
+        inner, ends = slice(None), ()  # no masked copies without edge points
         if edge.any():
             lo, hi = self.domain
-            points[edge] = self.evaluate([lo if t < lo else hi for t in grid[edge].tolist()])
-        return grid, points
+            inner, ends = ~edge, tuple(lo if t < lo else hi for t in grid[edge].tolist())
+            inner.setflags(write=False)
+        spans, u = self._spans(grid[inner])
+        for array in (grid, spans, u):
+            array.setflags(write=False)
+        plan = _SamplePlan(n=n, grid=grid, inner=inner, ends=ends, spans=spans, u=u)
+        if n <= _CHUNK:  # a view holds one plan, of at most 25 * _CHUNK bytes
+            fk.plan[0] = plan
+        return plan
 
 
 def _float_view(knots: KnotVector, degree: int) -> _FloatKnots:

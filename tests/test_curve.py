@@ -632,6 +632,26 @@ class TestDerivative:
         assert curve.evaluate([3e-310], 1).tobytes() == slope.tobytes()
 
 
+@st.composite
+def sample_cases(draw):
+    """Knots, a degree, (N, 2) points and a sample count 2..2 * _CHUNK.
+
+    Rational knots are i/q over q in 1, 3, 7, 10, so that the domain ends
+    may round outward, with repeated knots; float knots are their doubles.
+    """
+    k = draw(st.integers(0, 4))
+    gaps = draw(st.lists(st.integers(0, 3), min_size=2 * k + 1, max_size=2 * k + 8))
+    gaps[k] = max(gaps[k], 1)  # a span of positive width in the domain
+    q = draw(st.sampled_from([1, 3, 7, 10]))
+    start = draw(st.integers(-20, 20))
+    values = [Fraction(start + s, q) for s in accumulate(gaps, initial=0)]
+    if draw(st.booleans()):
+        values = [float(v) for v in values]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    points = rng.normal(0.0, 10.0, (len(values) - k - 1, 2))
+    return KnotVector(values), k, points, draw(st.integers(2, 2 * _CHUNK))
+
+
 class TestSample:
     def test_endpoint_pair(self):
         rows = CUBIC.sample(2)
@@ -677,6 +697,100 @@ class TestSample:
         grid, points = curve._sample_grid(7)
         assert grid[0] == 1.0 and grid[-1] == top and np.all(np.diff(grid) > 0)
         assert points[:, 0] == pytest.approx((grid - 1.0) / (top - 1.0), abs=1e-15)
+
+    @pytest.mark.parametrize("bad", [400.0, "4", Fraction(400), 400.5])
+    def test_a_count_must_be_an_integer(self, bad):
+        curve = SplineCurve(3, KnotVector.uniform(20), np.arange(16.0))
+        curve.sample(400)  # a plan for 400 must not answer 400.0
+        with pytest.raises(TypeError):
+            curve.sample(bad)
+        with pytest.raises(TypeError):
+            curve._sample_grid(bad)
+        assert same_bits(curve._sample_grid(np.int64(400))[1], curve._sample_grid(400)[1])
+
+        class Count:  # an integer by ``__index__`` alone
+            def __index__(self):
+                return 400
+
+        assert same_bits(curve._sample_grid(Count())[1], curve._sample_grid(400)[1])
+
+    def test_a_second_curve_over_the_knots_reuses_the_plan(self):
+        rng = np.random.default_rng(50)
+        kv = KnotVector.uniform(40, start=-7, step=Fraction(2, 3))
+        first = SplineCurve(3, kv, rng.normal(size=(36, 3)))
+        first._sample_grid(400)
+        plan = first._view.plan[0]
+        assert plan.n == 400
+        points = rng.normal(size=(36, 2))  # another dim: the plan is the knots' alone
+        grid, got = SplineCurve(3, kv, points)._sample_grid(400)
+        assert first._view.plan[0] is plan and grid is plan.grid
+        want_grid, want = SplineCurve(3, KnotVector(kv.values), points)._sample_grid(400)
+        assert same_bits(grid, want_grid) and same_bits(got, want)
+
+    def test_each_curve_over_a_shared_plan_raises_its_own_errors(self):
+        kv = KnotVector.uniform(20)
+        SplineCurve(3, kv, np.arange(16.0)).sample(50)
+        big = SplineCurve(3, kv, [[1e308 * (-1) ** i] for i in range(16)])
+        with pytest.raises(DomainError, match="too large to evaluate"):
+            big.sample(50)
+
+    def test_edge_grid_is_the_same_warm_and_cold(self):
+        third = Fraction(1, 3)
+        kv = KnotVector([0, third, Fraction(1, 2), Fraction(3, 4), Fraction(11, 10), 2])
+        points = [[0.0, 1.0], [1.0, -2.0], [3.0, 0.5], [-1.0, 4.0]]
+        curve = SplineCurve(1, kv, points)
+        cold = curve._sample_grid(9)
+        plan = curve._view.plan[0]
+        assert plan.ends == (third, Fraction(11, 10)) and (~plan.inner).sum() == 2
+        warm = curve._sample_grid(9)
+        assert all(same_bits(a, b) for a, b in zip(warm, cold))
+        assert warm[1][[0, -1]].tolist() == curve.evaluate(list(plan.ends)).tolist()
+
+    def test_a_view_holds_the_last_count_only(self):
+        curve = SplineCurve(3, KnotVector.uniform(30), np.arange(26.0))
+        curve.sample(300)
+        curve.sample(500)
+        plans = curve._view.plan
+        assert len(plans) == 1 and plans[0].n == 500
+
+    def test_a_grid_longer_than_a_chunk_keeps_no_plan(self):
+        import tracemalloc
+
+        curve = SplineCurve(3, KnotVector.uniform(30), np.zeros((26, 3)))
+        curve._sample_grid(4 * _CHUNK)  # fills the curve's page
+        assert curve._view.plan == [None]
+        tracemalloc.start()
+        try:
+            curve._sample_grid(4 * _CHUNK)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a plan would hold 24 bytes per parameter
+        assert held < 4 * _CHUNK
+        assert curve._view.plan == [None]
+
+    def test_the_grid_is_read_only(self):
+        grid, points = CUBIC._sample_grid(11)
+        assert not grid.flags.writeable and points.flags.writeable
+        with pytest.raises(ValueError):
+            grid[0] = 0.0
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(sample_cases())
+    def test_warm_shared_and_fresh_grids_are_bit_identical(self, case):
+        kv, k, points, n = case
+        curve = SplineCurve(k, kv, points)
+        cold = curve._sample_grid(n)
+        warm = curve._sample_grid(n)
+        assert (curve._view.plan[0] is not None) == (n <= _CHUNK)
+        shared = SplineCurve(k, kv, points[:, :1])._sample_grid(n)  # another dim
+        for got, dim in ((cold, 2), (warm, 2), (shared, 1)):
+            fresh = SplineCurve(k, KnotVector(kv.values), points[:, :dim])._sample_grid(n)
+            assert same_bits(got[0], fresh[0]) and same_bits(got[1], fresh[1])
+        # the matrix path at each parameter, at the exact domain end where it rounded outside
+        lo, hi = curve.domain
+        taus = [lo if t < lo else hi if t > hi else t for t in cold[0].tolist()]
+        assert same_bits(cold[1], np.concatenate([curve.evaluate([t]) for t in taus]))
 
 
 def centred(m):
@@ -1432,6 +1546,43 @@ class TestConcurrency:
         for kind in "mc":  # the blocks the racing fills stored, in both kinds
             (blocks, filled), (want, done) = fresh._pages[0][kind], serial._pages[0][kind]
             assert np.array_equal(filled, done) and same_bits(blocks[:, filled], want[:, done])
+
+    def test_parallel_samples_replace_the_shared_plan_consistently(self):
+        # eight threads, two per curve, over one vector: each alternates two
+        # counts, so the view's one plan is replaced under the others
+        kv = KnotVector([Fraction(i, 3) for i in range(1, 44)])
+        rng = np.random.default_rng(36)
+        points = [rng.normal(0.0, 10.0, (39, 1 + c)) for c in range(4)]
+        want = []
+        for pts in points:  # each reference curve over a vector of its own
+            ref = SplineCurve(3, KnotVector(kv.values), pts)
+            want.append({n: ref.sample(n) for n in (300, 700)})
+        curves = [SplineCurve(3, kv, pts) for pts in points]
+        barrier, got = threading.Barrier(8), [None] * 8
+
+        def run(thread):
+            barrier.wait()
+            counts = (300, 700) if thread % 2 else (700, 300)
+            got[thread] = [(n, curves[thread // 2].sample(n)) for n in counts * 25]
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(8)]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        for thread, results in enumerate(got):
+            assert len(results) == 50
+            for n, rows in results:
+                ref = want[thread // 2][n]
+                for part in range(2):
+                    assert same_bits(np.array([r[part] for r in rows]), [r[part] for r in ref])
+        assert curves[0]._view.plan[0].n in (300, 700)
 
     def test_parallel_fills_of_both_kinds_on_a_fresh_page(self):
         race_both_kinds(KnotVector([0.0] * 4 + [1.0, 3.0, 4.0, 7.0, 8.0, 10.0, 13.0, 14.0]

@@ -24,7 +24,10 @@ derivative order 0..k+1, the scalar views ``eval_matrix``,
 first on a fresh copy of each curve (``cold_scalar``: derivatives k..1,
 then the cumulative and the matrix view, per parameter), ``evaluate`` on a
 fresh copy after ``eval_cumulative`` at every parameter (``cold_cumulative``:
-the matrix blocks a cumulative-first fill forms), ``_sample_grid``,
+the matrix blocks a cumulative-first fill forms), ``_sample_grid``, the
+same on a pair of fresh curves over a fresh copy of each curve's knots
+(``sample_plan``: the second curve takes two of the three coordinates;
+the first builds the knots' sample plan and the second takes it),
 ``eval_coxdeboor``, the oracle's batch ``_coxdeboor`` over all of a
 curve's parameters (``coxdeboor_batch``: the float batch recursion on
 every knot kind), ``splinemat check`` for seeds 0..39 and the bytes of
@@ -276,6 +279,10 @@ def main() -> None:
             add("coxdeboor_batch", name, outcome(curve._coxdeboor, taus))
             add("_sample_grid", name, outcome(lambda: np.concatenate(
                 [a.ravel() for a in curve._sample_grid(301)])))
+            kv = KnotVector(curve.knots.values)  # a view of its own, whose plan the first builds
+            for points in (curve.points, curve.points[:, :2]):
+                add("sample_plan", name, outcome(lambda: np.concatenate(
+                    [a.ravel() for a in SplineCurve(curve.degree, kv, points)._sample_grid(301)])))
             add("sample_csv", name, sample_csv(curve, workdir))
             counts.append((name, stat_counts(curve) + stat_counts(fresh)))
             if name.startswith("long-"):
