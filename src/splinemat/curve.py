@@ -17,8 +17,8 @@ touches once, whose one fill builds the missing blocks in both kinds from
 one set of rows.  ``polytoeplitz.horner`` evaluates them in v = u - 1/2,
 over a page's gathered blocks ``_CHUNK`` parameters at a time for arrays
 and, with the same result bit for bit, in Python floats for a single
-parameter: one ``bisect`` over the float tables, then its span's cached
-column lists.
+parameter: its span from the float view's one search (``_FloatKnots.find``,
+a ``bisect`` for one double), then the span's cached column lists.
 Centring keeps the power form well conditioned next to wide spans (Farouki
 & Rajan 1987).  The degree recursion builds the centred matrices directly:
 on exact knots, exact until one rounding per entry and once per knot window
@@ -56,11 +56,9 @@ class _SamplePlan:
 
     n: int
     grid: np.ndarray  # the clipped grid, handed out as is
-    # the grid's parameters inside the float domain: slice(None) if all
-    # are, else a mask
-    inner: object
+    inner: object  # slice(None) if every parameter is in the float domain, else ``_batch``'s mask
     ends: tuple  # the exact domain end in place of each parameter outside, in grid order
-    spans: np.ndarray  # ``_spans`` of grid[inner]
+    spans: np.ndarray  # ``_locate`` of grid[inner]
     u: np.ndarray
 
 
@@ -76,9 +74,7 @@ class _FloatKnots:
     """
 
     values: np.ndarray  # the nearest double of each knot
-    # the smallest double >= each knot up to span ``last``'s start: a float
-    # search over them locates every float tau in the domain exactly
-    bounds: np.ndarray
+    bounds: np.ndarray  # the smallest double >= each knot up to span ``last``'s start
     # float(exact width) per span, so that u matches ``normalize`` bit for
     # bit; NaN where that is not a positive finite double: no float tau
     # is evaluated in such a span
@@ -89,6 +85,14 @@ class _FloatKnots:
     exact: bool  # every knot is its double in ``values``, and their range is finite
     views: tuple  # zero-copy memoryviews of bounds, values, widths for ``_point``
     plan: list = field(default_factory=lambda: [None], compare=False)  # [_SamplePlan or None]
+
+    def find(self, taus: np.ndarray) -> np.ndarray:
+        """Piegl & Tiller's FindSpan (A2.1) over a batch of doubles in [lo, hi].
+
+        The bounds are cut at ``last``, so every such double gets ``span_of``'s
+        span; ``_point``'s ``bisect_right`` over ``views`` is the one-double form.
+        """
+        return np.searchsorted(self.bounds, taus, side="right") - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,23 +286,18 @@ class SplineCurve:
         return arr, np.array([lo < hi and lo <= t <= hi for t in arr.tolist()], bool)
 
     def _locate(self, taus) -> tuple:
-        """``_spans`` of each tau; DomainError for a tau outside the evaluable domain."""
+        """Span index and span-normalised parameter of each tau in a 1-D batch.
+
+        Float taus take the view's ``find``, others (Fraction, int) ``span_of``
+        and ``normalize``.  DomainError for a tau outside the evaluable domain,
+        then for one in a span whose width is not a positive finite double.
+        """
         arr, inside = self._batch(taus)
         if not inside.all():
             find_span(self.knots, self.degree, arr.tolist()[inside.argmin()])
-        return self._spans(arr)
-
-    def _spans(self, arr: np.ndarray) -> tuple:
-        """Span index and span-normalised parameter of each tau, all in the domain.
-
-        Float taus go through the float tables, others (Fraction, int) take
-        ``span_of``/``normalize``.  Raises DomainError in a span whose width
-        is not a positive finite double.
-        """
         fk = self._view
         if arr.dtype == float:
-            # Piegl & Tiller A2.1 (FindSpan) over the whole batch
-            spans = np.searchsorted(fk.bounds, arr, side="right") - 1
+            spans = fk.find(arr)
             widths = fk.widths[spans]
             u = (arr - fk.values[spans]) / widths
         else:
@@ -354,8 +353,8 @@ class SplineCurve:
         """One parameter through ``_combine``'s arithmetic, in Python floats.
 
         A float tau inside the domain takes one ``bisect_right`` over the
-        bounds, the batch's ``searchsorted`` index for a non-NaN double; any
-        other tau goes through ``_locate``, with its errors.  The one scalar
+        bounds, ``_FloatKnots.find`` for one double, inline; any other tau
+        goes through ``_locate``, with its errors.  The one scalar
         ``horner`` per coordinate then runs over the span's column lists,
         cached per kind and order, with the batch's roundings in its order,
         so the result equals the batch's bit for bit.  An order's lists are
@@ -508,14 +507,13 @@ class SplineCurve:
             grid = np.clip(np.linspace(start, stop, n), start, stop)
         # Rounding an exact bound to float may step just outside the domain;
         # parameters that landed there are evaluated at the exact bound.
-        edge = (grid < fk.lo) | (grid > fk.hi)
+        inside = self._batch(grid)[1]
         inner, ends = slice(None), ()  # no masked copies without edge points
-        if edge.any():
+        if not inside.all():
             lo, hi = self.domain
-            inner, ends = ~edge, tuple(lo if t < lo else hi for t in grid[edge].tolist())
-            inner.setflags(write=False)
-        spans, u = self._spans(grid[inner])
-        for array in (grid, spans, u):
+            inner, ends = inside, tuple(lo if t < lo else hi for t in grid[~inside].tolist())
+        spans, u = self._locate(grid[inner])
+        for array in (grid, inside, spans, u):
             array.setflags(write=False)
         plan = _SamplePlan(n=n, grid=grid, inner=inner, ends=ends, spans=spans, u=u)
         if n <= _CHUNK:  # a view holds one plan, of at most 25 * _CHUNK bytes
@@ -577,16 +575,15 @@ def _windows(fk: _FloatKnots, knots: KnotVector, degree: int, taus: np.ndarray) 
 
     A float batch over ``exact`` knots, a single tau too, takes
     ``coxdeboor.float_windows``, one numpy step per degree over each span's
-    triangle and 2k-knot window, with the same bits, over the spans of one
-    search of the bounds: those knots cut at ``last``, so ``span_of``'s
-    spans in the domain.  Other batches, of exact taus (Fraction, int) or
+    triangle and 2k-knot window, with the same bits, over the spans of the
+    view's ``find``.  Other batches, of exact taus (Fraction, int) or
     over knots a double cannot hold, take the scalar routine tau by tau on
     the stored knots, in mixed or exact arithmetic, and raise DomainError
     at the first tau whose recursion needs a knot difference beyond the
     float range: one that overflows, or one that rounds to zero.
     """
     if taus.dtype == float and fk.exact:
-        spans = np.searchsorted(fk.bounds, taus, side="right") - 1  # the knots, cut at last
+        spans = fk.find(taus)
         return spans, coxdeboor.float_windows(fk.values, degree, spans, taus)
     spans = np.empty(len(taus), dtype=np.intp)
     weights = np.empty((len(taus), degree + 1))

@@ -127,6 +127,17 @@ def test_batched_span_index_equals_find_span(case):
     assert spans.tolist() == want
     # the float of a rounded knot may sit an ulp past the span's end
     assert np.all((u >= -1e-12) & (u <= 1.0 + 1e-12))
+    # exact taus, as Fractions and as ints where integral, are located
+    # exactly and normalised in exact arithmetic, rounded once
+    fractions = [t for t in in_domain(curve, taus) if not isinstance(t, float)]
+    for batch in (fractions, [int(t) for t in fractions if t.denominator == 1]):
+        if not batch:
+            continue
+        spans, u = curve._locate(batch)
+        want = [find_span(curve.knots, curve.degree, t) for t in batch]
+        assert spans.tolist() == want
+        exact = [float(normalize(curve.knots, j, t)) for j, t in zip(want, batch)]
+        assert u.tobytes() == np.array(exact).tobytes()
 
 
 @SETTINGS

@@ -174,9 +174,7 @@ def knot_lists():
 def view_tables(curve) -> bytes:
     """The tables of ``curve``'s float view of its knots."""
     view = curve._view
-    oracle = getattr(view, "oracle", None)  # older trees keep a float copy of the knots
-    if oracle is None:
-        oracle = KnotVector(view.values.tolist()) if view.exact else curve.knots
+    oracle = KnotVector(view.values.tolist()) if view.exact else curve.knots
     return b"".join([view.values.tobytes(), view.bounds.tobytes(), view.widths.tobytes(),
                      repr((view.lo, view.hi, view.last, oracle.storage,
                            oracle.values)).encode()])
