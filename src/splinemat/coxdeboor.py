@@ -63,18 +63,8 @@ def basis_window(kv: KnotVector, first: int, last: int, degree: int, tau) -> tup
     lo, hi = max(first - base, 0), min(last - base, degree)  # the asked columns
     if lo > hi:
         return j, [0] * (degree + 1)
-    # the window's knots by column: no column below -base is computed
+    # the window's knots by column, column s reading knots[s:]: none below -base is computed
     knots = vals[base:j + degree + 2] if base >= 0 else (0,) * -base + vals[:j + degree + 2]
-    return j, _window_values(knots, degree, lo, hi, tau)
-
-
-def _window_values(knots: tuple, degree: int, lo: int, hi: int, tau) -> list:
-    """``basis_window``'s recursion for its columns lo..hi; column s reads knots[s:].
-
-    A function of its own because CPython 3.11's tracemalloc finds the line
-    of each allocation by a scan from the start of the code object: the
-    same loop at the end of ``basis_window`` traced about twice as slowly.
-    """
     row = [0] * (degree + 2)
     row[degree] = 1
     for k in range(1, degree + 1):
@@ -87,7 +77,7 @@ def _window_values(knots: tuple, degree: int, lo: int, hi: int, tau) -> list:
             row[s] = acc
     row[:lo] = [0] * lo  # columns not asked for read 0; the closing column goes
     row[hi + 1:] = [0] * (degree - hi)
-    return row
+    return j, row
 
 
 def float_windows(values: np.ndarray, degree: int, spans: np.ndarray,
@@ -102,8 +92,8 @@ def float_windows(values: np.ndarray, degree: int, spans: np.ndarray,
     each give an up term to its own column and a down term to the column
     before, over the 2k knots tau_{j-k+1}..tau_{j+k}, the same at every
     tau, so each degree is one step for the whole batch.  Each tau's float
-    operations are those of ``_window_values`` in its order, and every row
-    equals ``basis_window``'s bit for bit: where the scalar loop drops a
+    operations are those of ``basis_window``'s loop in its order, and every
+    row equals ``basis_window``'s bit for bit: where the scalar loop drops a
     term of a zero value, the batch adds its +0.0, which changes no bit of
     a sum of non-negative terms.  One + 0.0 turns a knot difference of
     -0.0 (tau = -0.0 over a +0.0 knot, say) into +0.0, as the scalar
@@ -136,22 +126,21 @@ def float_windows(values: np.ndarray, degree: int, spans: np.ndarray,
 
 
 def basis_values(kv: KnotVector, first: int, last: int, degree: int, tau) -> list:
-    """Values of B_{i,k} at tau for i = first..last: ``basis_window``'s, int 0 elsewhere."""
-    _check_arguments(kv, first, last, degree, tau)
-    j, window = basis_window(kv, first, last, degree, tau)
-    return [window[i - j + degree] if j - degree <= i <= j else 0
-            for i in range(first, last + 1)]
+    """Values of B_{i,k} at tau for i = first..last: ``basis_window``'s, int 0 elsewhere.
 
-
-def _check_arguments(kv: KnotVector, first: int, last: int, degree: int, tau) -> None:
-    """Raise the error of a negative degree, an index window out of range or a non-finite tau."""
+    Raises the error of a negative degree, an index window out of range or
+    a non-finite float tau, Python's or NumPy's.
+    """
     if degree < 0:
         raise ValueError("degree must be non-negative")
     if not 0 <= first <= last <= len(kv.values) - degree - 2:
         raise IndexError("basis index %d out of range for degree %d with %d knots"
                          % (first, degree, len(kv.values)))
-    if isinstance(tau, float) and not math.isfinite(tau):
+    if isinstance(tau, (float, np.floating)) and not math.isfinite(tau):
         raise DomainError("tau must be finite, got %r" % tau)
+    j, window = basis_window(kv, first, last, degree, tau)
+    return [window[i - j + degree] if j - degree <= i <= j else 0
+            for i in range(first, last + 1)]
 
 
 def basis(kv: KnotVector, i: int, degree: int, tau):

@@ -184,9 +184,11 @@ def span_of(values: tuple, degree: int, tau: Scalar) -> int:
 def normalize(kv: KnotVector, span: int, tau: Scalar) -> Scalar:
     """Map tau affinely onto [0, 1] over the span [tau_span, tau_{span+1}].
 
-    Exact when both inputs are rational.  Raises DegenerateSpan for a
-    zero-width span.
+    Exact when both inputs are rational.  Raises IndexError for a span
+    outside 0..M-2 and DegenerateSpan for a zero-width span.
     """
+    if not 0 <= span <= len(kv.values) - 2:
+        raise IndexError("span %d out of range for %d knots" % (span, len(kv.values)))
     a, b = kv.values[span], kv.values[span + 1]
     if a == b:
         raise DegenerateSpan("span %d has zero width" % span)

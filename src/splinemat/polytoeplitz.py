@@ -3,8 +3,8 @@
 A polynomial a_0 + a_1 x + ... + a_n x^n embeds into a lower-triangular
 banded matrix that is constant along diagonals; multiplying that matrix
 against the (zero-padded) coefficient column of a second polynomial is
-exactly coefficient convolution.  Everything here is exact rational,
-except ``horner`` at a float argument.
+exactly coefficient convolution, and ``poly_mul`` is that product.
+Everything here is exact rational, except ``horner`` at a float argument.
 """
 
 from __future__ import annotations
@@ -97,18 +97,12 @@ def toeplitz_from_poly(p: PowerPoly, rows: int) -> ToeplitzLT:
 
 
 def poly_mul(g: PowerPoly, q: PowerPoly) -> PowerPoly:
-    """Exact product of two polynomials (coefficient convolution).
+    """Exact product of two polynomials: ``g``'s Toeplitz matrix applied to ``q``.
 
     The all-zero result collapses to the canonical zero polynomial (0,),
     so multiplying by zero annihilates degree as well as value.
     """
-    gc, qc = g.coeffs, q.coeffs
-    out = [Fraction(0)] * (len(gc) + len(qc) - 1)
-    for i, a in enumerate(gc):
-        if a == 0:
-            continue
-        for j, b in enumerate(qc):
-            out[i + j] += a * b
+    out = toeplitz_from_poly(g, len(g.coeffs) + len(q.coeffs) - 1).apply(q.coeffs)
     if all(c == 0 for c in out):
         return PowerPoly((0,))
     return PowerPoly(out)

@@ -72,6 +72,14 @@ class TestBasis:
             basis(KV8, 0, 3, float("nan"))
         with pytest.raises(DomainError):
             basis(KV8, 0, 3, float("inf"))
+        # NumPy floats of every width, not only float's subclass np.float64
+        kv = KnotVector.uniform(12)
+        for tau in (np.float64("nan"), np.float32("nan"), np.float32("inf"),
+                    np.float16("nan"), np.float32("-inf")):
+            with pytest.raises(DomainError, match="^tau must be finite, got "):
+                basis(kv, 3, 3, tau)
+            with pytest.raises(DomainError, match="^tau must be finite, got "):
+                cumulative_basis(kv, 3, 3, tau)
 
     def test_index_bounds(self):
         with pytest.raises(IndexError):

@@ -287,6 +287,14 @@ class TestNormalize:
         with pytest.raises(DegenerateSpan):
             normalize(kv, 1, 1.0)
 
+    def test_rejects_a_span_outside_the_knots(self):
+        # a negative span must not wrap round to the last knots
+        kv = KnotVector.uniform(12)
+        for span in (-1, -3, 11, 12):
+            with pytest.raises(IndexError, match="^span %d out of range for 12 knots$" % span):
+                normalize(kv, span, 5)
+        assert normalize(kv, 0, 0) == 0 and normalize(kv, 10, 11) == 1
+
     def test_span_offset_is_continuous_and_piecewise_affine(self):
         # tau -> span + u rises affinely inside spans and matches across knots
         kv = KnotVector.uniform(12)

@@ -48,10 +48,17 @@ parameter next to the knot 0 underflow.  The ``shuffled`` line hashes
 ``evaluate`` at every derivative order 0..k+1 on a fresh copy of each of
 the two long curves, over a seeded permutation of the parameters its
 other paths take, and that copy's ``stats()`` counts: a batch whose
-parameters cross the pages in any order.  The ``stats`` line, last, hashes
-the counts of ``stats()`` (all but ``build_s``, a time) of each curve
-after its paths and of its last fresh copy, so that a change to the store
-of blocks shows if it fills other blocks than before.
+parameters cross the pages in any order.  The ``reference`` line hashes
+the exact reference paths, each value's ``repr``, so its type shows:
+``coxdeboor.basis_values`` over each curve's knots at every fourth of its
+parameters, as floats and as Fractions, for the whole index window and
+for one seeded index, ``cumulative_basis`` there, the errors of index
+windows out of range, a negative degree and non-finite float parameters,
+and ``poly_mul`` over seeded polynomials, zero ones included.  The
+``stats`` line, last, hashes the counts of ``stats()`` (all but
+``build_s``, a time) of each curve after its paths and of its last fresh
+copy, so that a change to the store of blocks shows if it fills other
+blocks than before.
 """
 
 from __future__ import annotations
@@ -196,6 +203,40 @@ def knot_hashes(add) -> None:
                     outcome(lambda: view_tables(SplineCurve(k, kv, points))))
 
 
+def reference_hashes(add, refs) -> None:
+    """Add the scalar oracle at ``refs``' knots and parameters, and ``poly_mul``, to one line."""
+    rng = np.random.default_rng(23)
+
+    def values(name, fn, *args):
+        add("reference", name, outcome(lambda: repr(fn(*args)).encode()))
+
+    for name, kv, k, taus in refs:
+        last = len(kv.values) - k - 2
+        for tau in taus + [Fraction(t) for t in taus]:
+            i = int(rng.integers(0, last + 1))
+            values(name, coxdeboor.basis_values, kv, 0, last, k, tau)
+            values(name, coxdeboor.basis_values, kv, i, i, k, tau)
+            values(name, cumulative_basis, kv, i, k, tau)
+    for kv in (KnotVector.uniform(12), KnotVector([0.0, 0.5, 1.25, 2.0, 3.5, 4.0, 6.0, 7.5])):
+        last = len(kv.values) - 5  # the last index of degree 3
+        for first, stop, k in ((0, last + 1, 3), (-1, 0, 3), (2, 1, 3), (0, 0, -1)):
+            values("errors", coxdeboor.basis_values, kv, first, stop, k, 3.5)
+        for tau in (math.nan, math.inf, -math.inf, -1e300, 1e300):
+            values("errors", coxdeboor.basis_values, kv, 0, last, 3, tau)
+        for i in (-1, last + 1):
+            values("errors", cumulative_basis, kv, i, 3, 4.0)
+
+    def poly():
+        if rng.random() < 0.2:
+            return PowerPoly([0] * rng.integers(1, 4))
+        nums, dens = rng.integers(-5, 6, 8), rng.integers(1, 5, 8)
+        coeffs = [Fraction(int(n), int(d)) for n, d in zip(nums, dens)]
+        return PowerPoly(coeffs[:rng.integers(1, 9)])
+
+    for n in range(300):
+        values("poly_mul-%d" % n, poly_mul, poly(), poly())
+
+
 def stat_counts(curve) -> bytes:
     """The counts of ``curve.stats()``, without its build time."""
     stats = curve.stats()
@@ -207,7 +248,7 @@ def outcome(fn, *args) -> bytes:
     try:
         result = fn(*args)
         return result if isinstance(result, bytes) else np.asarray(result).tobytes()
-    except (SplineError, ValueError) as err:
+    except (SplineError, ValueError, IndexError) as err:
         return ("%s: %s" % (type(err).__name__, err)).encode()
 
 
@@ -235,9 +276,11 @@ def main() -> None:
                         help="the directory to import splinemat from (default: %(default)s)")
     src = parser.parse_args().src.resolve()
     sys.path.insert(0, str(src))
-    global KnotVector, SplineCurve, SplineError, cli
+    global KnotVector, PowerPoly, SplineCurve, SplineError, cli, coxdeboor
+    global cumulative_basis, poly_mul
     import splinemat
-    from splinemat import KnotVector, SplineCurve, SplineError, cli
+    from splinemat import (KnotVector, PowerPoly, SplineCurve, SplineError, cli, coxdeboor,
+                           cumulative_basis, poly_mul)
 
     if Path(splinemat.__file__).resolve().parents[1] != src:
         sys.exit("splinemat was imported from %s, not from %s" % (splinemat.__file__, src))
@@ -250,6 +293,7 @@ def main() -> None:
     views = []  # hashed on the knots line, after the lines above it
     counts = []  # hashed on the stats line, last
     long = []  # the long curves and their parameters, for the shuffled line
+    refs = []  # each curve's knots, degree and every fourth parameter, for the reference line
     with tempfile.TemporaryDirectory() as workdir:
         for name, curve in curves():
             views.append((name, view_tables(curve)))
@@ -274,6 +318,7 @@ def main() -> None:
                 add("cold_cumulative", name, outcome(fresh.evaluate, taus, order))
             for tau in taus[::4]:
                 add("eval_coxdeboor", name, outcome(curve.eval_coxdeboor, tau))
+            refs.append((name, curve.knots, curve.degree, taus[::4]))
             add("coxdeboor_batch", name, outcome(curve._coxdeboor, taus))
             add("_sample_grid", name, outcome(lambda: np.concatenate(
                 [a.ravel() for a in curve._sample_grid(301)])))
@@ -301,6 +346,7 @@ def main() -> None:
         for order in range(curve.degree + 2):
             add("shuffled", name, outcome(fresh.evaluate, taus, order))
         add("shuffled", name, stat_counts(fresh))
+    reference_hashes(add, refs)
     for name, data in counts:
         add("stats", name, data)
     for path, digest in hashes.items():
