@@ -14,9 +14,10 @@ control points (the cumulative block applies the centred cumulative matrix
 to the first point and the differences).  The blocks live in power-major
 pages of consecutive spans; on every knot kind a batch visits each page it
 touches once, whose one fill builds the missing blocks in both kinds from
-one set of rows.  ``polytoeplitz.horner`` evaluates them in v = u - 1/2,
-over a page's gathered blocks ``_CHUNK`` parameters at a time for arrays
-and, with the same result bit for bit, in Python floats for a single
+one set of rows.  One Horner rule evaluates them in v = u - 1/2: in
+place over a page's gathered blocks ``_CHUNK`` parameters at a time for
+arrays (``polytoeplitz.horner_array``) and, with the same result bit for
+bit, by ``polytoeplitz.horner``'s loop in Python floats for a single
 parameter: its span from the float view's one search (``_FloatKnots.find``,
 a ``bisect`` for one double), then the span's cached column lists.
 Centring keeps the power form well conditioned next to wide spans (Farouki
@@ -41,7 +42,7 @@ from . import coxdeboor
 from .basismatrix import float_rows, float_span_columns, span_window, window_part
 from .errors import DegenerateSpan, DomainError
 from .knots import KnotVector, find_span, normalize, span_of
-from .polytoeplitz import horner
+from .polytoeplitz import horner, horner_array
 
 # Parameters per pass of the batched core, and spans per page of blocks.
 # Scratch memory per pass is O(_CHUNK * (k+1) * d) floats whatever the
@@ -56,9 +57,10 @@ class _SamplePlan:
 
     n: int
     grid: np.ndarray  # the clipped grid, handed out as is
+    taus: tuple | None  # the grid as Python floats, for ``sample``'s pairs; None if not kept
     inner: object  # slice(None) if every parameter is in the float domain, else ``_batch``'s mask
     ends: tuple  # the exact domain end in place of each parameter outside, in grid order
-    spans: np.ndarray  # ``_locate`` of grid[inner]
+    spans: np.ndarray  # ``_located`` of grid[inner]
     u: np.ndarray
 
 
@@ -67,10 +69,11 @@ class _FloatKnots:
     """Float tables for span lookup and the oracle, one per knots and degree.
 
     The tables are read-only.  ``plan`` is one slot: the sample plan of the
-    last ``_sample_grid`` count n <= ``_CHUNK`` asked of these knots and
-    degree: 24 n bytes of arrays, n more for a mask if a parameter rounds
-    outside the domain.  It is shared by every curve over them and
-    replaced whole when another n is asked.
+    last ``sample`` or ``_sample_grid`` count n <= ``_CHUNK`` asked of these
+    knots and degree: 24 n bytes of arrays and 32 n of the grid's tuple of
+    Python floats, n more for a mask if a parameter rounds outside the
+    domain.  It is shared by every curve over them and replaced whole when
+    another n is asked.
     """
 
     values: np.ndarray  # the nearest double of each knot
@@ -288,13 +291,21 @@ class SplineCurve:
     def _locate(self, taus) -> tuple:
         """Span index and span-normalised parameter of each tau in a 1-D batch.
 
-        Float taus take the view's ``find``, others (Fraction, int) ``span_of``
-        and ``normalize``.  DomainError for a tau outside the evaluable domain,
-        then for one in a span whose width is not a positive finite double.
+        DomainError for a tau outside the evaluable domain (``_batch``'s
+        test), then ``_located``'s.
         """
         arr, inside = self._batch(taus)
         if not inside.all():
             find_span(self.knots, self.degree, arr.tolist()[inside.argmin()])
+        return self._located(arr)
+
+    def _located(self, arr: np.ndarray) -> tuple:
+        """``_locate`` of a batch from ``_batch`` whose every tau is in the domain.
+
+        Float taus take the view's ``find``, others (Fraction, int) ``span_of``
+        and ``normalize``.  DomainError for a tau in a span whose width is not
+        a positive finite double.
+        """
         fk = self._view
         if arr.dtype == float:
             spans = fk.find(arr)
@@ -340,7 +351,7 @@ class SplineCurve:
                 part = slice(start, start + _CHUNK)
                 where = part if at is None else at[part]
                 rows = blocks.take(offsets[part], axis=1)[order:]
-                out[where] = horner(_derivative_rows(rows, order), x[where])
+                out[where] = horner_array(_derivative_rows(rows, order), x[where])
         if order:
             # once per order, as in _point: a power of a narrow width
             # underflows; a derivative beyond the float range is +-inf
@@ -354,7 +365,7 @@ class SplineCurve:
 
         A float tau inside the domain takes one ``bisect_right`` over the
         bounds, ``_FloatKnots.find`` for one double, inline; any other tau
-        goes through ``_locate``, with its errors.  The one scalar
+        goes through ``_locate``, with its errors.  The scalar loop
         ``horner`` per coordinate then runs over the span's column lists,
         cached per kind and order, with the batch's roundings in its order,
         so the result equals the batch's bit for bit.  An order's lists are
@@ -461,22 +472,33 @@ class SplineCurve:
     def sample(self, n: int) -> list:
         """n matrix-path evaluations at evenly spaced parameters, ends included.
 
-        A list of ``(tau, point)`` pairs; ``_sample_grid`` gives the arrays.
-        ``n`` is an integer: TypeError for a float, even 400.0.
+        A list of ``(tau, point)`` pairs, each tau a Python float and each
+        point a row of one fresh (n, d) array; ``_sample_grid`` gives the
+        arrays.  The taus are the kept plan's tuple, else the grid's
+        ``tolist()``.  ``n`` is an integer: TypeError for a float, even 400.0.
         """
-        grid, points = self._sample_grid(n)
-        return list(zip(grid.tolist(), points))
+        plan, points = self._sampled(n)
+        return list(zip(plan.grid.tolist() if plan.taus is None else plan.taus, points))
 
     def _sample_grid(self, n: int) -> tuple:
         """``sample``'s parameters and points as arrays, (n,) and (n, d).
 
+        The grid returned is the sample plan's, read-only; the points are a
+        fresh array (see ``_sampled``).
+        """
+        plan, points = self._sampled(n)
+        return plan.grid, points
+
+    def _sampled(self, n: int) -> tuple:
+        """The sample plan for n and the (n, d) points at its parameters.
+
         The parameters, their spans and u come from the float view's sample
         plan for n, built on the first call for n over these knots and
-        degree (``_sample_plan``); the grid returned is the plan's,
-        read-only.  Each call then runs the curve's own work: ``_combine``
-        over the plan's spans, with its fills and their errors, and
-        ``evaluate`` at the exact domain ends in place of parameters that
-        rounded outside the domain.
+        degree (``_sample_plan``) and read once per call.  Each call then
+        runs the curve's own work: ``_combine`` over the plan's spans, with
+        its fills and their errors, whose array is the points when every
+        parameter is in the domain, and else ``evaluate`` at the exact
+        domain ends in place of parameters that rounded outside it.
         """
         n = operator.index(n)  # TypeError for a float, even 400.0
         if n < 2:
@@ -484,11 +506,12 @@ class SplineCurve:
         plan = self._view.plan[0]  # read once: a racing call may replace it
         if plan is None or plan.n != n:
             plan = self._sample_plan(n)
+        if not plan.ends:
+            return plan, self._combine(plan.spans, plan.u)
         points = np.empty((n, self.dim))
         points[plan.inner] = self._combine(plan.spans, plan.u)
-        if plan.ends:
-            points[~plan.inner] = self.evaluate(plan.ends)
-        return plan.grid, points
+        points[~plan.inner] = self.evaluate(plan.ends)
+        return plan, points
 
     def _sample_plan(self, n: int) -> _SamplePlan:
         """n evenly spaced parameters over the domain and their spans; kept if n <= ``_CHUNK``.
@@ -507,16 +530,18 @@ class SplineCurve:
             grid = np.clip(np.linspace(start, stop, n), start, stop)
         # Rounding an exact bound to float may step just outside the domain;
         # parameters that landed there are evaluated at the exact bound.
-        inside = self._batch(grid)[1]
+        inside = self._batch(grid)[1]  # the one domain test of the grid
         inner, ends = slice(None), ()  # no masked copies without edge points
         if not inside.all():
             lo, hi = self.domain
             inner, ends = inside, tuple(lo if t < lo else hi for t in grid[~inside].tolist())
-        spans, u = self._locate(grid[inner])
+        spans, u = self._located(grid[inner])
         for array in (grid, inside, spans, u):
             array.setflags(write=False)
-        plan = _SamplePlan(n=n, grid=grid, inner=inner, ends=ends, spans=spans, u=u)
-        if n <= _CHUNK:  # a view holds one plan, of at most 25 * _CHUNK bytes
+        keep = n <= _CHUNK  # a view holds one plan, of at most 57 * _CHUNK bytes
+        plan = _SamplePlan(n=n, grid=grid, taus=tuple(grid.tolist()) if keep else None,
+                           inner=inner, ends=ends, spans=spans, u=u)
+        if keep:
             fk.plan[0] = plan
         return plan
 

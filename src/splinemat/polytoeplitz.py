@@ -4,7 +4,8 @@ A polynomial a_0 + a_1 x + ... + a_n x^n embeds into a lower-triangular
 banded matrix that is constant along diagonals; multiplying that matrix
 against the (zero-padded) coefficient column of a second polynomial is
 exactly coefficient convolution, and ``poly_mul`` is that product.
-Everything here is exact rational, except ``horner`` at a float argument.
+Everything here is exact rational, except ``horner`` at a float argument
+and its array form ``horner_array``.
 """
 
 from __future__ import annotations
@@ -44,6 +45,25 @@ def horner(coeffs: Sequence, x):
     acc = 0
     for c in reversed(coeffs):
         acc = acc * x + c
+    return acc
+
+
+def horner_array(coeffs, x):
+    """``horner`` over float arrays in one accumulator: the same bits, element for element.
+
+    ``coeffs`` is (m, ...) with m >= 1, constant row first, and ``x`` has a
+    row's shape.  The scalar loop is the reference: its first step,
+    0 * x + c_{m-1}, is ``x * 0`` (which keeps the sign of zero of x) plus
+    that row, and each later step's two roundings, of ``acc * x`` and of
+    ``+ c``, are those of ``acc *= x`` and ``acc += c``.  Neither input is
+    written; the result is a new array.
+    """
+    rows = reversed(coeffs)  # iterates faster than a negative-stride slice
+    acc = x * 0
+    acc += next(rows)
+    for c in rows:
+        acc *= x
+        acc += c
     return acc
 
 

@@ -765,9 +765,33 @@ class TestSample:
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # a plan would hold 24 bytes per parameter
+        # a kept plan holds 56 bytes per parameter: 24 of arrays, 32 of its tuple of floats
         assert held < 4 * _CHUNK
-        assert curve._view.plan == [None]
+        assert curve._view.plan == [None] and curve._sample_plan(4 * _CHUNK).taus is None
+        tracemalloc.start()
+        try:
+            curve._sample_grid(_CHUNK)  # kept
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(curve._view.plan[0].taus) == _CHUNK
+        assert held < 57 * _CHUNK
+
+    @pytest.mark.parametrize("count", [400, 9, 2 * _CHUNK])
+    def test_warm_calls_return_points_of_their_own(self, count):
+        # each call runs its own gather and Horner: no result is kept
+        third = Fraction(1, 3)
+        edges = KnotVector([0, third, Fraction(1, 2), Fraction(3, 4), Fraction(11, 10), 2])
+        for curve in (SplineCurve(3, KnotVector.uniform(30), np.arange(78.0).reshape(26, 3)),
+                      SplineCurve(1, edges, [[0.0, 1.0], [1.0, -2.0], [3.0, 0.5], [-1.0, 4.0]])):
+            # the (n, d) array under each call's pairs, then two calls' arrays
+            arrays = [curve.sample(count)[0][1].base for _ in range(2)]
+            arrays += [curve._sample_grid(count)[1] for _ in range(2)]
+            blocks = [array for store in curve._pages.values() for array, _ in store.values()]
+            for i, points in enumerate(arrays):
+                assert points.shape == (count, curve.dim)
+                assert points.tobytes() == arrays[0].tobytes()
+                assert not any(np.shares_memory(points, other) for other in arrays[:i] + blocks)
 
     def test_the_grid_is_read_only(self):
         grid, points = CUBIC._sample_grid(11)
@@ -787,6 +811,15 @@ class TestSample:
         for got, dim in ((cold, 2), (warm, 2), (shared, 1)):
             fresh = SplineCurve(k, KnotVector(kv.values), points[:, :dim])._sample_grid(n)
             assert same_bits(got[0], fresh[0]) and same_bits(got[1], fresh[1])
+        plan = curve._view.plan[0]
+        assert plan is None or plan.taus == tuple(plan.grid.tolist())
+        # sample's pairs: cold, warm and over the shared plan, as the grids
+        pairs = [SplineCurve(k, KnotVector(kv.values), points).sample(n), curve.sample(n),
+                 SplineCurve(k, kv, points[:, :1]).sample(n)]
+        for got, want in zip(pairs, (cold, warm, shared)):
+            taus, rows = zip(*got)
+            assert all(type(t) is float for t in taus) and same_bits(np.array(taus), want[0])
+            assert list(taus) == want[0].tolist() and same_bits(np.array(rows), want[1])
         # the matrix path at each parameter, at the exact domain end where it rounded outside
         lo, hi = curve.domain
         taus = [lo if t < lo else hi if t > hi else t for t in cold[0].tolist()]

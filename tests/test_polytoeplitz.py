@@ -3,9 +3,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splinemat import PowerPoly, SizeError, poly_mul, toeplitz_from_poly
-from splinemat.polytoeplitz import horner
+from splinemat.curve import _derivative_rows
+from splinemat.polytoeplitz import horner, horner_array
 
 
 def convolve(a, b):
@@ -14,6 +17,23 @@ def convolve(a, b):
         for j, y in enumerate(b):
             out[i + j] += x * y
     return out
+
+
+@st.composite
+def array_horner_cases(draw):
+    """(m, n, d) power rows as ``_combine`` passes them, scaled by ``_derivative_rows``, and (n, d) x.
+
+    Degrees 0..12 and every order up to the degree; the rows hold +-0.0,
+    subnormals and values up to 1e300, x both signs and +-0.0.
+    """
+    k, order = draw(st.integers(0, 12).flatmap(lambda k: st.tuples(st.just(k), st.integers(0, k))))
+    n, d = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    entries = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-308]),
+                        st.floats(-1e300, 1e300))
+    rows = np.array(draw(st.lists(entries, min_size=(k + 1) * n * d, max_size=(k + 1) * n * d)))
+    x = np.array(draw(st.lists(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0)),
+                               min_size=n * d, max_size=n * d)))
+    return _derivative_rows(rows.reshape(k + 1, n, d)[order:], order), x.reshape(n, d)
 
 
 def random_poly(rng, max_degree=8):
@@ -49,6 +69,18 @@ class TestHorner:
         want = [[horner(stack[:, i, c].tolist(), float(x[i, 0])) for c in range(d)]
                 for i in range(n)]
         assert got.shape == (n, d) and got.tobytes() == np.array(want).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(array_horner_cases())
+    def test_array_form_equals_the_scalar_loop_bit_for_bit(self, case):
+        rows, x = case
+        before = rows.tobytes(), x.tobytes()
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = horner_array(rows, x)
+        want = [[horner(rows[:, i, c].tolist(), float(x[i, c])) for c in range(x.shape[1])]
+                for i in range(x.shape[0])]
+        assert got.shape == x.shape and got.tobytes() == np.array(want).tobytes()
+        assert (rows.tobytes(), x.tobytes()) == before  # neither input is written
 
     def test_exact_arguments_stay_exact(self):
         coeffs = [Fraction(1, 3), -2, Fraction(5, 7)]

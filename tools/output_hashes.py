@@ -55,7 +55,14 @@ parameters, as floats and as Fractions, for the whole index window and
 for one seeded index, ``cumulative_basis`` there, the errors of index
 windows out of range, a negative degree and non-finite float parameters,
 and ``poly_mul`` over seeded polynomials, zero ones included.  The
-``stats`` line, last, hashes the counts of ``stats()`` (all but
+``sample`` line hashes ``sample``'s pairs, each tau's ``repr`` and type
+and each point's bytes, for n = 301 (a count whose plan a vector keeps)
+and 1100 (one above the chunk of 1024, whose plan is not kept): per hash
+curve, a fresh curve over a fresh copy of its knots calls ``sample(n)``
+cold, then warm, then a second curve over that copy with two of the three
+coordinates calls it, over the first one's plan where one is kept.  Among
+the curves, those over the squares i^2/3 at degrees 1, 2, 4, 7 and 8 have
+domain ends that round outward.  The ``stats`` line, last, hashes the counts of ``stats()`` (all but
 ``build_s``, a time) of each curve after its paths and of its last fresh
 copy, so that a change to the store of blocks shows if it fills other
 blocks than before.
@@ -237,6 +244,12 @@ def reference_hashes(add, refs) -> None:
         values("poly_mul-%d" % n, poly_mul, poly(), poly())
 
 
+def sample_pairs(curve, n: int) -> bytes:
+    """``curve.sample(n)``: each tau's ``repr`` and type name, then its point's bytes."""
+    return b"".join(b"%s %s " % (repr(tau).encode(), type(tau).__name__.encode()) + point.tobytes()
+                    for tau, point in curve.sample(n))
+
+
 def stat_counts(curve) -> bytes:
     """The counts of ``curve.stats()``, without its build time."""
     stats = curve.stats()
@@ -294,6 +307,7 @@ def main() -> None:
     counts = []  # hashed on the stats line, last
     long = []  # the long curves and their parameters, for the shuffled line
     refs = []  # each curve's knots, degree and every fourth parameter, for the reference line
+    sampled = []  # every curve, for the sample line
     with tempfile.TemporaryDirectory() as workdir:
         for name, curve in curves():
             views.append((name, view_tables(curve)))
@@ -328,6 +342,7 @@ def main() -> None:
                     [a.ravel() for a in SplineCurve(curve.degree, kv, points)._sample_grid(301)])))
             add("sample_csv", name, sample_csv(curve, workdir))
             counts.append((name, stat_counts(curve) + stat_counts(fresh)))
+            sampled.append((name, curve))
             if name.startswith("long-"):
                 long.append((name, curve, taus))
     for seed in range(40):
@@ -347,6 +362,13 @@ def main() -> None:
             add("shuffled", name, outcome(fresh.evaluate, taus, order))
         add("shuffled", name, stat_counts(fresh))
     reference_hashes(add, refs)
+    for name, curve in sampled:
+        kv = KnotVector(curve.knots.values)  # a view of its own, whose plan the first builds
+        first = SplineCurve(curve.degree, kv, curve.points)
+        second = SplineCurve(curve.degree, kv, curve.points[:, :2])
+        for n in (301, 1100):
+            for each in (first, first, second):  # cold, warm, then the second curve
+                add("sample", name, outcome(sample_pairs, each, n))
     for name, data in counts:
         add("stats", name, data)
     for path, digest in hashes.items():
